@@ -31,15 +31,15 @@ from .errors import (
     SearchExhausted,
 )
 from .fields import FieldSpec
-from .intmath import ResidueClass, is_prime
+from .intmath import ResidueClass
 from .residues import (
     DegreeOnePrime,
     degree_one_primes_above,
     reduce_mod_p2,
-    splits_completely,
+    split_primes,
     unit_order_mod_p2,
 )
-from .units import UnitData
+from .units import Provenance, UnitData
 
 
 class Conclusion(enum.Enum):
@@ -132,14 +132,88 @@ def check_conditions(spec: FieldSpec, units: UnitData, P1: DegreeOnePrime,
     )
 
 
-def _split_primes(spec: FieldSpec, bound: int):
-    out = []
-    for p in range(3, bound + 1, 2):
-        if not is_prime(p) or spec.discriminant % p == 0:
-            continue
-        if splits_completely(spec, p):
-            out.append(p)
-    return out
+class PairAttempts:
+    """Prime pairs tried against the torsion multiples eta^t * eps of one
+    field's unit, with the primes above each p and their unit orders cached.
+
+    attempt(p1, p2) tests the gcd conditions (2) and (3), which depend on p1
+    and p2 alone, then returns the certificate for the first t for which a
+    conjugate above p1 passes (1) and (4) and a conjugate above p2 passes
+    (5), taking the first such conjugate in index order on each side; None
+    when no t does.  stats counts the rejections by reason.
+    """
+
+    def __init__(self, spec: FieldSpec, units: UnitData):
+        self.spec = spec
+        self.units = units
+        self.variants = [units]
+        for _ in range(1, units.g):
+            eps_t = units.eta * self.variants[-1].epsilon
+            self.variants.append(UnitData(units.g, units.eta, eps_t, Provenance.SUPPLIED))
+        self.stats = {
+            "no_condition5": 0,
+            "g_nondivisible": 0,
+            "gcd_failures": 0,
+            "cond1_failures": 0,
+            "cond4_failures": 0,
+            "pairs_checked": 0,
+        }
+        self._primes: dict[int, list[DegreeOnePrime]] = {}
+        self._orders: dict = {}
+
+    def _orders_above(self, p, t):
+        """(prime, ord(eps_t), ord(eta)) mod the square of each prime above p."""
+        key = (p, t)
+        if key not in self._orders:
+            if p not in self._primes:
+                self._primes[p] = degree_one_primes_above(self.spec, p)
+            var = self.variants[t]
+            self._orders[key] = [
+                (prime, unit_order_mod_p2(var.epsilon, prime), unit_order_mod_p2(var.eta, prime))
+                for prime in self._primes[p]
+            ]
+        return self._orders[key]
+
+    def _cond1_conjugate(self, p1, t):
+        g = self.units.g
+        n1 = p1 * (p1 - 1) // g
+        for prime, oe, oh in self._orders_above(p1, t):
+            if oe != n1:
+                self.stats["cond1_failures"] += 1
+            elif oh != g:
+                self.stats["cond4_failures"] += 1
+            else:
+                return prime
+        return None
+
+    def _cond5_conjugate(self, p2, t):
+        for prime, oe, _ in self._orders_above(p2, t):
+            if oe == p2 * (p2 - 1):
+                return prime
+        return None
+
+    def attempt(self, p1: int, p2: int) -> AdmissibleCertificate | None:
+        g = self.units.g
+        if (p1 * (p1 - 1)) % g != 0:
+            self.stats["g_nondivisible"] += 1
+            return None
+        n1 = p1 * (p1 - 1) // g
+        if gcd(n1, g) != 1 or gcd(n1, p2 * (p2 - 1)) != 1:
+            self.stats["gcd_failures"] += 1
+            return None
+        for t in range(g):
+            prime1 = self._cond1_conjugate(p1, t)
+            if prime1 is None:
+                continue
+            prime2 = self._cond5_conjugate(p2, t)
+            if prime2 is None:
+                self.stats["no_condition5"] += 1
+                continue
+            self.stats["pairs_checked"] += 1
+            result = check_conditions(self.spec, self.variants[t], prime1, prime2)
+            assert isinstance(result, AdmissibleCertificate)
+            return result
+        return None
 
 
 def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int,
@@ -147,110 +221,30 @@ def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int,
     """Deterministic sweep for the first admissible pair below the bound.
 
     Default strategy fixes p2 (the condition-(5) prime) first, ascending,
-    then sweeps p1 ascending, torsion multiples eta^t * eps of the unit, and
-    conjugates in index order, so repeated runs return byte-identical
-    certificates.  The torsion sweep matters: condition (1) constrains the
-    torsion component of the unit image, which multiplying by eta adjusts.
+    then sweeps p1 ascending; each pair is tried by PairAttempts over the
+    torsion multiples eta^t * eps of the unit and the conjugates in index
+    order, so repeated runs return byte-identical certificates.  The torsion
+    sweep matters: condition (1) constrains the torsion component of the
+    unit image, which multiplying by eta adjusts.
     """
     if prime_bound < 3:
         raise SearchExhausted("prime bound below 3", {"split_primes": 0})
     if strategy not in ("smallest-p2", "smallest-p1"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    from .units import Provenance, UnitData as _UnitData
-
-    g = units.g
-    primes = _split_primes(spec, prime_bound)
-    stats = {
-        "split_primes": len(primes),
-        "no_condition5": 0,
-        "g_nondivisible": 0,
-        "gcd_failures": 0,
-        "cond1_failures": 0,
-        "cond4_failures": 0,
-        "pairs_checked": 0,
-    }
-
-    variants = []
-    eps_t = units.epsilon
-    for t in range(g):
-        variants.append(
-            units if t == 0 else _UnitData(g, units.eta, eps_t, Provenance.SUPPLIED)
-        )
-        if t + 1 < g:
-            eps_t = units.eta * eps_t
-
-    prime_cache: dict[int, list[DegreeOnePrime]] = {}
-    order_cache: dict = {}
-
-    def primes_above(p):
-        if p not in prime_cache:
-            prime_cache[p] = degree_one_primes_above(spec, p)
-        return prime_cache[p]
-
-    def orders(p, t):
-        key = (p, t)
-        if key not in order_cache:
-            var = variants[t]
-            order_cache[key] = [
-                (
-                    prime,
-                    unit_order_mod_p2(var.epsilon, prime),
-                    unit_order_mod_p2(var.eta, prime),
-                )
-                for prime in primes_above(p)
-            ]
-        return order_cache[key]
-
-    def cond1_conjugate(p1, t):
-        n1 = p1 * (p1 - 1) // g
-        for prime, oe, oh in orders(p1, t):
-            if oe != n1:
-                stats["cond1_failures"] += 1
-            elif oh != g:
-                stats["cond4_failures"] += 1
-            else:
-                return prime
-        return None
-
-    def cond5_conjugate(p2, t):
-        for prime, oe, _ in orders(p2, t):
-            if oe == p2 * (p2 - 1):
-                return prime
-        return None
-
-    def attempt(p1, p2):
-        if (p1 * (p1 - 1)) % g != 0:
-            stats["g_nondivisible"] += 1
-            return None
-        n1 = p1 * (p1 - 1) // g
-        if gcd(n1, g) != 1 or gcd(n1, p2 * (p2 - 1)) != 1:
-            stats["gcd_failures"] += 1
-            return None
-        for t in range(g):
-            prime1 = cond1_conjugate(p1, t)
-            if prime1 is None:
-                continue
-            prime2 = cond5_conjugate(p2, t)
-            if prime2 is None:
-                stats["no_condition5"] += 1
-                continue
-            stats["pairs_checked"] += 1
-            result = check_conditions(spec, variants[t], prime1, prime2)
-            assert isinstance(result, AdmissibleCertificate)
-            return result
-        return None
-
+    primes = list(split_primes(spec, prime_bound))
+    attempts = PairAttempts(spec, units)
     for a in primes:
         for b in primes:
             if a == b:
                 continue
             p1, p2 = (b, a) if strategy == "smallest-p2" else (a, b)
-            cert = attempt(p1, p2)
+            cert = attempts.attempt(p1, p2)
             if cert is not None:
                 return cert
     raise SearchExhausted(
-        f"no admissible pair for {spec.name()} below {prime_bound}", stats
+        f"no admissible pair for {spec.name()} below {prime_bound}",
+        {"split_primes": len(primes), **attempts.stats},
     )
 
 
@@ -404,36 +398,15 @@ def conclude_euclidean(cert: AdmissibleCertificate,
     return replace(cert, conclusion=Conclusion.EUCLIDEAN, unit_rank=rank, prime_count=s)
 
 
-def _form_value(form, cand):
-    total = 0
-    for exps, coef in form.items():
-        term = coef
-        for j, e in enumerate(exps):
-            if e:
-                term *= cand[j] ** e
-        total += term
-    return total
+def _box_hits_numpy(form, r, p, bound, dtype):
+    """Coordinate vectors c with |c_i| <= bound, c0 + c1 r1 + c2 r2 + c3 r3
+    = 0 mod p and |form(c)| = p, with the form evaluated in the given numpy
+    dtype: int64 where no value can overflow it, object (exact Python
+    integers) otherwise."""
+    import numpy as np
 
-
-def _box_hits_python(form, r, p, bound):
     hits = []
-    rng = range(-bound, bound + 1)
-    for c1 in rng:
-        for c2 in rng:
-            for c3 in rng:
-                t = (-(c1 * r[1] + c2 * r[2] + c3 * r[3])) % p
-                c0 = -bound + ((t + bound) % p)
-                while c0 <= bound:
-                    cand = (c0, c1, c2, c3)
-                    if abs(_form_value(form, cand)) == p:
-                        hits.append(cand)
-                    c0 += p
-    return hits
-
-
-def _box_hits_numpy(np, form, r, p, bound):
-    hits = []
-    side = np.arange(-bound, bound + 1, dtype=np.int64)
+    side = np.arange(-bound, bound + 1, dtype=dtype)
     c2g, c3g = np.meshgrid(side, side, indexing="ij")
     c2f, c3f = c2g.ravel(), c3g.ravel()
     for c1 in range(-bound, bound + 1):
@@ -444,11 +417,11 @@ def _box_hits_numpy(np, form, r, p, bound):
             mask = c0 <= bound
             if not mask.any():
                 break
-            cols = (c0[mask], np.full(mask.sum(), c1, dtype=np.int64),
+            cols = (c0[mask], np.full(mask.sum(), c1, dtype=dtype),
                     c2f[mask], c3f[mask])
-            acc = np.zeros(cols[0].shape, dtype=np.int64)
+            acc = np.zeros(cols[0].shape, dtype=dtype)
             for exps, coef in form.items():
-                term = np.full(cols[0].shape, coef, dtype=np.int64)
+                term = np.full(cols[0].shape, coef, dtype=dtype)
                 for j, e in enumerate(exps):
                     for _ in range(e):
                         term *= cols[j]
@@ -465,9 +438,10 @@ def find_prime_element(prime: DegreeOnePrime, coord_bound: int) -> NFElement:
     Searches integral-basis coordinate vectors over the sublattice of
     elements reducing to 0 mod p and returns the one with |norm| = p that
     comes first by increasing sup-norm, lexicographic within a shell.  The
-    candidate sweep uses the precomputed norm form (vectorized when numpy is
-    available and 64-bit evaluation provably cannot overflow); the returned
-    element is always confirmed with exact integer arithmetic.
+    candidate sweep evaluates the precomputed norm form with numpy, in int64
+    when the overflow bound sum|coef| * bound^4 stays below 2^62 and in
+    exact object integers otherwise; the returned element is always
+    confirmed with exact integer arithmetic.
     """
     spec = prime.field
     p = prime.p
@@ -477,17 +451,7 @@ def find_prime_element(prime: DegreeOnePrime, coord_bound: int) -> NFElement:
 
     def scan(bound):
         limit = sum(abs(v) for v in form.values()) * max(1, bound) ** 4
-        np = None
-        if limit < 2 ** 62:
-            try:
-                import numpy as np  # noqa: F811
-            except ImportError:
-                np = None
-        hits = (
-            _box_hits_numpy(np, form, r, p, bound)
-            if np is not None
-            else _box_hits_python(form, r, p, bound)
-        )
+        hits = _box_hits_numpy(form, r, p, bound, "int64" if limit < 2 ** 62 else object)
         if not hits:
             return None
         best = min(hits, key=lambda c: (max(abs(v) for v in c), c))

@@ -63,6 +63,8 @@ def certificate_to_json(cert: AdmissibleCertificate, label: str | None = None) -
 
 
 def _require(doc: dict, key: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected a JSON object holding {key!r}")
     if key not in doc:
         raise SchemaError(f"missing key {key!r}")
     return doc[key]
@@ -77,6 +79,12 @@ def _as_int(value, what: str) -> int:
         raise SchemaError(f"{what} is not a decimal integer: {value!r}") from exc
 
 
+def _as_coords(value, what: str) -> tuple[int, int, int, int]:
+    if not isinstance(value, list) or len(value) != 4:
+        raise SchemaError(f"{what} must be a list of 4 decimal strings")
+    return tuple(_as_int(v, what) for v in value)
+
+
 def _load_prime(doc: dict, spec: FieldSpec, what: str) -> DegreeOnePrime:
     p = _as_int(_require(doc, "p"), f"{what}.p")
     conj = _as_int(_require(doc, "conjugate_index"), f"{what}.conjugate_index")
@@ -88,9 +96,9 @@ def _load_prime(doc: dict, spec: FieldSpec, what: str) -> DegreeOnePrime:
         raise SchemaError(f"{what}: conjugate index {conj} out of range")
     prime = candidates[conj]
     stored = (
-        _as_int(doc["root_c"], "root"),
-        _as_int(doc["lifted_c"], "lift"),
-        tuple(_as_int(v, "image") for v in _require(doc, "basis_images")),
+        _as_int(_require(doc, "root_c"), f"{what}.root_c"),
+        _as_int(_require(doc, "lifted_c"), f"{what}.lifted_c"),
+        _as_coords(_require(doc, "basis_images"), f"{what}.basis_images"),
     )
     actual = (prime.root_c.value, prime.lifted_c.value, prime.basis_images)
     if stored != actual:
@@ -119,8 +127,8 @@ def parse_certificate(doc: dict) -> tuple[AdmissibleCertificate, str | None]:
 
     udoc = _require(doc, "units")
     g = _as_int(_require(udoc, "g"), "units.g")
-    eta = NFElement(spec, tuple(_as_int(v, "eta") for v in _require(udoc, "eta_coords")))
-    eps = NFElement(spec, tuple(_as_int(v, "eps") for v in _require(udoc, "epsilon_coords")))
+    eta = NFElement(spec, _as_coords(_require(udoc, "eta_coords"), "units.eta_coords"))
+    eps = NFElement(spec, _as_coords(_require(udoc, "epsilon_coords"), "units.epsilon_coords"))
     try:
         prov = Provenance(_require(udoc, "provenance"))
     except ValueError as exc:
@@ -144,7 +152,10 @@ def parse_certificate(doc: dict) -> tuple[AdmissibleCertificate, str | None]:
     ):
         if _as_int(_require(stored_orders, key), key) != value:
             raise ConditionFailed(cond, f"stored {key} disagrees with recomputed {value}")
-    if list(_require(doc, "gcds")) != [True, True]:
+    gcds = _require(doc, "gcds")
+    if not isinstance(gcds, list):
+        raise SchemaError("gcds must be a list of two booleans")
+    if gcds != [True, True]:
         raise ConditionFailed(2, "stored gcd flags are not both true")
 
     conclusion = _require(doc, "conclusion")

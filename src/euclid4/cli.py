@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .admissible import AdmissibleCertificate, check_conditions, search_pair
+from .admissible import PairAttempts, search_pair
 from .certs import certificate_to_json, verify_certificate_json
 from .errors import (
     ConditionFailed,
@@ -24,8 +24,7 @@ from .errors import (
     UnknownLabel,
 )
 from .fields import FieldRegistryEntry, field_descriptor, registry, registry_entry
-from .residues import degree_one_primes_above
-from .units import Provenance, UnitData, unit_data
+from .units import unit_data
 
 STATUS_REPRODUCED = "Reproduced"
 STATUS_ALTERNATIVE = "AlternativePairFound"
@@ -62,32 +61,12 @@ def reproduce_row(entry: FieldRegistryEntry, bound: int = 1000):
     spec = entry.spec
     start = time.monotonic()
     ud = unit_data(spec)
-    p1, p2 = entry.expected_p1_p2
-    cert = None
-    status = STATUS_FAILED
     stats: dict = {}
     try:
-        p1_primes = degree_one_primes_above(spec, p1)
-        p2_primes = degree_one_primes_above(spec, p2)
+        cert = PairAttempts(spec, ud).attempt(*entry.expected_p1_p2)
     except Ramified:
-        p1_primes, p2_primes = [], []
-    for t in range(ud.g):
-        eps_t = (ud.eta ** t) * ud.epsilon
-        variant = UnitData(
-            ud.g, ud.eta, eps_t,
-            ud.provenance if t == 0 else Provenance.SUPPLIED,
-        )
-        for prime1 in p1_primes:
-            for prime2 in p2_primes:
-                result = check_conditions(spec, variant, prime1, prime2)
-                if isinstance(result, AdmissibleCertificate):
-                    cert = result
-                    break
-            if cert:
-                break
-        if cert:
-            status = STATUS_REPRODUCED
-            break
+        cert = None
+    status = STATUS_REPRODUCED if cert is not None else STATUS_FAILED
     if cert is None:
         try:
             cert = search_pair(spec, ud, bound)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldMismatch, NotAUnit
-from .fields import FieldSpec
+from .fields import FieldSpec, basis_mul
 from .linalg import charpoly_int, det_int, solve_exact
 
 
@@ -43,19 +43,7 @@ class NFElement:
         if isinstance(other, int):
             return NFElement(self.field, tuple(other * a for a in self.coords))
         self._check(other)
-        table = self.field.mult_table
-        out = [0, 0, 0, 0]
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                f = a * b
-                cij = table[i][j]
-                for k in range(4):
-                    out[k] += f * cij[k]
-        return NFElement(self.field, tuple(out))
+        return NFElement(self.field, basis_mul(self.field.mult_table, self.coords, other.coords))
 
     __rmul__ = __mul__
 

@@ -112,53 +112,58 @@ def _module_discriminant(basis, minpoly, red):
             f = m[i][c] * inv
             if f:
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    assert det.denominator == 1 or True
     return det
 
 
-def _structure_constants(basis, minpoly, red, exact=True):
-    """Coordinates of b_i * b_j over the basis; integral for an order."""
-    binv = invert_fraction_matrix([list(r) for r in basis])
-    table = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            prod = _poly_mul_mod(basis[i], basis[j], red)
-            coords = [sum(prod[t] * binv[t][k] for t in range(4)) for k in range(4)]
-            if exact:
-                assert all(x.denominator == 1 for x in coords), "basis not closed"
-                coords = [int(x) for x in coords]
-            row.append(coords)
-        table.append(row)
-    return table
+def _integral_coords(binv, vec):
+    """Coordinates of vec over the basis whose inverse matrix is binv;
+    raises ValueError when they are not all integers."""
+    coords = [sum(Fraction(vec[t]) * binv[t][k] for t in range(4)) for k in range(4)]
+    if any(x.denominator != 1 for x in coords):
+        raise ValueError("element is not integral")
+    return tuple(int(x) for x in coords)
+
+
+def _structure_constants(basis, binv, red):
+    """Integer coordinates of b_i * b_j over the basis (binv is its inverse).
+
+    Raises ValueError when the basis is not closed under multiplication.
+    """
+    return [
+        [_integral_coords(binv, _poly_mul_mod(basis[i], basis[j], red)) for j in range(4)]
+        for i in range(4)
+    ]
+
+
+def basis_mul(table, x, y):
+    """Product of two coordinate vectors over a basis with structure
+    constants table (table[i][j] holds the coordinates of b_i * b_j)."""
+    out = [0, 0, 0, 0]
+    for i, a in enumerate(x):
+        if a == 0:
+            continue
+        for j, b in enumerate(y):
+            if b == 0:
+                continue
+            f = a * b
+            cij = table[i][j]
+            for k in range(4):
+                out[k] += f * cij[k]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # p-saturation (one multiplier-ring enlargement step, iterated)
 
 
-def _p_saturate(basis, minpoly, red, p):
+def _p_saturate(basis, red, p):
     """Enlarge an order until it is p-maximal.  Returns the new basis rows."""
     basis = [list(r) for r in basis]
     while True:
-        ctab = _structure_constants(basis, minpoly, red)
-
-        def amul(x, y):
-            out = [0, 0, 0, 0]
-            for i in range(4):
-                if x[i] == 0:
-                    continue
-                for j in range(4):
-                    if y[j] == 0:
-                        continue
-                    cij = ctab[i][j]
-                    f = x[i] * y[j]
-                    for k in range(4):
-                        out[k] += f * cij[k]
-            return out
+        ctab = _structure_constants(basis, invert_fraction_matrix(basis), red)
 
         def amul_p(x, y):
-            return [v % p for v in amul(x, y)]
+            return [v % p for v in basis_mul(ctab, x, y)]
 
         # radical of O/pO = kernel of x -> x^(p^j) with p^j >= 4
         pj = p
@@ -184,17 +189,15 @@ def _p_saturate(basis, minpoly, red, p):
         gens = [[p if t == i else 0 for t in range(4)] for i in range(4)]
         gens += [[v % p for v in vec] for vec in rad]
         w = hnf_rows(gens)
-        winv = invert_fraction_matrix([[Fraction(x) for x in row] for row in w])
+        winv = invert_fraction_matrix(w)
         # multiplier-ring condition: y * w_r in p*I for all r
         cond_rows = []
         for r in range(4):
             per_e = []
             for i in range(4):
                 e = [1 if t == i else 0 for t in range(4)]
-                q = amul(e, w[r])
-                coords = [sum(q[t] * winv[t][k] for t in range(4)) for k in range(4)]
-                assert all(x.denominator == 1 for x in coords), "I is not an ideal"
-                per_e.append([int(x) for x in coords])
+                # integral because I is an ideal
+                per_e.append(_integral_coords(winv, basis_mul(ctab, e, w[r])))
             for k in range(4):
                 cond_rows.append([per_e[i][k] % p for i in range(4)])
         ys = nullspace_mod_p(cond_rows, p)
@@ -229,7 +232,7 @@ def _maximalize(basis, minpoly, red, target_disc):
     root = isqrt(ratio)
     assert root * root == ratio, "discriminant ratio is not a square"
     for p in factorize(root):
-        basis = _p_saturate(basis, minpoly, red, p)
+        basis = _p_saturate(basis, red, p)
     final = _module_discriminant(basis, minpoly, red)
     assert final == target_disc, (final, target_disc)
     return basis
@@ -244,8 +247,9 @@ class FieldSpec:
     """An imaginary Galois quartic field with an exact integral basis.
 
     integral_basis rows are coordinates over the power basis of theta;
-    sqrt_coords maps each embedded squarefree radicand d to the integer
-    coordinates (over the integral basis) of an element squaring to d.
+    sqrt_power pairs each embedded squarefree radicand d with the power-basis
+    coordinates of an element squaring to d, and sqrt_map gives the integer
+    coordinates of that element over the integral basis.
     """
 
     kind: str  # "biquadratic" | "cyclic"
@@ -257,7 +261,7 @@ class FieldSpec:
     discriminant: int
     index: int
     real_subfield_d: int
-    sqrt_coords: tuple
+    sqrt_power: tuple
 
     @cached_property
     def _red(self):
@@ -265,11 +269,11 @@ class FieldSpec:
 
     @cached_property
     def basis_inv(self):
-        return invert_fraction_matrix([list(r) for r in self.integral_basis])
+        return invert_fraction_matrix(self.integral_basis)
 
     @cached_property
     def mult_table(self):
-        return _structure_constants(self.integral_basis, self.theta_minpoly, self._red)
+        return _structure_constants(self.integral_basis, self.basis_inv, self._red)
 
     @cached_property
     def theta_coords(self):
@@ -277,7 +281,7 @@ class FieldSpec:
 
     @cached_property
     def sqrt_map(self):
-        return {d: coords for d, coords in self.sqrt_coords}
+        return {d: self.coords_from_power(vec) for d, vec in self.sqrt_power}
 
     @cached_property
     def norm_form(self):
@@ -322,13 +326,7 @@ class FieldSpec:
 
         Raises ValueError when the element is not integral over the basis.
         """
-        coords = [
-            sum(Fraction(power_vec[t]) * self.basis_inv[t][k] for t in range(4))
-            for k in range(4)
-        ]
-        if any(x.denominator != 1 for x in coords):
-            raise ValueError("element is not integral")
-        return tuple(int(x) for x in coords)
+        return _integral_coords(self.basis_inv, power_vec)
 
     def power_from_coords(self, coords):
         return tuple(
@@ -353,16 +351,12 @@ def integral_basis_closure_check(spec: FieldSpec) -> bool:
     discriminant must equal the field discriminant (so a closed but
     non-maximal order, such as a bare power basis, is rejected).
     """
-    red = _reduction_rows(spec.theta_minpoly)
     try:
-        _structure_constants(spec.integral_basis, spec.theta_minpoly, red)
-        binv = invert_fraction_matrix([list(r) for r in spec.integral_basis])
-        one = [sum(Fraction(1 if t == 0 else 0) * binv[t][k] for t in range(4)) for k in range(4)]
-        if not all(x.denominator == 1 for x in one):
-            return False
-        return _module_discriminant(spec.integral_basis, spec.theta_minpoly, red) == spec.discriminant
-    except AssertionError:
+        spec.mult_table
+        spec.coords_from_power((1, 0, 0, 0))
+    except ValueError:
         return False
+    return _module_discriminant(spec.integral_basis, spec.theta_minpoly, spec._red) == spec.discriminant
 
 
 def _validate_spec(spec: FieldSpec):
@@ -372,10 +366,8 @@ def _validate_spec(spec: FieldSpec):
     assert poly_d == spec.discriminant * spec.index ** 2
     assert integral_basis_closure_check(spec)
     # each stored square root squares to d * 1
-    for d, coords in spec.sqrt_coords:
-        power = spec.power_from_coords(coords)
-        sq = _poly_mul_mod(list(power), list(power), _reduction_rows(spec.theta_minpoly))
-        assert sq == [Fraction(d), Fraction(0), Fraction(0), Fraction(0)]
+    for d, coords in spec.sqrt_map.items():
+        assert basis_mul(spec.mult_table, coords, coords) == [d, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +457,10 @@ def build_biquadratic(m: int, n: int) -> FieldSpec:
         discriminant=target,
         index=index,
         real_subfield_d=real_d,
-        sqrt_coords=tuple(sorted(
-            (d, _coords_over(basis, to_power(vec))) for d, vec in sqrt_amb.items()
-        )),
+        sqrt_power=tuple(sorted((d, tuple(to_power(vec))) for d, vec in sqrt_amb.items())),
     )
     _validate_spec(spec)
     return spec
-
-
-def _coords_over(basis, power_vec):
-    binv = invert_fraction_matrix([list(r) for r in basis])
-    coords = [sum(Fraction(power_vec[t]) * binv[t][k] for t in range(4)) for k in range(4)]
-    assert all(x.denominator == 1 for x in coords)
-    return tuple(int(x) for x in coords)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +562,6 @@ def build_cyclic_quartic(f: int) -> FieldSpec:
     index = isqrt(poly_d // target)
     assert index * index * target == poly_d
 
-    sqrt_coords = [(real_d, _coords_over(basis, to_power(sqrt_vec)))]
     if f == 5:
         # theta itself is a primitive 5th root of unity (H is trivial)
         assert subgroup == [1]
@@ -594,7 +576,7 @@ def build_cyclic_quartic(f: int) -> FieldSpec:
         discriminant=target,
         index=index,
         real_subfield_d=real_d,
-        sqrt_coords=tuple(sqrt_coords),
+        sqrt_power=((real_d, tuple(to_power(sqrt_vec))),),
     )
     _validate_spec(spec)
     return spec
@@ -730,7 +712,3 @@ def build_from_descriptor(desc: dict) -> FieldSpec:
     if desc["kind"] == "cyclic":
         return build_cyclic_quartic(int(desc["conductor"]))
     raise UnknownLabel(f"unknown field kind {desc['kind']!r}")
-
-
-def descriptor_matches(desc: dict, spec: FieldSpec) -> bool:
-    return field_descriptor(spec) == {k: v for k, v in desc.items() if k != "label"}

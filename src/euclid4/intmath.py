@@ -96,21 +96,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
-def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of a nonnegative integer."""
-    if n < 0:
-        raise ValueError("iroot of negative")
-    if n == 0:
-        return 0
-    x = 1 << (-(-n.bit_length() // k))
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x
-
-
 def _cf_unit_search(d: int, p0: int, q0: int, targets: tuple[int, ...]):
     """Continued fraction of (p0 + sqrt(d))/q0 with exact integer state.
 

@@ -23,8 +23,8 @@ from math import gcd
 
 from .elements import NFElement
 from .errors import NotCoprime, Ramified
-from .fields import FieldSpec
-from .intmath import ResidueClass, hensel_lift, is_prime, legendre, mult_order, poly_roots_mod_p
+from .fields import FieldSpec, basis_mul
+from .intmath import ResidueClass, is_prime, legendre, mult_order, poly_roots_mod_p
 
 
 @dataclass(frozen=True)
@@ -65,21 +65,46 @@ def splits_completely(spec: FieldSpec, p: int) -> bool:
     return pow(p, (f - 1) // 4, f) == 1
 
 
-def _root_model_primes(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
-    p2 = p * p
+def split_primes(spec: FieldSpec, bound: int):
+    """The odd unramified primes up to bound that split completely, ascending."""
+    for p in range(3, bound + 1, 2):
+        if is_prime(p) and spec.discriminant % p and splits_completely(spec, p):
+            yield p
+
+
+def lifted_basis_images(spec: FieldSpec, q: int, k: int) -> list[tuple[int, list[int]]]:
+    """The four degree-one maps O -> Z/q^k for a split prime q coprime to the
+    generator index, one per root of the defining polynomial mod q, ascending.
+
+    Each root is Newton-lifted to q^k; the map is given by that lifted root
+    and the images of the integral basis under theta -> root.
+    """
+    f = spec.theta_minpoly
+    fp = f.derivative()
+    qk = q ** k
     out = []
-    for idx, root in enumerate(poly_roots_mod_p(spec.theta_minpoly, p)):
-        lifted = hensel_lift(spec.theta_minpoly, root)
+    for root in poly_roots_mod_p(f, q):
+        c, cur = root.value, q
+        while cur < qk:
+            cur = min(cur * cur, qk)
+            c = (c - f.eval_mod(c, cur) * pow(fp.eval_mod(c, cur), -1, cur)) % cur
         images = []
         for row in spec.integral_basis:
             acc = 0
             for coef in reversed(row):
-                acc = (acc * lifted.value + coef.numerator * pow(coef.denominator, -1, p2)) % p2
+                acc = (acc * c + coef.numerator * pow(coef.denominator, -1, qk)) % qk
             images.append(acc)
-        out.append(
-            DegreeOnePrime(spec, p, root, lifted, idx, tuple(images))
-        )
+        out.append((c, images))
     return out
+
+
+def _root_model_primes(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
+    return [
+        DegreeOnePrime(
+            spec, p, ResidueClass(c % p, p), ResidueClass(c, p * p), idx, tuple(images)
+        )
+        for idx, (c, images) in enumerate(lifted_basis_images(spec, p, 2))
+    ]
 
 
 def _idempotent_model_primes(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
@@ -87,18 +112,7 @@ def _idempotent_model_primes(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
     table = spec.mult_table
 
     def mul_mod(x, y, m):
-        out = [0, 0, 0, 0]
-        for i in range(4):
-            if x[i] == 0:
-                continue
-            for j in range(4):
-                if y[j] == 0:
-                    continue
-                f = x[i] * y[j]
-                cij = table[i][j]
-                for k in range(4):
-                    out[k] = (out[k] + f * cij[k]) % m
-        return out
+        return [v % m for v in basis_mul(table, x, y)]
 
     one_v = [1, 0, 0, 0]
 
@@ -217,10 +231,6 @@ def reduce_mod_p2(x: NFElement, prime: DegreeOnePrime) -> ResidueClass:
     p2 = prime.p * prime.p
     val = sum(c * im for c, im in zip(x.coords, prime.basis_images)) % p2
     return ResidueClass(val, p2)
-
-
-def reduce_mod_p(x: NFElement, prime: DegreeOnePrime) -> int:
-    return reduce_mod_p2(x, prime).value % prime.p
 
 
 def unit_order_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:

@@ -12,19 +12,14 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
+from itertools import islice
 from math import gcd
 
 from .elements import NFElement, from_power_coords, norm, one, sqrt_radicand, theta
 from .fields import FieldSpec
-from .intmath import (
-    continued_fraction_fundamental_unit,
-    factorize,
-    is_prime,
-    legendre,
-    poly_roots_mod_p,
-)
+from .intmath import continued_fraction_fundamental_unit, factorize, legendre
 from .linalg import charpoly_int
+from .residues import lifted_basis_images, split_primes
 
 
 class Provenance(enum.Enum):
@@ -114,31 +109,6 @@ def _sqrt_mod_prime(a: int, q: int) -> int | None:
     return None
 
 
-def _hom_images_mod(spec: FieldSpec, q: int, prec: int):
-    """Images of the integral basis under the four degree-one maps mod q^prec.
-
-    Requires q split, coprime to discriminant and generator index; the roots
-    of the defining polynomial are Newton-lifted to the requested precision.
-    """
-    f = spec.theta_minpoly
-    fp = f.derivative()
-    qm = q ** prec
-    homs = []
-    for root in poly_roots_mod_p(f, q):
-        c, cur = root.value, q
-        while cur < qm:
-            cur = min(cur * cur, qm)
-            c = (c - f.eval_mod(c, cur) * pow(fp.eval_mod(c, cur), -1, cur)) % cur
-        images = []
-        for row in spec.integral_basis:
-            acc = 0
-            for coef in reversed(row):
-                acc = (acc * c + coef.numerator * pow(coef.denominator, -1, qm)) % qm
-            images.append(acc)
-        homs.append(images)
-    return homs
-
-
 def _solve_mod(mat, rhs, modulus):
     """Solve a 4x4 system with unit determinant modulo a prime power."""
     m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
@@ -155,19 +125,6 @@ def _solve_mod(mat, rhs, modulus):
     return [m[i][4] for i in range(4)]
 
 
-def _split_primes_for_lifting(spec: FieldSpec, count: int = 3):
-    from .residues import splits_completely
-
-    out = []
-    p = 3
-    while len(out) < count and p < 20000:
-        if is_prime(p) and spec.discriminant % p and spec.index % p:
-            if splits_completely(spec, p):
-                out.append(p)
-        p += 2
-    return out
-
-
 def sqrt_in_ring(spec: FieldSpec, v: NFElement) -> NFElement | None:
     """An exact w with w*w = v, or None.
 
@@ -176,12 +133,11 @@ def sqrt_in_ring(spec: FieldSpec, v: NFElement) -> NFElement | None:
     power, reconstructed by linear algebra, and verified exactly, so a
     returned value is always correct.
     """
-    qs = _split_primes_for_lifting(spec)
+    qs = list(islice((q for q in split_primes(spec, 20000) if spec.index % q), 3))
     if len(qs) < 3:
         return None
     for q in qs:
-        homs = _hom_images_mod(spec, q, 1)
-        for images in homs:
+        for _, images in lifted_basis_images(spec, q, 1):
             val = sum(c * im for c, im in zip(v.coords, images)) % q
             if legendre(val, q) != 1:
                 return None
@@ -190,7 +146,7 @@ def sqrt_in_ring(spec: FieldSpec, v: NFElement) -> NFElement | None:
     prec = max(2, (bits // 2 + 40) // max(1, q.bit_length() - 1))
     for _ in range(4):
         qm = q ** prec
-        homs = _hom_images_mod(spec, q, prec)
+        homs = [images for _, images in lifted_basis_images(spec, q, prec)]
         vals = [sum(c * im for c, im in zip(v.coords, row)) % qm for row in homs]
         roots = []
         for val in vals:

@@ -8,6 +8,7 @@ from euclid4.admissible import (
     AdmissibleCertificate,
     Conclusion,
     FailureReport,
+    _box_hits_numpy,
     brute_force_surjectivity,
     check_conditions,
     conclude_euclidean,
@@ -203,6 +204,18 @@ def test_find_prime_element_other_conjugate(gaussian_sqrt11):
     b = find_prime_element(primes[1], 50)
     assert reduce_mod_p2(a, primes[1]).value % 5 != 0
     assert reduce_mod_p2(b, primes[1]).value % 5 == 0
+
+
+@pytest.mark.parametrize("label, p", [("K_1", 29), ("K_8", 59), ("13", 29)])
+def test_object_scan_matches_int64_scan(entries, label, p):
+    """The exact object-dtype scan, taken when int64 could overflow, finds
+    the same candidates in the same order as the int64 scan."""
+    spec = entries[label].spec
+    prime = degree_one_primes_above(spec, p)[0]
+    r = [im % p for im in prime.basis_images]
+    hits = _box_hits_numpy(spec.norm_form, r, p, 8, "int64")
+    assert hits
+    assert _box_hits_numpy(spec.norm_form, r, p, 8, object) == hits
 
 
 def test_reference_pair_errata(entries):

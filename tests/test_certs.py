@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +93,35 @@ def test_verify_without_oracle(k8_cert):
     report = verify_certificate_json(certificate_to_json(k8_cert))
     assert report["label"] is None
     assert report["oracle_checked"] is False
+
+
+FROZEN_CERTS = Path(__file__).resolve().parent.parent / "benchmark" / "data" / "certs"
+
+
+def test_reproduction_matches_frozen_certificates(reproduction):
+    """All forty reproduced rows serialize byte for byte to the frozen files."""
+    assert len(reproduction) == 40
+    differing = [
+        label
+        for label, (_, cert) in sorted(reproduction.items())
+        if certificate_to_json(cert, label) != (FROZEN_CERTS / f"{label}.json").read_text()
+    ]
+    assert differing == []
+
+
+MALFORMED = {
+    "P1.root_c-missing": lambda doc: doc["P1"].pop("root_c"),
+    "P2.lifted_c-missing": lambda doc: doc["P2"].pop("lifted_c"),
+    "three-eta_coords": lambda doc: doc["units"]["eta_coords"].pop(),
+    "units-not-an-object": lambda doc: doc.update(units=5),
+    "P1-not-an-object": lambda doc: doc.update(P1=7),
+    "gcds-not-a-list": lambda doc: doc.update(gcds=1),
+}
+
+
+@pytest.mark.parametrize("damage", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_certificate_is_schema_error(k8_cert, damage):
+    doc = certificate_to_dict(k8_cert, "K_8")
+    damage(doc)
+    with pytest.raises(SchemaError):
+        verify_certificate_json(json.dumps(doc))
