@@ -6,14 +6,17 @@ and the class-number-one imaginary cyclic quartic fields of conductor
 
 A field is represented by a monic quartic defining polynomial for a primitive
 integral generator theta together with an exact integral basis written over
-the power basis 1, theta, theta^2, theta^3.  The basis is produced
-constructively: start from an order that is easy to write down (the
-compositum of the quadratic subfield orders, or the span of the Gauss
-periods), then saturate at the finitely many primes where it is not maximal,
-until the module discriminant matches the value forced by the
-conductor-discriminant product over the quadratic subfields.  Both the
-closure of the basis under multiplication and the discriminant target act as
-independent certificates of maximality.
+the power basis 1, theta, theta^2, theta^3.  The basis is written down in
+closed form.  For Q(sqrt(m), sqrt(n)) with third radicand k = mn/gcd(m, n)^2
+it is the classical one (K. S. Williams, Integers of biquadratic fields,
+Canad. Math. Bull. 13 (1970)): the products of subsets of
+{w_m, w_n, w_k}, with w_r = (1 + sqrt(r))/2 for r = 1 (mod 4) and sqrt(r)
+otherwise, and (sqrt(a) + sqrt(b))/2 when two radicands a, b are 2 (mod 4).
+For the supported cyclic conductors the span of the Gauss periods (the power
+basis for conductor 16) is already maximal.  The generators are reduced to a
+Hermite normal form, and maximality is certified, not assumed: the basis
+must be closed under multiplication and its discriminant det(B)^2 disc(f)
+must equal the conductor-discriminant product over the quadratic subfields.
 """
 
 from __future__ import annotations
@@ -21,19 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from .errors import DegenerateField, NotImaginary, UnknownLabel, UnsupportedConductor
-from .intmath import (
-    IntPoly,
-    count_real_roots,
-    factorize,
-    is_squarefree,
-    legendre,
-    poly_discriminant,
-    squarefree_part,
+from .errors import (
+    CapExceeded,
+    DegenerateField,
+    NotImaginary,
+    UnknownLabel,
+    UnsupportedConductor,
 )
-from .linalg import hnf_rows, invert_fraction_matrix, mat_mul, nullspace_mod_p, solve_exact
+from .intmath import IntPoly, count_real_roots, factorize, is_squarefree, legendre, poly_discriminant
+from .linalg import det_int, hnf_rows, invert_fraction_matrix, solve_exact
+
+# Radicands are tested for squarefreeness by trial division, which takes
+# about 0.075 s at 10**12 and grows with the square root beyond it; larger
+# radicands are refused before any factoring so that no input runs unbounded.
+MAX_RADICAND = 10 ** 12
 
 
 def quadratic_discriminant(r: int) -> int:
@@ -77,42 +83,25 @@ def _poly_mul_mod(u, v, red):
     return out
 
 
-def _power_sums(minpoly: IntPoly):
-    """Traces of theta^k for k = 0..3 by Newton's identities."""
-    c = minpoly.coeffs
-    e1, e2, e3, e4 = -c[3], c[2], -c[1], c[0]
-    s1 = e1
-    s2 = e1 * s1 - 2 * e2
-    s3 = e1 * s2 - e2 * s1 + 3 * e3
-    return (4, s1, s2, s3)
+def _scaled(rows):
+    """(d, d * rows) with d the least common denominator of the entries."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[int(x * d) for x in row] for row in rows]
 
 
-def _module_discriminant(basis, minpoly, red):
-    sums = _power_sums(minpoly)
-    gram = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            prod = _poly_mul_mod(basis[i], basis[j], red)
-            row.append(sum(prod[k] * sums[k] for k in range(4)))
-        gram.append(row)
-    # exact rational determinant via elimination
-    m = [row[:] for row in gram]
-    det = Fraction(1)
-    for c in range(4):
-        piv = next((i for i in range(c, 4) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, 4):
-            f = m[i][c] * inv
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+def _module_discriminant(basis, poly_d):
+    """Discriminant det(B)^2 disc(f) of the Z-span of the basis rows B."""
+    d, mat = _scaled(basis)
+    return Fraction(det_int(mat) ** 2 * poly_d, d ** 8)
+
+
+def _canonical_basis(generators):
+    """HNF-canonical basis of the Z-span of generators (power coordinates):
+    b0 = 1, pivots on ascending powers, positive."""
+    d, mat = _scaled(generators)
+    out = tuple(tuple(Fraction(x, d) for x in row) for row in hnf_rows(mat))
+    assert out[0] == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    return out
 
 
 def _integral_coords(binv, vec):
@@ -150,92 +139,6 @@ def basis_mul(table, x, y):
             for k in range(4):
                 out[k] += f * cij[k]
     return out
-
-
-# ---------------------------------------------------------------------------
-# p-saturation (one multiplier-ring enlargement step, iterated)
-
-
-def _p_saturate(basis, red, p):
-    """Enlarge an order until it is p-maximal.  Returns the new basis rows."""
-    basis = [list(r) for r in basis]
-    while True:
-        ctab = _structure_constants(basis, invert_fraction_matrix(basis), red)
-
-        def amul_p(x, y):
-            return [v % p for v in basis_mul(ctab, x, y)]
-
-        # radical of O/pO = kernel of x -> x^(p^j) with p^j >= 4
-        pj = p
-        while pj < 4:
-            pj *= p
-        fro = []
-        for i in range(4):
-            base = [1 if t == i else 0 for t in range(4)]
-            exp = pj
-            acc = None
-            while exp:
-                if exp & 1:
-                    acc = base if acc is None else amul_p(acc, base)
-                exp >>= 1
-                if exp:
-                    base = amul_p(base, base)
-            fro.append(acc)
-        fro_t = [[fro[i][j] for i in range(4)] for j in range(4)]
-        rad = nullspace_mod_p(fro_t, p)
-        if not rad:
-            return basis
-        # ideal I = radical preimage + pO, as a sublattice of O
-        gens = [[p if t == i else 0 for t in range(4)] for i in range(4)]
-        gens += [[v % p for v in vec] for vec in rad]
-        w = hnf_rows(gens)
-        winv = invert_fraction_matrix(w)
-        # multiplier-ring condition: y * w_r in p*I for all r
-        cond_rows = []
-        for r in range(4):
-            per_e = []
-            for i in range(4):
-                e = [1 if t == i else 0 for t in range(4)]
-                # integral because I is an ideal
-                per_e.append(_integral_coords(winv, basis_mul(ctab, e, w[r])))
-            for k in range(4):
-                cond_rows.append([per_e[i][k] % p for i in range(4)])
-        ys = nullspace_mod_p(cond_rows, p)
-        if not ys:
-            return basis
-        rows = [[p if t == i else 0 for t in range(4)] for i in range(4)]
-        rows += [[v % p for v in y] for y in ys]
-        h = hnf_rows(rows)
-        new_over_old = [[Fraction(x, p) for x in row] for row in h]
-        basis = mat_mul(new_over_old, basis)
-
-
-def _canonical_basis(basis):
-    """HNF-canonical form: b0 = 1, pivots on ascending powers, positive."""
-    dens = [f.denominator for row in basis for f in row]
-    d = 1
-    for x in dens:
-        d = d * x // gcd(d, x)
-    mat = [[int(f * d) for f in row] for row in basis]
-    h = hnf_rows(mat)
-    out = tuple(tuple(Fraction(x, d) for x in row) for row in h)
-    assert out[0] == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    return out
-
-
-def _maximalize(basis, minpoly, red, target_disc):
-    disc = _module_discriminant(basis, minpoly, red)
-    assert disc.denominator == 1
-    disc = int(disc)
-    assert disc % target_disc == 0, (disc, target_disc)
-    ratio = disc // target_disc
-    root = isqrt(ratio)
-    assert root * root == ratio, "discriminant ratio is not a square"
-    for p in factorize(root):
-        basis = _p_saturate(basis, red, p)
-    final = _module_discriminant(basis, minpoly, red)
-    assert final == target_disc, (final, target_disc)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +259,8 @@ def integral_basis_closure_check(spec: FieldSpec) -> bool:
         spec.coords_from_power((1, 0, 0, 0))
     except ValueError:
         return False
-    return _module_discriminant(spec.integral_basis, spec.theta_minpoly, spec._red) == spec.discriminant
+    poly_d = poly_discriminant(spec.theta_minpoly)
+    return _module_discriminant(spec.integral_basis, poly_d) == spec.discriminant
 
 
 def _validate_spec(spec: FieldSpec):
@@ -368,6 +272,45 @@ def _validate_spec(spec: FieldSpec):
     # each stored square root squares to d * 1
     for d, coords in spec.sqrt_map.items():
         assert basis_mul(spec.mult_table, coords, coords) == [d, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the shared build path
+
+
+def _power_basis(one, theta, mul):
+    """Minimal polynomial of theta and the map to power coordinates, from
+    theta^0..theta^4 computed in an ambient Q-algebra with product mul."""
+    powers = [one]
+    for _ in range(4):
+        powers.append(mul(powers[-1], theta))
+    mat = [[powers[j][i] for j in range(4)] for i in range(len(one))]
+    rel = solve_exact(mat, powers[4])
+    minpoly = IntPoly(tuple(int(-c) for c in rel) + (1,))
+
+    def to_power(vec):
+        return tuple(solve_exact(mat, vec))
+
+    return minpoly, to_power
+
+
+def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_power):
+    """Canonical basis, index and validation, shared by both families;
+    generators and sqrt_power are in power coordinates."""
+    spec = FieldSpec(
+        kind=kind,
+        m=m,
+        n=n,
+        conductor=conductor,
+        theta_minpoly=minpoly,
+        integral_basis=_canonical_basis(generators),
+        discriminant=target,
+        index=isqrt(poly_discriminant(minpoly) // target),
+        real_subfield_d=real_d,
+        sqrt_power=tuple(sorted(sqrt_power)),
+    )
+    _validate_spec(spec)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +331,8 @@ def _bi_mul(u, v, m, n):
 
 def build_biquadratic(m: int, n: int) -> FieldSpec:
     """The imaginary biquadratic field Q(sqrt(m), sqrt(n)), theta = sqrt(m)+sqrt(n)."""
+    if max(abs(m), abs(n)) > MAX_RADICAND:
+        raise CapExceeded(f"({m}, {n}): radicands above {MAX_RADICAND} are not supported")
     if m in (0, 1) or n in (0, 1) or not (is_squarefree(m) and is_squarefree(n)):
         raise DegenerateField(f"({m}, {n}): radicands must be squarefree and != 0, 1")
     if m == n:
@@ -395,72 +340,36 @@ def build_biquadratic(m: int, n: int) -> FieldSpec:
     if m > 0 and n > 0:
         raise NotImaginary(f"({m}, {n}): all three quadratic subfields are real")
 
-    r3, h = squarefree_part(m * n)
-    radicands = (m, n, r3)
-    if r3 == 1 or len(set(radicands)) != 3:
-        raise DegenerateField(f"({m}, {n}): compositum has degree < 4")
+    # m, n squarefree: mn = h^2 k with h = gcd(m, n) and k squarefree
+    h = gcd(m, n)
+    k = (m // h) * (n // h)
+    radicands = (m, n, k)
 
-    one = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    a_vec = [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
-    b_vec = [Fraction(0), Fraction(0), Fraction(1), Fraction(0)]
-    theta = [Fraction(0), Fraction(1), Fraction(1), Fraction(0)]
+    def mul(u, v):
+        return _bi_mul(u, v, m, n)
 
-    powers = [one]
-    for _ in range(4):
-        powers.append([Fraction(x) for x in _bi_mul(powers[-1], theta, m, n)])
-    p_mat = powers[:4]
-    try:
-        rel = solve_exact([[p_mat[j][i] for j in range(4)] for i in range(4)],
-                          [powers[4][i] for i in range(4)])
-    except ValueError as exc:
-        raise DegenerateField(f"({m}, {n}): theta does not have degree 4") from exc
-    minpoly = IntPoly((int(-rel[0]), int(-rel[1]), int(-rel[2]), int(-rel[3]), 1))
+    one = (1, 0, 0, 0)
+    minpoly, to_power = _power_basis(one, (0, 1, 1, 0), mul)
     assert minpoly.coeffs == ((m - n) ** 2, 0, -2 * (m + n), 0, 1)
-    red = _reduction_rows(minpoly)
 
-    p_inv = invert_fraction_matrix([[p_mat[j][i] for j in range(4)] for i in range(4)])
-
-    def to_power(amb):
-        return [sum(Fraction(amb[t]) * p_inv[i][t] for t in range(4)) for i in range(4)]
-
-    def omega(r, vec):
+    sqrt_amb = {m: (0, 1, 0, 0), n: (0, 0, 1, 0), k: (0, 0, 0, Fraction(1, h))}
+    generators = [one]
+    for r in radicands:
+        w = sqrt_amb[r]
         if r % 4 == 1:
-            return [(o + x) / 2 for o, x in zip(one, vec)]
-        return [Fraction(x) for x in vec]
+            w = [Fraction(o + x, 2) for o, x in zip(one, w)]
+        generators += [mul(g, w) for g in generators]
+    even = [r for r in radicands if r % 4 == 2]
+    if len(even) == 2:
+        generators.append([Fraction(x + y, 2) for x, y in zip(*(sqrt_amb[r] for r in even))])
 
-    w1 = omega(m, a_vec)
-    w2 = omega(n, b_vec)
-    w12 = [Fraction(x) for x in _bi_mul(w1, w2, m, n)]
-    order0 = [to_power(one), to_power(w1), to_power(w2), to_power(w12)]
-
-    d1, d2, d3 = (quadratic_discriminant(r) for r in radicands)
-    target = d1 * d2 * d3
-    assert target > 0
-
-    basis = _canonical_basis(_maximalize(order0, minpoly, red, target))
-
-    poly_d = poly_discriminant(minpoly)
-    index = isqrt(poly_d // target)
-    assert index * index * target == poly_d
-
-    real_d = next(r for r in radicands if r > 0)
-    ab_scaled = [Fraction(0), Fraction(0), Fraction(0), Fraction(1, h)]
-    sqrt_amb = {m: a_vec, n: b_vec, r3: ab_scaled}
-
-    spec = FieldSpec(
-        kind="biquadratic",
-        m=m,
-        n=n,
-        conductor=None,
-        theta_minpoly=minpoly,
-        integral_basis=basis,
-        discriminant=target,
-        index=index,
-        real_subfield_d=real_d,
-        sqrt_power=tuple(sorted((d, tuple(to_power(vec))) for d, vec in sqrt_amb.items())),
+    return _finish(
+        "biquadratic", m, n, None, minpoly,
+        [to_power(g) for g in generators],
+        target=quadratic_discriminant(m) * quadratic_discriminant(n) * quadratic_discriminant(k),
+        real_d=next(r for r in radicands if r > 0),
+        sqrt_power=[(d, to_power(vec)) for d, vec in sqrt_amb.items()],
     )
-    _validate_spec(spec)
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -525,61 +434,26 @@ def build_cyclic_quartic(f: int) -> FieldSpec:
         return _cyclo_reduce(vec, f)
 
     periods = [period(j) for j in range(4)]
-    theta = periods[0]
-
     one = _cyclo_reduce([1] + [0] * (f - 1), f)
-    powers = [one]
-    for _ in range(4):
-        powers.append(_cyclo_mul(powers[-1], theta, f))
-
-    width = f
-    mat = [[powers[j][i] for j in range(4)] for i in range(width)]
-    rel = solve_exact(mat, [powers[4][i] for i in range(width)])
-    minpoly = IntPoly((int(-rel[0]), int(-rel[1]), int(-rel[2]), int(-rel[3]), 1))
-    red = _reduction_rows(minpoly)
-
-    def to_power(vec):
-        sol = solve_exact(mat, [vec[i] for i in range(width)])
-        return [Fraction(x) for x in sol]
+    minpoly, to_power = _power_basis(one, periods[0], lambda u, v: _cyclo_mul(u, v, f))
 
     if f == 16:
-        order0 = [[Fraction(1 if t == i else 0) for t in range(4)] for i in range(4)]
+        generators = [[Fraction(1 if t == i else 0) for t in range(4)] for i in range(4)]
         real_d = 2
         sqrt_vec = _cyclo_reduce(
             [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], 16
         )
     else:
-        order0 = [to_power(p) for p in periods]
+        generators = [to_power(p) for p in periods]
         real_d = f
         sqrt_vec = _cyclo_reduce([0] + [legendre(a, f) for a in range(1, f)], f)
 
-    dq = quadratic_discriminant(real_d)
-    target = f * f * dq
-
-    basis = _canonical_basis(_maximalize(order0, minpoly, red, target))
-
-    poly_d = poly_discriminant(minpoly)
-    index = isqrt(poly_d // target)
-    assert index * index * target == poly_d
-
-    if f == 5:
-        # theta itself is a primitive 5th root of unity (H is trivial)
-        assert subgroup == [1]
-
-    spec = FieldSpec(
-        kind="cyclic",
-        m=None,
-        n=None,
-        conductor=f,
-        theta_minpoly=minpoly,
-        integral_basis=basis,
-        discriminant=target,
-        index=index,
-        real_subfield_d=real_d,
-        sqrt_power=((real_d, tuple(to_power(sqrt_vec))),),
+    return _finish(
+        "cyclic", None, None, f, minpoly, generators,
+        target=f * f * quadratic_discriminant(real_d),
+        real_d=real_d,
+        sqrt_power=[(real_d, to_power(sqrt_vec))],
     )
-    _validate_spec(spec)
-    return spec
 
 
 # ---------------------------------------------------------------------------

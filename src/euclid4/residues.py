@@ -24,7 +24,7 @@ from math import gcd
 from .elements import NFElement
 from .errors import NotCoprime, Ramified
 from .fields import FieldSpec, basis_mul
-from .intmath import ResidueClass, is_prime, legendre, mult_order, poly_roots_mod_p
+from .intmath import IntPoly, ResidueClass, is_prime, legendre, mult_order, poly_roots_mod_p
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,7 @@ def _idempotent_model_primes(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
                 if deg <= 1:
                     continue
                 # roots of the (squarefree, split) minimal polynomial
-                roots = [
-                    lam
-                    for lam in range(p)
-                    if sum(rel[k] * pow(lam, k, p) for k in range(len(rel))) % p == 0
-                ]
+                roots = [r.value for r in poly_roots_mod_p(IntPoly(rel), p)]
                 if len(roots) <= 1:
                     continue
                 for lam in roots:

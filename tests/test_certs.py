@@ -116,6 +116,8 @@ MALFORMED = {
     "units-not-an-object": lambda doc: doc.update(units=5),
     "P1-not-an-object": lambda doc: doc.update(P1=7),
     "gcds-not-a-list": lambda doc: doc.update(gcds=1),
+    "large-prime-radicands": lambda doc: doc["field"].update(m="-1000000007", n="1000000009"),
+    "radicand-above-cap": lambda doc: doc["field"].update(m="-1", n=str(10 ** 12 + 39)),
 }
 
 

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from euclid4.errors import DegenerateField, NotImaginary, UnknownLabel, UnsupportedConductor
+from euclid4.elements import NFElement, trace
+from euclid4.errors import (
+    CapExceeded,
+    DegenerateField,
+    NotImaginary,
+    UnknownLabel,
+    UnsupportedConductor,
+)
 from euclid4.fields import (
     build_biquadratic,
     build_cyclic_quartic,
@@ -13,7 +20,8 @@ from euclid4.fields import (
     registry,
     registry_entry,
 )
-from euclid4.intmath import count_real_roots, poly_discriminant, squarefree_part
+from euclid4.intmath import count_real_roots, is_squarefree, poly_discriminant, squarefree_part
+from euclid4.linalg import det_int
 
 
 def test_gaussian_sqrt11(gaussian_sqrt11):
@@ -34,6 +42,8 @@ def test_build_errors():
         build_biquadratic(0, 5)
     with pytest.raises(NotImaginary):
         build_biquadratic(2, 3)
+    with pytest.raises(CapExceeded):
+        build_biquadratic(-1, 10 ** 12 + 39)
     with pytest.raises(UnsupportedConductor):
         build_cyclic_quartic(7)
 
@@ -89,11 +99,25 @@ def test_discriminant_formulas(entries):
             )
         # index relation against an independent resultant computation
         assert poly_discriminant(spec.theta_minpoly) == spec.discriminant * spec.index ** 2
+        # and the trace form of the basis, which construction does not use
+        basis = [NFElement(spec, tuple(int(i == j) for j in range(4))) for i in range(4)]
+        gram = [[trace(x * y) for y in basis] for x in basis]
+        assert det_int(gram) == spec.discriminant, entry.label
 
 
 def test_all_fields_pass_closure_check(entries):
     for entry in entries.values():
         assert integral_basis_closure_check(entry.spec), entry.label
+
+
+def test_closed_form_bases_beyond_registry():
+    # every imaginary Q(sqrt(m), sqrt(n)) with |m|, |n| <= 20: all four
+    # residue patterns of the radicands mod 4, and shared factors
+    radicands = [r for r in range(-20, 21) if r not in (0, 1) and is_squarefree(r)]
+    pairs = [(m, n) for m in radicands for n in radicands if m < n and min(m, n) < 0]
+    assert len(pairs) == 234
+    for m, n in pairs:
+        assert integral_basis_closure_check(build_biquadratic(m, n)), (m, n)
 
 
 def test_power_basis_alone_fails_closure_check(gaussian_sqrt11):
@@ -122,7 +146,7 @@ def test_basis_contains_one_and_theta(entries):
 
 
 def test_minpoly_annihilates_theta(entries):
-    from euclid4.elements import NFElement, one, theta, zero
+    from euclid4.elements import one, theta, zero
 
     for entry in entries.values():
         spec = entry.spec

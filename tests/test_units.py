@@ -24,6 +24,11 @@ def test_torsion_examples(gaussian_sqrt11):
     g6, _ = torsion(build_biquadratic(-3, 41))
     assert g6 == 6
 
+    g8, _ = torsion(build_biquadratic(-1, 2))
+    assert g8 == 8
+    g12, _ = torsion(build_biquadratic(-1, -3))
+    assert g12 == 12
+
     g2, eta2 = torsion(build_cyclic_quartic(13))
     assert g2 == 2 and eta2.coords == (-1, 0, 0, 0)
 
