@@ -216,29 +216,25 @@ class PairAttempts:
         return None
 
 
-def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int,
-                strategy: str = "smallest-p2") -> AdmissibleCertificate:
+def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int) -> AdmissibleCertificate:
     """Deterministic sweep for the first admissible pair below the bound.
 
-    Default strategy fixes p2 (the condition-(5) prime) first, ascending,
-    then sweeps p1 ascending; each pair is tried by PairAttempts over the
-    torsion multiples eta^t * eps of the unit and the conjugates in index
-    order, so repeated runs return byte-identical certificates.  The torsion
-    sweep matters: condition (1) constrains the torsion component of the
-    unit image, which multiplying by eta adjusts.
+    Fixes p2 (the condition-(5) prime) first, ascending, then sweeps p1
+    ascending; each pair is tried by PairAttempts over the torsion multiples
+    eta^t * eps of the unit and the conjugates in index order, so repeated
+    runs return byte-identical certificates.  The torsion sweep matters:
+    condition (1) constrains the torsion component of the unit image, which
+    multiplying by eta adjusts.
     """
     if prime_bound < 3:
         raise SearchExhausted("prime bound below 3", {"split_primes": 0})
-    if strategy not in ("smallest-p2", "smallest-p1"):
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     primes = list(split_primes(spec, prime_bound))
     attempts = PairAttempts(spec, units)
-    for a in primes:
-        for b in primes:
-            if a == b:
+    for p2 in primes:
+        for p1 in primes:
+            if p1 == p2:
                 continue
-            p1, p2 = (b, a) if strategy == "smallest-p2" else (a, b)
             cert = attempts.attempt(p1, p2)
             if cert is not None:
                 return cert

@@ -120,7 +120,7 @@ def cmd_search(args) -> int:
     entry = registry_entry(args.label)
     ud = unit_data(entry.spec)
     try:
-        cert = search_pair(entry.spec, ud, args.bound, args.strategy)
+        cert = search_pair(entry.spec, ud, args.bound)
     except SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         for key, value in sorted(exc.stats.items()):
@@ -251,9 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("label")
     p_search.add_argument("--bound", type=int, default=1000)
     p_search.add_argument("--emit", help="certificate output path")
-    p_search.add_argument(
-        "--strategy", choices=("smallest-p2", "smallest-p1"), default="smallest-p2"
-    )
 
     p_verify = sub.add_parser("verify", help="re-verify a certificate file")
     p_verify.add_argument("certificate")

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedConductor,
 )
 from .intmath import IntPoly, count_real_roots, factorize, is_squarefree, legendre, poly_discriminant
-from .linalg import det_int, hnf_rows, invert_fraction_matrix, solve_exact
+from .linalg import adjugate_int, det_int, hnf_rows, invert_fraction_matrix, solve_exact
 
 # Radicands are tested for squarefreeness by trial division, which takes
 # about 0.075 s at 10**12 and grows with the square root beyond it; larger
@@ -107,7 +107,7 @@ def _canonical_basis(generators):
 def _integral_coords(binv, vec):
     """Coordinates of vec over the basis whose inverse matrix is binv;
     raises ValueError when they are not all integers."""
-    coords = [sum(Fraction(vec[t]) * binv[t][k] for t in range(4)) for k in range(4)]
+    coords = [sum(Fraction(v) * binv[t][k] for t, v in enumerate(vec) if v) for k in range(4)]
     if any(x.denominator != 1 for x in coords):
         raise ValueError("element is not integral")
     return tuple(int(x) for x in coords)
@@ -152,7 +152,9 @@ class FieldSpec:
     integral_basis rows are coordinates over the power basis of theta;
     sqrt_power pairs each embedded squarefree radicand d with the power-basis
     coordinates of an element squaring to d, and sqrt_map gives the integer
-    coordinates of that element over the integral basis.
+    coordinates of that element over the integral basis.  tower_y holds the
+    power coordinates of an integral y with K = Q(x, y), where
+    x = sqrt(real_subfield_d) and y^2 lies in Q(x) (see tower).
     """
 
     kind: str  # "biquadratic" | "cyclic"
@@ -165,6 +167,7 @@ class FieldSpec:
     index: int
     real_subfield_d: int
     sqrt_power: tuple
+    tower_y: tuple
 
     @cached_property
     def _red(self):
@@ -185,6 +188,35 @@ class FieldSpec:
     @cached_property
     def sqrt_map(self):
         return {d: self.coords_from_power(vec) for d, vec in self.sqrt_power}
+
+    @cached_property
+    def tower(self):
+        """(d, B, C, D, adj(S)) presenting K as the tower Q(x, y).
+
+        x^2 = d and y^2 = B + C x with B, C rational.  The rows of S are the
+        integral-basis coordinates of 1, x, y, xy and D = det S, so the basis
+        is adj(S) (1, x, y, xy) / D.  Every odd prime dividing D is certified
+        to be ramified or not to split completely, so D is a unit modulo
+        every odd completely split prime.
+        """
+        from .residues import splits_completely
+
+        table = self.mult_table
+        d = self.real_subfield_d
+        x = self.sqrt_map[d]
+        y = self.coords_from_power(self.tower_y)
+        y2 = basis_mul(table, y, y)
+        j = next(i for i in (1, 2, 3) if x[i])
+        c = Fraction(y2[j], x[j])
+        b = y2[0] - c * x[0]
+        assert [b * (i == 0) + c * xi for i, xi in enumerate(x)] == y2, "y^2 is not in Q(x)"
+        rows = [[1, 0, 0, 0], list(x), list(y), basis_mul(table, x, y)]
+        det = det_int(rows)
+        rest = abs(det)
+        while (g := gcd(rest, 2 * self.discriminant)) > 1:
+            rest //= g
+        assert not any(splits_completely(self, q) for q in factorize(rest)), det
+        return d, b, c, det, adjugate_int(rows)
 
     @cached_property
     def norm_form(self):
@@ -294,9 +326,9 @@ def _power_basis(one, theta, mul):
     return minpoly, to_power
 
 
-def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_power):
+def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_power, tower_y):
     """Canonical basis, index and validation, shared by both families;
-    generators and sqrt_power are in power coordinates."""
+    generators, sqrt_power and tower_y are in power coordinates."""
     spec = FieldSpec(
         kind=kind,
         m=m,
@@ -308,6 +340,7 @@ def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_pow
         index=isqrt(poly_discriminant(minpoly) // target),
         real_subfield_d=real_d,
         sqrt_power=tuple(sorted(sqrt_power)),
+        tower_y=tuple(tower_y),
     )
     _validate_spec(spec)
     return spec
@@ -369,6 +402,7 @@ def build_biquadratic(m: int, n: int) -> FieldSpec:
         target=quadratic_discriminant(m) * quadratic_discriminant(n) * quadratic_discriminant(k),
         real_d=next(r for r in radicands if r > 0),
         sqrt_power=[(d, to_power(vec)) for d, vec in sqrt_amb.items()],
+        tower_y=to_power(sqrt_amb[min(radicands)]),
     )
 
 
@@ -437,22 +471,26 @@ def build_cyclic_quartic(f: int) -> FieldSpec:
     one = _cyclo_reduce([1] + [0] * (f - 1), f)
     minpoly, to_power = _power_basis(one, periods[0], lambda u, v: _cyclo_mul(u, v, f))
 
+    # y = theta for conductor 16 (theta^2 = sqrt(2) - 2), else eta_0 - eta_2
     if f == 16:
         generators = [[Fraction(1 if t == i else 0) for t in range(4)] for i in range(4)]
         real_d = 2
         sqrt_vec = _cyclo_reduce(
             [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], 16
         )
+        tower_y = generators[1]
     else:
         generators = [to_power(p) for p in periods]
         real_d = f
         sqrt_vec = _cyclo_reduce([0] + [legendre(a, f) for a in range(1, f)], f)
+        tower_y = [a - b for a, b in zip(generators[0], generators[2])]
 
     return _finish(
         "cyclic", None, None, f, minpoly, generators,
         target=f * f * quadratic_discriminant(real_d),
         real_d=real_d,
         sqrt_power=[(real_d, to_power(sqrt_vec))],
+        tower_y=tower_y,
     )
 
 

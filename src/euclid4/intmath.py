@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import NonSimpleRoot, NotCoprime
+from .errors import CapExceeded, NonSimpleRoot, NotCoprime
 from .linalg import det_int
 
 # Witness set proven sufficient for deterministic Miller-Rabin below 2^64.
@@ -20,9 +20,16 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (exact for n < 2**64)."""
+    """Deterministic primality test for n < 2**64.
+
+    The Miller-Rabin bases are proven sufficient only below 2**64 (above it
+    composites such as 399165290221 * 798330580441 pass all twelve), so
+    larger n raise CapExceeded instead of receiving an unproven answer.
+    """
     if n < 2:
         return False
+    if n >= 2 ** 64:
+        raise CapExceeded(f"primality of {n} is not decided above 2**64")
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -194,10 +201,49 @@ class IntPoly:
         return " + ".join(reversed(terms)).replace("+ -", "- ") if terms else "0"
 
 
+def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
+    """A square root of a modulo p^k for an odd prime p, or None when a is
+    not a square mod p; a must be a unit mod p.
+
+    Tonelli-Shanks mod p (Cohen, A Course in Computational Algebraic Number
+    Theory, 1.5.1), with the non-residue found by scanning up from 2, then a
+    Newton lift.  The root returned is the one whose residue mod p lies in
+    [0, (p-1)/2]; it is the unique root mod p^k above that residue.
+    """
+    r = a % p
+    if r == 0:
+        raise ValueError(f"{a} is not a unit mod {p}")
+    if legendre(r, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    c, t, x = pow(z, q, p), pow(r, q, p), pow(r, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c = i, b * b % p
+        t, x = t * c % p, x * b % p
+    x = min(x, p - x)
+    pk, cur = p ** k, p
+    while cur < pk:
+        cur = min(cur * cur, pk)
+        x = (x - (x * x - a) * pow(2 * x, -1, cur)) % cur
+    return x
+
+
 def poly_roots_mod_p(f: IntPoly, p: int) -> list[ResidueClass]:
     """All roots of f modulo an odd prime p, ascending.
 
-    Exhaustive evaluation; adequate for the prime sizes used here (p < 1e5).
+    Exhaustive evaluation in O(p); production code finds its roots with
+    sqrt_mod_prime_power, and this stays as the tests' reference.
     """
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")

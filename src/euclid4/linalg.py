@@ -45,6 +45,18 @@ def det_int(mat):
     return sign * m[-1][-1]
 
 
+def adjugate_int(mat):
+    """Adjugate of a 4x4 integer matrix: adj(A) A = det(A) I."""
+
+    def cofactor(i, j):
+        (a, b, c), (d, e, f), (g, h, k) = (
+            [x for col, x in enumerate(row) if col != j] for r, row in enumerate(mat) if r != i
+        )
+        return (-1) ** (i + j) * (a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g))
+
+    return [[cofactor(j, i) for j in range(4)] for i in range(4)]
+
+
 def solve_exact(a, b):
     """Solve a x = b exactly over the rationals.
 
@@ -174,36 +186,3 @@ def hnf_rows(rows):
             if q:
                 result[j] = [x - q * y for x, y in zip(result[j], result[i])]
     return result
-
-
-def nullspace_mod_p(rows, p):
-    """Basis of the right nullspace of a matrix over GF(p)."""
-    if not rows:
-        return []
-    nrows = len(rows)
-    ncols = len(rows[0])
-    m = [[x % p for x in row] for row in rows]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for c, pr in pivots.items():
-            v[c] = (-m[pr][fc]) % p
-        basis.append(v)
-    return basis

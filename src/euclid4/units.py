@@ -17,9 +17,9 @@ from math import gcd
 
 from .elements import NFElement, from_power_coords, norm, one, sqrt_radicand, theta
 from .fields import FieldSpec
-from .intmath import continued_fraction_fundamental_unit, factorize, legendre
+from .intmath import continued_fraction_fundamental_unit, factorize, legendre, sqrt_mod_prime_power
 from .linalg import charpoly_int
-from .residues import lifted_basis_images, split_primes
+from .residues import reduction_maps, split_primes
 
 
 class Provenance(enum.Enum):
@@ -101,17 +101,9 @@ def infinite_order_unit(spec: FieldSpec) -> NFElement:
     return eps
 
 
-def _sqrt_mod_prime(a: int, q: int) -> int | None:
-    a %= q
-    for x in range((q + 1) // 2):
-        if x * x % q == a:
-            return x
-    return None
-
-
 def _solve_mod(mat, rhs, modulus):
     """Solve a 4x4 system with unit determinant modulo a prime power."""
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    m = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
     q = modulus
     for c in range(4):
         piv = next(i for i in range(c, 4) if gcd(m[i][c], q) == 1)
@@ -133,11 +125,14 @@ def sqrt_in_ring(spec: FieldSpec, v: NFElement) -> NFElement | None:
     power, reconstructed by linear algebra, and verified exactly, so a
     returned value is always correct.
     """
+    # reduction_maps also serves primes dividing the index, but the filter
+    # stays: it fixes q, hence the root pinned by roots[0] and the sign of
+    # the w returned, and so the unit data every certificate carries.
     qs = list(islice((q for q in split_primes(spec, 20000) if spec.index % q), 3))
     if len(qs) < 3:
         return None
     for q in qs:
-        for _, images in lifted_basis_images(spec, q, 1):
+        for _, images in reduction_maps(spec, q, 1):
             val = sum(c * im for c, im in zip(v.coords, images)) % q
             if legendre(val, q) != 1:
                 return None
@@ -146,24 +141,14 @@ def sqrt_in_ring(spec: FieldSpec, v: NFElement) -> NFElement | None:
     prec = max(2, (bits // 2 + 40) // max(1, q.bit_length() - 1))
     for _ in range(4):
         qm = q ** prec
-        homs = [images for _, images in lifted_basis_images(spec, q, prec)]
+        homs = [images for _, images in reduction_maps(spec, q, prec)]
         vals = [sum(c * im for c, im in zip(v.coords, row)) % qm for row in homs]
-        roots = []
-        for val in vals:
-            s = _sqrt_mod_prime(val, q)
-            if s is None:
-                return None
-            cur = q
-            while cur < qm:
-                cur = min(cur * cur, qm)
-                s = (s - (s * s - val) * pow(2 * s, -1, cur)) % cur
-            roots.append(s)
-        mat = [row[:] for row in homs]
+        roots = [sqrt_mod_prime_power(val, q, prec) for val in vals]
         for signs in range(8):
             svec = [roots[0]]
             for i in range(1, 4):
                 svec.append(roots[i] if (signs >> (i - 1)) & 1 == 0 else (qm - roots[i]) % qm)
-            coords = _solve_mod(mat, svec, qm)
+            coords = _solve_mod(homs, svec, qm)
             lifted = tuple(c if c <= qm // 2 else c - qm for c in coords)
             w = NFElement(spec, lifted)
             if (w * w).coords == v.coords:
@@ -180,24 +165,20 @@ def strongest_unit(spec: FieldSpec, g: int, eta: NFElement,
     field (times torsion); in that case its residue images generate only an
     index-two subgroup and reference pairs cannot be certified.  Extracting
     the root restores the full image.  Each extraction halves the
-    archimedean size, so this terminates immediately in practice.
+    archimedean size, so this terminates immediately in practice.  The
+    inverse needs no pass of its own: zeta^t eps^-1 = w^2 gives
+    zeta^t eps = (w eps)^2.
     """
-    from .elements import inverse_unit
-
     current = eps
     for _ in range(6):
         found = None
-        candidates = [current, inverse_unit(current)]
-        for base in candidates:
-            t_power = one(spec)
-            for _t in range(g):
-                w = sqrt_in_ring(spec, t_power * base)
-                if w is not None and has_infinite_order(w):
-                    found = w
-                    break
-                t_power = t_power * eta
-            if found is not None:
+        t_power = one(spec)
+        for _t in range(g):
+            w = sqrt_in_ring(spec, t_power * current)
+            if w is not None and has_infinite_order(w):
+                found = w
                 break
+            t_power = t_power * eta
         if found is None:
             return current
         current = found

@@ -29,8 +29,7 @@ def run_splitting_agreement(entries_map):
     Exhaustive over odd p <= 200 for every field, plus 500 seeded random
     cases with 200 < p < 1000.  Primes dividing the generator index are
     excluded: there the defining polynomial's factorization is not the
-    splitting shape (which is the reason the idempotent residue model
-    exists), so the multiset comparison would be vacuous.
+    splitting shape, so the multiset comparison would be vacuous.
     """
     from euclid4.intmath import is_prime
     from euclid4.oracles import oracle_splitting

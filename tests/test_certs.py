@@ -118,6 +118,9 @@ MALFORMED = {
     "gcds-not-a-list": lambda doc: doc.update(gcds=1),
     "large-prime-radicands": lambda doc: doc["field"].update(m="-1000000007", n="1000000009"),
     "radicand-above-cap": lambda doc: doc["field"].update(m="-1", n=str(10 ** 12 + 39)),
+    # a strong pseudoprime to every Miller-Rabin base used, and a large prime
+    "P1.p-pseudoprime": lambda doc: doc["P1"].update(p="318665857834031151167461"),
+    "P1.p-large-prime": lambda doc: doc["P1"].update(p="1000000007"),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euclid4.errors import NonSimpleRoot, NotCoprime
+from euclid4.errors import CapExceeded, NonSimpleRoot, NotCoprime
 from euclid4.intmath import (
     IntPoly,
     ResidueClass,
@@ -18,6 +18,7 @@ from euclid4.intmath import (
     mult_order,
     poly_discriminant,
     poly_roots_mod_p,
+    sqrt_mod_prime_power,
     squarefree_part,
 )
 
@@ -40,6 +41,16 @@ def test_is_prime_examples():
     assert not is_prime(561)  # Carmichael
     assert is_prime(2) and is_prime(3)
     assert not is_prime(0)
+
+
+def test_is_prime_refuses_beyond_proven_bases():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to all
+    # twelve bases; above 2^64 the bases prove nothing
+    assert is_prime(2 ** 64 - 59)
+    with pytest.raises(CapExceeded):
+        is_prime(318665857834031151167461)
+    with pytest.raises(CapExceeded):
+        is_prime(2 ** 64)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -82,6 +93,34 @@ def test_poly_roots_examples():
     assert roots == [19, 75, 82, 138]
     brute = [c for c in range(157) if (c ** 4 - 20 * c ** 2 + 144) % 157 == 0]
     assert roots == brute
+
+
+def test_sqrt_mod_prime_power_matches_scan():
+    # every prime below 200, including p = 1 mod 8 where Tonelli-Shanks
+    # needs several rounds
+    for p in (q for q in range(3, 200, 2) if is_prime(q)):
+        for a in range(1, p):
+            small = [x for x in range((p + 1) // 2) if x * x % p == a]
+            got = sqrt_mod_prime_power(a, p, 1)
+            assert got == (small[0] if small else None), (a, p)
+
+
+def test_sqrt_mod_prime_power_lifts():
+    rng = random.Random(5)
+    for p in (3, 5, 17, 41, 97, 257, 65537, 1000000007):
+        for k in (1, 2, 3, 7):
+            pk = p ** k
+            for _ in range(20):
+                x = rng.randrange(1, pk)
+                if x % p == 0:
+                    continue
+                r = sqrt_mod_prime_power(x * x, p, k)
+                assert r * r % pk == x * x % pk
+                assert r % p <= (p - 1) // 2
+                assert r in (x, pk - x)
+    assert sqrt_mod_prime_power(3, 7, 4) is None
+    with pytest.raises(ValueError):
+        sqrt_mod_prime_power(14, 7, 2)
 
 
 def test_hensel_examples():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 from euclid4.elements import NFElement, from_power_coords, one
 from euclid4.errors import NotCoprime, Ramified
-from euclid4.fields import build_cyclic_quartic
+from euclid4.fields import SUPPORTED_CONDUCTORS, build_biquadratic, build_cyclic_quartic
+from euclid4.intmath import hensel_lift, is_squarefree, poly_roots_mod_p
 from euclid4.residues import (
-    _idempotent_model_primes,
-    _root_model_primes,
     degree_one_primes_above,
     reduce_mod_p2,
+    reduction_maps,
     splits_completely,
     unit_order_mod_p2,
 )
@@ -135,9 +136,10 @@ def test_minus_one_order_two_everywhere(entries):
         assert unit_order_mod_p2(minus, prime) == 2
 
 
-def test_index_divisor_prime_via_idempotents(entries):
-    """3 splits completely in K_8 but divides every generator index, so the
-    factor-ring decomposition must run through primitive idempotents."""
+def test_index_divisor_prime_via_tower(entries):
+    """3 splits completely in K_8 but divides every generator index, so no
+    root of a defining polynomial separates the four primes; the tower maps
+    must still give four distinct ring maps."""
     spec = entries["K_8"].spec
     assert spec.index % 3 == 0
     primes = degree_one_primes_above(spec, 3)
@@ -157,14 +159,71 @@ def test_index_divisor_prime_via_idempotents(entries):
     assert sorted(unit_order_mod_p2(eps, prime) for prime in primes) == [6, 6, 6, 6]
 
 
-def test_models_agree_when_both_apply(gaussian_sqrt11):
-    """The idempotent decomposition must reproduce the root-model maps."""
-    for spec, p in ((gaussian_sqrt11, 157), (build_cyclic_quartic(13), 29)):
-        via_roots = _root_model_primes(spec, p)
-        via_idem = _idempotent_model_primes(spec, p)
-        assert [(pr.root_c, pr.lifted_c, pr.basis_images) for pr in via_roots] == [
-            (pr.root_c, pr.lifted_c, pr.basis_images) for pr in via_idem
-        ]
+def root_model_primes(spec, p):
+    """Reference maps for p coprime to the index: Hensel-lift each root of
+    theta's minimal polynomial mod p and evaluate the basis at it mod p^2."""
+    f, p2 = spec.theta_minpoly, p * p
+    out = []
+    for root in poly_roots_mod_p(f, p):
+        c = hensel_lift(f, root)
+        images = tuple(
+            sum(a.numerator * pow(a.denominator, -1, p2) * c.value ** i for i, a in enumerate(row)) % p2
+            for row in spec.integral_basis
+        )
+        out.append((root, c, images))
+    return out
+
+
+def test_models_agree_when_both_apply(gaussian_sqrt11, entries):
+    """Away from the index, the tower maps are the root-model maps, in the
+    same order."""
+    cases = [(gaussian_sqrt11, 157), (build_cyclic_quartic(13), 29)]
+    cases += [
+        (entry.spec, p) for entry in entries.values() for p in entry.expected_p1_p2
+        if entry.spec.index % p
+    ]
+    for spec, p in cases:
+        got = [(pr.root_c, pr.lifted_c, pr.basis_images) for pr in degree_one_primes_above(spec, p)]
+        assert got == root_model_primes(spec, p), (spec, p)
+
+
+@pytest.mark.parametrize("label, p", [("K_8", 3), ("13", 3), ("29", 7), ("61", 13)])
+def test_index_prime_maps_are_ring_maps_mod_p5(entries, label, p):
+    """At primes dividing the index, each map O -> Z/p^5 sends 1 to 1 and
+    respects every product of basis elements, so it is a ring map."""
+    spec = entries[label].spec
+    assert spec.index % p == 0
+    maps = reduction_maps(spec, p, 5)
+    assert len(maps) == 4 and len({images for _, images in maps}) == 4
+    pk = p ** 5
+    for _, im in maps:
+        assert im[0] == 1
+        for i in range(4):
+            for j in range(4):
+                prod = spec.mult_table[i][j]
+                assert sum(c * x for c, x in zip(prod, im)) % pk == im[i] * im[j] % pk
+
+
+def odd_part(n):
+    n = abs(n)
+    while n % 2 == 0:
+        n //= 2
+    return n
+
+
+def test_tower_determinant():
+    """D = det S is -16 for the prime conductors (-48 for 37 and 61, where 3
+    does not split), -1 for conductor 16, and for Q(sqrt(m), sqrt(n)) its odd
+    part is that of gcd(d, r) for the radicands d of x and r of y."""
+    for f in SUPPORTED_CONDUCTORS:
+        spec = build_cyclic_quartic(f)
+        assert spec.tower[3] == {16: -1, 37: -48, 61: -48}.get(f, -16), f
+    radicands = [r for r in range(-20, 21) if r not in (0, 1) and is_squarefree(r)]
+    pairs = [(m, n) for m in radicands for n in radicands if m < n and min(m, n) < 0]
+    assert len(pairs) == 234
+    for m, n in pairs:
+        d, b, c, det, _ = build_biquadratic(m, n).tower
+        assert c == 0 and odd_part(det) == odd_part(math.gcd(d, int(b))), (m, n)
 
 
 def test_conductor29_index_prime(entries):
