@@ -252,10 +252,16 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
 
     This is the definition-level oracle: it shares nothing with the order
     computations above.  Exponents up to 2 are supported (squares suffice
-    for admissibility).
+    for admissibility).  The moduli m1 = p1^a1 and m2 = p2^a2 are coprime,
+    so the Chinese remainder theorem identifies the group with (Z/M)*,
+    M = m1 m2, and each unit image is one residue mod M.  The closure is
+    breadth-first from 1 under eta and eps, and marks the residues it
+    reaches in a bytearray of M bytes, one byte per residue.
     """
     if not (0 <= a1 <= 2 and 0 <= a2 <= 2):
         raise ValueError("exponents must be 0, 1 or 2")
+    if P1.p == P2.p and a1 and a2:
+        raise SamePrime(f"p1 = p2 = {P1.p}: the moduli are not coprime")
     m1 = P1.p ** a1
     m2 = P2.p ** a2
 
@@ -266,24 +272,27 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
     if target > cap:
         raise CapExceeded(f"group order {target} exceeds cap {cap}")
 
-    gens = []
-    for u in (units.eta, units.epsilon):
-        gens.append(
-            (reduce_mod_p2(u, P1).value % m1, reduce_mod_p2(u, P2).value % m2)
-        )
-    ident = (1 % m1, 1 % m2)
-    seen = {ident}
-    frontier = [ident]
+    M = m1 * m2
+    # c1 = 1 mod m1, 0 mod m2 and c2 = 0 mod m1, 1 mod m2 (pow(_, -1, 1) is 0)
+    c1 = m2 * pow(m2, -1, m1)
+    c2 = m1 * pow(m1, -1, m2)
+    gens = [
+        (reduce_mod_p2(u, P1).value * c1 + reduce_mod_p2(u, P2).value * c2) % M
+        for u in (units.eta, units.epsilon)
+    ]
+    seen = bytearray(M)
+    frontier = [1 % M]
+    seen[frontier[0]] = 1
     while frontier:
         nxt = []
-        for x1, x2 in frontier:
-            for g1, g2 in gens:
-                y = ((x1 * g1) % m1, (x2 * g2) % m2)
-                if y not in seen:
-                    seen.add(y)
+        for x in frontier:
+            for g in gens:
+                y = x * g % M
+                if not seen[y]:
+                    seen[y] = 1
                     nxt.append(y)
         frontier = nxt
-    return len(seen) == target
+    return seen.count(1) == target
 
 
 def _dlog(base: int, target: int, modulus: int, order: int) -> int | None:

@@ -18,6 +18,10 @@ from .residues import DegreeOnePrime, degree_one_primes_above
 from .units import Provenance, UnitData, verify_unit_data
 
 SCHEMA_VERSION = "cert/v1"
+# Largest prime a certificate may name.  Verification factors p(p-1) by
+# trial division (intmath.mult_order), which takes O(p) steps when p - 1
+# has a large prime factor, so a prime near 10^17 would run without bound.
+MAX_CERT_PRIME = 10 ** 6
 
 
 def _prime_dict(P: DegreeOnePrime) -> dict:
@@ -87,6 +91,8 @@ def _as_coords(value, what: str) -> tuple[int, int, int, int]:
 
 def _load_prime(doc: dict, spec: FieldSpec, what: str) -> DegreeOnePrime:
     p = _as_int(_require(doc, "p"), f"{what}.p")
+    if p > MAX_CERT_PRIME:
+        raise SchemaError(f"{what}.p = {p} exceeds the certificate cap {MAX_CERT_PRIME}")
     conj = _as_int(_require(doc, "conjugate_index"), f"{what}.conjugate_index")
     try:
         candidates = degree_one_primes_above(spec, p)

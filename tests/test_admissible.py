@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -219,19 +220,99 @@ def test_object_scan_matches_int64_scan(entries, label, p):
 
 
 def test_reference_pair_errata(entries):
-    """Some registry reference pairs are provably not admissible.
+    """Six registry reference pairs are not admissible for <eta, eps>.
 
-    For K_29 = Q(sqrt(-19), sqrt(-67)) with (23, 47): 23 divides 47 - 1, so
-    gcd(p1(p1-1)/g, p2(p2-1)) = 23 in either role assignment and the
-    coprimality condition can never hold.  For K_26 = Q(sqrt(-11), sqrt(-19))
-    with (23, 5), exhaustive enumeration of the unit image over every
-    conjugate choice shows the map onto the residue group is never onto.
+    Enumeration of the unit image modulo P1^2 P2^2 over all 16 conjugate
+    combinations finds none onto the residue group.  The refutation holds
+    for the field's full unit group only if <eta, eps> is all of it.  For
+    K_29 = Q(sqrt(-19), sqrt(-67)) with (23, 47) the gcd condition alone
+    already fails: 23 divides 47 - 1, so gcd(p1(p1-1)/g, p2(p2-1)) = 23 in
+    either role assignment.  13 (79, 29) takes about 18 s to enumerate and
+    K_33 (47, 167), of group order 6.0e7, is above the oracle cap.
     """
     assert gcd(23 * 22 // 2, 47 * 46) == 23
     assert gcd(47 * 46 // 2, 23 * 22) == 23
 
-    spec = entries["K_26"].spec
+    refuted = {"K_7": (23, 31), "K_12": (11, 17), "K_26": (23, 5),
+               "K_29": (23, 47), "K_31": (23, 17), "37": (7, 53)}
+    for label, (p1, p2) in refuted.items():
+        assert entries[label].expected_p1_p2 == (p1, p2)
+        spec = entries[label].spec
+        ud = unit_data(spec)
+        combos = [(P1, P2) for P1 in degree_one_primes_above(spec, p1)
+                  for P2 in degree_one_primes_above(spec, p2)]
+        assert len(combos) == 16
+        assert not any(brute_force_surjectivity(spec, ud, P1, P2, 2, 2) for P1, P2 in combos), label
+
+
+def _set_closure_surjects(units, P1, P2, a1, a2):
+    """The closure as a set of residue pairs: the reference the bytearray
+    walk over CRT residues is compared against."""
+    m1, m2 = P1.p ** a1, P2.p ** a2
+    gens = [
+        (reduce_mod_p2(u, P1).value % m1, reduce_mod_p2(u, P2).value % m2)
+        for u in (units.eta, units.epsilon)
+    ]
+    ident = (1 % m1, 1 % m2)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x1, x2 in frontier:
+            for g1, g2 in gens:
+                y = (x1 * g1 % m1, x2 * g2 % m2)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+
+    def phi(p, a):
+        return 1 if a == 0 else p ** (a - 1) * (p - 1)
+
+    return len(seen) == phi(P1.p, a1) * phi(P2.p, a2)
+
+
+@pytest.mark.parametrize("label, p1, p2", [("13", 3, 29), ("K_2", 5, 17), ("16", 7, 17), ("K_8", 3, 59)])
+def test_surjectivity_matches_set_closure(entries, label, p1, p2):
+    """Every conjugate combination, every exponent pair in {0, 1, 2}^2, with
+    the field's units and with eps replaced by 1."""
+    spec = entries[label].spec
     ud = unit_data(spec)
-    for P1 in degree_one_primes_above(spec, 23):
-        for P2 in degree_one_primes_above(spec, 5):
-            assert not brute_force_surjectivity(spec, ud, P1, P2, 2, 2)
+    broken = UnitData(ud.g, ud.eta, one(spec), Provenance.SUPPLIED)
+    outcomes = set()
+    for P1 in degree_one_primes_above(spec, p1):
+        for P2 in degree_one_primes_above(spec, p2):
+            for a1 in range(3):
+                for a2 in range(3):
+                    for units in (ud, broken):
+                        got = brute_force_surjectivity(spec, units, P1, P2, a1, a2)
+                        assert got == _set_closure_surjects(units, P1, P2, a1, a2)
+                        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_surjectivity_same_prime_rejected(entries):
+    spec = entries["K_8"].spec
+    ud = unit_data(spec)
+    P, Q = degree_one_primes_above(spec, 59)[:2]
+    with pytest.raises(SamePrime):
+        brute_force_surjectivity(spec, ud, P, Q, 2, 1)
+    # with an exponent 0 the moduli stay coprime
+    assert brute_force_surjectivity(spec, ud, P, Q, 0, 0)
+    assert brute_force_surjectivity(spec, ud, P, Q, 2, 0) == _set_closure_surjects(ud, P, Q, 2, 0)
+
+
+def test_surjectivity_memory_bound(entries):
+    """The closure over the 102,300 residues mod 31^2 11^2 stays within one
+    byte per residue plus its frontier; a set of residue pairs would take
+    about 12 MB."""
+    spec = entries["5"].spec
+    cert = search_pair(spec, unit_data(spec), 50)
+    assert cert.pair == (31, 11)
+    tracemalloc.start()
+    try:
+        assert brute_force_surjectivity(spec, cert.units, cert.P1, cert.P2, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10 ** 6

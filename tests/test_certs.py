@@ -4,12 +4,15 @@ from pathlib import Path
 import pytest
 
 from euclid4.certs import (
+    _prime_dict,
     certificate_to_dict,
     certificate_to_json,
     parse_certificate,
     verify_certificate_json,
 )
 from euclid4.errors import ConditionFailed, OracleMismatch, SchemaError
+from euclid4.fields import build_from_descriptor
+from euclid4.residues import degree_one_primes_above
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +112,14 @@ def test_reproduction_matches_frozen_certificates(reproduction):
     assert differing == []
 
 
+def _large_split_prime(doc):
+    """P1 moved to a completely split prime near 10^17 with its true prime
+    data, so that only the size of p is wrong."""
+    spec = build_from_descriptor(doc["field"])
+    primes = degree_one_primes_above(spec, 100000000000000049)
+    doc["P1"] = _prime_dict(primes[int(doc["P1"]["conjugate_index"])])
+
+
 MALFORMED = {
     "P1.root_c-missing": lambda doc: doc["P1"].pop("root_c"),
     "P2.lifted_c-missing": lambda doc: doc["P2"].pop("lifted_c"),
@@ -121,6 +132,7 @@ MALFORMED = {
     # a strong pseudoprime to every Miller-Rabin base used, and a large prime
     "P1.p-pseudoprime": lambda doc: doc["P1"].update(p="318665857834031151167461"),
     "P1.p-large-prime": lambda doc: doc["P1"].update(p="1000000007"),
+    "P1.p-large-split-prime": _large_split_prime,
 }
 
 
