@@ -2,10 +2,10 @@
 
 Usage (from the repository root):
 
-    python3 scripts/bench_pair.py --base 96c180f --pairs 10 --out BENCH_6.json
+    python3 scripts/bench_pair.py --base 96c180f --out BENCH_6.json
 
 The base commit is exported with ``git archive`` into a temporary directory.
-For each seed 1..N and each workload named in ``BENCHMARK.json``,
+For each seed 1..10 and each workload named in ``BENCHMARK.json``,
 ``benchmark/run.py --workload W --seed S --seconds <run_seconds> --trace 0``
 runs once in the base copy and once in the working tree, the base first on
 odd seeds and the working tree first on even ones.  The output file holds
@@ -18,12 +18,15 @@ verdict against the metric's bound in ``BENCHMARK.json``:
 - ``unresolved``: otherwise, when the base runs spread (interquartile range
   over median) wider than the bound and not every change run is better than
   every base run;
-- ``gain``: otherwise, when the change wins at least nine tenths of the pairs
-  (ties count for neither) and the medians differ by more than the base
-  interquartile range;
+- ``gain``: otherwise, when the change wins at least nine of the ten pairs
+  (ties count for neither), the medians differ by more than the base
+  interquartile range, and the change fails no larger share of its
+  operations than the base;
 - ``within_bound``: otherwise.
 
-Each workload also reports the operations attempted and failed on each side.
+Each workload also reports the operations attempted and failed on each side,
+and ``failed_share`` is ``regression`` when the change fails a larger share
+of its operations than the base, else ``within_bound``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # run.py ends every run within 180 s; a run past this has hung.
 RUN_TIMEOUT_S = 300
+# Alternated base/change pairs per workload, one per seed 1..PAIRS; a gain
+# needs the change to win at least nine of them.
+PAIRS = 10
 
 
 def export_commit(rev: str, dest: Path) -> str:
@@ -74,13 +80,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
-    if len(values) == 1:
-        return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
 
 
-def verdict(base: list[float], change: list[float], better: str, bound: float) -> dict:
+def failed_share(side: dict) -> float:
+    return side["failed"] / side["attempted"] if side["attempted"] else 0.0
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float,
+            change_fails_more: bool) -> dict:
     """Compare paired runs of one metric on one workload (see the module
     docstring for the rules)."""
     sign = 1 if better == "lower" else -1
@@ -95,7 +104,7 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
         outcome = "regression"
     elif spread > bound and not all_better:
         outcome = "unresolved"
-    elif wins >= 0.9 * len(base) and abs(c_med - b_med) > b3 - b1:
+    elif wins >= 0.9 * len(base) and abs(c_med - b_med) > b3 - b1 and not change_fails_more:
         outcome = "gain"
     else:
         outcome = "within_bound"
@@ -114,7 +123,6 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="commit to compare the working tree against")
-    parser.add_argument("--pairs", type=int, default=10, help="seeds 1..N, one pair per seed and workload")
     parser.add_argument("--out", required=True, help="output JSON file, e.g. BENCH_<pr>.json")
     args = parser.parse_args(argv)
 
@@ -125,7 +133,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_dir = Path(tmp)
         base_commit = export_commit(args.base, base_dir)
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = ("base", "change") if seed % 2 else ("change", "base")
             for w in workloads:
                 pair = {"seed": seed, "first": order[0]}
@@ -141,13 +149,15 @@ def main(argv=None) -> int:
                    "failed": sum(p[side]["failed"] for p in pairs)}
             for side in ("base", "change")
         }
+        fails_more = failed_share(summary[w]["change"]) > failed_share(summary[w]["base"])
+        summary[w]["failed_share"] = "regression" if fails_more else "within_bound"
         for metric in spec["end_to_end"]:
             name = metric["name"]
             summary[w][name] = verdict([p["base"]["metrics"][name] for p in pairs],
                                        [p["change"]["metrics"][name] for p in pairs],
-                                       metric["better"], metric["bound"])
+                                       metric["better"], metric["bound"], fails_more)
     doc = {
-        "command": f"python3 scripts/bench_pair.py --base {args.base} --pairs {args.pairs} --out {args.out}",
+        "command": f"python3 scripts/bench_pair.py --base {args.base} --out {args.out}",
         "base_commit": base_commit,
         "change": "working tree",
         "run_seconds": seconds,

@@ -216,6 +216,11 @@ class PairAttempts:
         return None
 
 
+# Largest prime a certificate may name, in search and verification alike:
+# mult_order trial-divides p(p-1), O(p) steps when p - 1 has a large factor.
+MAX_CERT_PRIME = 10 ** 6
+
+
 def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int) -> AdmissibleCertificate:
     """Deterministic sweep for the first admissible pair below the bound.
 
@@ -224,10 +229,12 @@ def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int) -> Admissibl
     eta^t * eps of the unit and the conjugates in index order, so repeated
     runs return byte-identical certificates.  The torsion sweep matters:
     condition (1) constrains the torsion component of the unit image, which
-    multiplying by eta adjusts.
+    multiplying by eta adjusts.  A bound above MAX_CERT_PRIME is CapExceeded.
     """
     if prime_bound < 3:
         raise SearchExhausted("prime bound below 3", {"split_primes": 0})
+    if prime_bound > MAX_CERT_PRIME:
+        raise CapExceeded(f"bound {prime_bound} exceeds the certificate cap {MAX_CERT_PRIME}")
 
     primes = list(split_primes(spec, prime_bound))
     attempts = PairAttempts(spec, units)

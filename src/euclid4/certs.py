@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import json
 
-from .admissible import AdmissibleCertificate, Conclusion, brute_force_surjectivity, check_conditions
+from .admissible import (
+    MAX_CERT_PRIME,
+    AdmissibleCertificate,
+    Conclusion,
+    brute_force_surjectivity,
+    check_conditions,
+)
 from .elements import NFElement
 from .errors import CapExceeded, ConditionFailed, OracleMismatch, SchemaError
 from .fields import FieldSpec, build_from_descriptor, field_descriptor
@@ -18,10 +24,6 @@ from .residues import DegreeOnePrime, degree_one_primes_above
 from .units import Provenance, UnitData, verify_unit_data
 
 SCHEMA_VERSION = "cert/v1"
-# Largest prime a certificate may name.  Verification factors p(p-1) by
-# trial division (intmath.mult_order), which takes O(p) steps when p - 1
-# has a large prime factor, so a prime near 10^17 would run without bound.
-MAX_CERT_PRIME = 10 ** 6
 
 
 def _prime_dict(P: DegreeOnePrime) -> dict:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .admissible import PairAttempts, search_pair
 from .certs import certificate_to_json, verify_certificate_json
 from .errors import (
+    CapExceeded,
     ConditionFailed,
     OracleMismatch,
     Ramified,
@@ -280,7 +281,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "reproduce-tables":
             return cmd_reproduce_tables(args)
-    except UnknownLabel as exc:
+    except (UnknownLabel, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser.error("unknown command")

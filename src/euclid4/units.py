@@ -174,7 +174,7 @@ def strongest_unit(spec: FieldSpec, g: int, eta: NFElement,
         t_power = one(spec)
         for _t in range(g):
             w = sqrt_in_ring(spec, t_power * current)
-            if w is not None and has_infinite_order(w):
+            if w is not None and has_infinite_order(w, g, eta):
                 found = w
                 break
             t_power = t_power * eta
@@ -201,15 +201,20 @@ def unit_data(spec: FieldSpec) -> UnitData:
         if eps.coords == eps0.coords
         else Provenance.SUPPLIED
     )
-    assert norm(eps) in (1, -1) and has_infinite_order(eps)
+    assert norm(eps) in (1, -1) and has_infinite_order(eps, g, eta)
     return UnitData(g, eta, eps, prov)
 
 
-def has_infinite_order(x: NFElement) -> bool:
-    """Exact, float-free test.  A root of unity of order n in a quartic
-    field has phi(n) | 4, so n divides 120 = lcm(1, 2, 3, 4, 5, 6, 8, 10, 12)
-    and every torsion unit satisfies x^120 = 1."""
-    return (x ** 120).coords != (1, 0, 0, 0)
+def has_infinite_order(x: NFElement, g: int, eta: NFElement) -> bool:
+    """A unit x has infinite order when it is none of the torsion units
+    eta^0, ..., eta^(g-1) (eta generates them); comparing coordinates keeps
+    the cost independent of the size of x, which may come from a certificate."""
+    power = one(eta.field)
+    for _ in range(g):
+        if x.coords == power.coords:
+            return False
+        power = power * eta
+    return True
 
 
 def verify_unit_data(u: UnitData) -> bool:
@@ -228,4 +233,4 @@ def verify_unit_data(u: UnitData) -> bool:
         return False
     if not _element_order_is(u.eta, u.g):
         return False
-    return has_infinite_order(u.epsilon)
+    return has_infinite_order(u.epsilon, u.g, u.eta)

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from euclid4.admissible import (
+    MAX_CERT_PRIME,
     AdmissibleCertificate,
     Conclusion,
     FailureReport,
@@ -103,6 +104,14 @@ def test_search_exhausted(entries):
     with pytest.raises(SearchExhausted) as exc:
         search_pair(spec, unit_data(spec), 3)
     assert exc.value.stats["split_primes"] == 0
+
+
+def test_search_bound_above_certificate_cap(entries):
+    # verification rejects a prime above MAX_CERT_PRIME, so search must not
+    # produce one
+    spec = entries["K_1"].spec
+    with pytest.raises(CapExceeded):
+        search_pair(spec, unit_data(spec), MAX_CERT_PRIME + 1)
 
 
 def test_surjectivity_trivial_and_cap(entries):

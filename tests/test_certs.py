@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -142,3 +143,18 @@ def test_malformed_certificate_is_schema_error(k8_cert, damage):
     damage(doc)
     with pytest.raises(SchemaError):
         verify_certificate_json(json.dumps(doc))
+
+
+def test_large_unit_verifies_quickly(k8_cert):
+    """epsilon^3233 is a genuine unit with about 4,200-digit coordinates
+    (Python parses at most 4,300) and, 3233 = 53 * 61 being prime to every
+    order the conditions use, the certificate stays valid; the torsion test
+    must not grow with the size of epsilon."""
+    doc = certificate_to_dict(k8_cert, "K_8")
+    big = k8_cert.units.epsilon ** 3233
+    assert max(len(str(abs(c))) for c in big.coords) > 4000
+    doc["units"]["epsilon_coords"] = [str(c) for c in big.coords]
+    start = time.perf_counter()
+    report = verify_certificate_json(json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
+    assert report["pair"] == k8_cert.pair

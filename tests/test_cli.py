@@ -43,6 +43,11 @@ def test_search_exhausted_exit_code(capsys):
     assert "search exhausted" in capsys.readouterr().err
 
 
+def test_search_bound_above_certificate_cap(capsys):
+    assert main(["search", "K_1", "--bound", str(10 ** 6 + 1)]) == 2
+    assert "certificate cap" in capsys.readouterr().err
+
+
 def test_search_conductor_label(tmp_path, capsys):
     cert = tmp_path / "c5.json"
     assert main(["search", "5", "--bound", "50", "--emit", str(cert)]) == 0

@@ -66,12 +66,15 @@ def test_units_are_units(entries):
         ud = unit_data(entry.spec)
         assert norm(ud.eta) in (1, -1)
         assert norm(ud.epsilon) in (1, -1)
-        assert has_infinite_order(ud.epsilon)
-        assert not has_infinite_order(ud.eta)
+        assert has_infinite_order(ud.epsilon, ud.g, ud.eta)
+        torsion_unit = one(entry.spec)
+        for _ in range(ud.g):
+            assert not has_infinite_order(torsion_unit, ud.g, ud.eta)
+            torsion_unit = torsion_unit * ud.eta
 
 
 def test_small_powers_never_one(entries):
-    # infinite order certified by the characteristic polynomial test; spot
+    # infinite order certified by comparison with the torsion units; spot
     # check small powers directly on fields with small units
     for label in ("K_1", "K_7", "K_20", "5", "16"):
         eps = unit_data(entries[label].spec).epsilon
