@@ -216,8 +216,8 @@ class PairAttempts:
         return None
 
 
-# Largest prime a certificate may name, in search and verification alike:
-# mult_order trial-divides p(p-1), O(p) steps when p - 1 has a large factor.
+# Largest prime a certificate may name, in search and verification alike;
+# orders mod p^2 trial-divide only p - 1, about sqrt(p) steps below it.
 MAX_CERT_PRIME = 10 ** 6
 
 

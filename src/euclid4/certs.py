@@ -172,13 +172,13 @@ def parse_certificate(doc: dict) -> tuple[AdmissibleCertificate, str | None]:
     return result, doc.get("label")
 
 
-def verify_certificate_json(text: str, oracle: bool = False,
-                            cap: int = 10 ** 7) -> dict:
+def verify_certificate_json(text: str, oracle: bool = False) -> dict:
     """Full verification of a serialized certificate.
 
     Returns a small report dict; raises SchemaError / ConditionFailed /
     OracleMismatch on any defect.  With oracle=True the surjectivity
-    enumeration is run as well whenever the group fits under the cap.
+    enumeration is run as well whenever the group fits under the oracle's
+    default cap.
     """
     try:
         doc = json.loads(text)
@@ -194,7 +194,7 @@ def verify_certificate_json(text: str, oracle: bool = False,
     }
     if oracle:
         try:
-            ok = brute_force_surjectivity(cert.spec, cert.units, cert.P1, cert.P2, 2, 2, cap)
+            ok = brute_force_surjectivity(cert.spec, cert.units, cert.P1, cert.P2, 2, 2)
         except CapExceeded:
             ok = None
         if ok is False:

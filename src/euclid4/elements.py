@@ -8,11 +8,10 @@ denominator-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import FieldMismatch, NotAUnit
 from .fields import FieldSpec, basis_mul
-from .linalg import charpoly_int, det_int, solve_exact
+from .linalg import adjugate_int, det_int
 
 
 @dataclass(frozen=True)
@@ -107,39 +106,12 @@ def norm(x: NFElement) -> int:
 
 
 def inverse_unit(x: NFElement) -> NFElement:
-    """Inverse of a unit, by solving the 4x4 system x*y = 1 exactly."""
+    """Inverse of a unit: y M = e0 for the multiplication matrix M (row j
+    holds the coordinates of x b_j), so y is row 0 of adj(M) / det(M), and
+    det(M) = N(x) = +-1 is its own inverse."""
     n = norm(x)
     if n not in (1, -1):
         raise NotAUnit(f"norm {n} is not +-1")
-    m = x.mult_matrix()
-    # y * M = e0 where row j of M holds coords of x*b_j
-    sol = solve_exact([[m[j][k] for j in range(4)] for k in range(4)], [1, 0, 0, 0])
-    assert all(Fraction(v).denominator == 1 for v in sol)
-    y = NFElement(x.field, tuple(int(v) for v in sol))
+    y = NFElement(x.field, tuple(n * c for c in adjugate_int(x.mult_matrix())[0]))
     assert (x * y).coords == (1, 0, 0, 0)
     return y
-
-
-def min_poly(x: NFElement):
-    """Minimal polynomial coefficients of x (constant first, monic), exact.
-
-    The characteristic polynomial of the multiplication matrix is deflated to
-    the least monic divisor annihilating x.
-    """
-    char = charpoly_int(x.mult_matrix())
-    for deg in (1, 2, 4):
-        if deg == 4:
-            return char
-        pows = [one(x.field)]
-        for _ in range(deg):
-            pows.append(pows[-1] * x)
-        try:
-            sol = solve_exact(
-                [[pows[j].coords[i] for j in range(deg)] for i in range(4)],
-                [-pows[deg].coords[i] for i in range(4)],
-            )
-        except ValueError:
-            continue
-        if all(Fraction(v).denominator == 1 for v in sol):
-            return [int(v) for v in sol] + [1]
-    raise AssertionError("unreachable")

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedConductor,
 )
 from .intmath import IntPoly, count_real_roots, factorize, is_squarefree, legendre, poly_discriminant
-from .linalg import adjugate_int, det_int, hnf_rows, invert_fraction_matrix, solve_exact
+from .linalg import adjugate_int, det_int, hnf_rows
 
 # Radicands are tested for squarefreeness by trial division, which takes
 # about 0.075 s at 10**12 and grows with the square root beyond it; larger
@@ -55,11 +55,11 @@ def _reduction_rows(minpoly: IntPoly):
     """Power-basis coordinates of theta^4, theta^5, theta^6."""
     c = minpoly.coeffs
     assert len(c) == 5 and c[4] == 1
-    t4 = [Fraction(-c[k]) for k in range(4)]
+    t4 = [-c[k] for k in range(4)]
     rows = [t4]
     for _ in range(2):
         prev = rows[-1]
-        nxt = [Fraction(0)] + prev[:3]
+        nxt = [0] + prev[:3]
         nxt = [nxt[k] + prev[3] * t4[k] for k in range(4)]
         rows.append(nxt)
     return rows
@@ -67,7 +67,7 @@ def _reduction_rows(minpoly: IntPoly):
 
 def _poly_mul_mod(u, v, red):
     """Product of two power-coordinate vectors modulo the defining polynomial."""
-    full = [Fraction(0)] * 7
+    full = [0] * 7
     for i, a in enumerate(u):
         if a == 0:
             continue
@@ -89,12 +89,6 @@ def _scaled(rows):
     return d, [[int(x * d) for x in row] for row in rows]
 
 
-def _module_discriminant(basis, poly_d):
-    """Discriminant det(B)^2 disc(f) of the Z-span of the basis rows B."""
-    d, mat = _scaled(basis)
-    return Fraction(det_int(mat) ** 2 * poly_d, d ** 8)
-
-
 def _canonical_basis(generators):
     """HNF-canonical basis of the Z-span of generators (power coordinates):
     b0 = 1, pivots on ascending powers, positive."""
@@ -102,26 +96,6 @@ def _canonical_basis(generators):
     out = tuple(tuple(Fraction(x, d) for x in row) for row in hnf_rows(mat))
     assert out[0] == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     return out
-
-
-def _integral_coords(binv, vec):
-    """Coordinates of vec over the basis whose inverse matrix is binv;
-    raises ValueError when they are not all integers."""
-    coords = [sum(Fraction(v) * binv[t][k] for t, v in enumerate(vec) if v) for k in range(4)]
-    if any(x.denominator != 1 for x in coords):
-        raise ValueError("element is not integral")
-    return tuple(int(x) for x in coords)
-
-
-def _structure_constants(basis, binv, red):
-    """Integer coordinates of b_i * b_j over the basis (binv is its inverse).
-
-    Raises ValueError when the basis is not closed under multiplication.
-    """
-    return [
-        [_integral_coords(binv, _poly_mul_mod(basis[i], basis[j], red)) for j in range(4)]
-        for i in range(4)
-    ]
 
 
 def basis_mul(table, x, y):
@@ -149,7 +123,11 @@ def basis_mul(table, x, y):
 class FieldSpec:
     """An imaginary Galois quartic field with an exact integral basis.
 
-    integral_basis rows are coordinates over the power basis of theta;
+    integral_basis rows are coordinates over the power basis of theta.  They
+    are held once more as the integer matrix M = D * integral_basis, with D
+    the least common denominator, together with adj(M) and det(M): the
+    inverse basis matrix is D adj(M) / det(M), so every change of
+    coordinates is integer arithmetic ending in one exact division.
     sqrt_power pairs each embedded squarefree radicand d with the power-basis
     coordinates of an element squaring to d, and sqrt_map gives the integer
     coordinates of that element over the integral basis.  tower_y holds the
@@ -174,16 +152,38 @@ class FieldSpec:
         return _reduction_rows(self.theta_minpoly)
 
     @cached_property
-    def basis_inv(self):
-        return invert_fraction_matrix(self.integral_basis)
+    def _basis_matrix(self):
+        """(D, M, adj(M), det(M)) with M = D * integral_basis integral."""
+        d, mat = _scaled(self.integral_basis)
+        return d, mat, adjugate_int(mat), det_int(mat)
+
+    def _coords(self, vec, den):
+        """Basis coordinates of the power-coordinate vector vec / den, with vec
+        integral: D vec adj(M) / (den det(M)).  Raises ValueError when they are
+        not all integers."""
+        d, _, adj, det = self._basis_matrix
+        q = den * det
+        nums = [d * sum(v * adj[t][k] for t, v in enumerate(vec) if v) for k in range(4)]
+        if any(x % q for x in nums):
+            raise ValueError("element is not integral")
+        return tuple(x // q for x in nums)
 
     @cached_property
     def mult_table(self):
-        return _structure_constants(self.integral_basis, self.basis_inv, self._red)
+        """table[i][j] holds the coordinates of b_i * b_j, from the products
+        M_i M_j of integer basis rows reduced modulo the defining polynomial.
+
+        Raises ValueError when the basis is not closed under multiplication.
+        """
+        d, mat, _, _ = self._basis_matrix
+        return [
+            [self._coords(_poly_mul_mod(mat[i], mat[j], self._red), d * d) for j in range(4)]
+            for i in range(4)
+        ]
 
     @cached_property
     def theta_coords(self):
-        return self.coords_from_power([Fraction(0), Fraction(1), Fraction(0), Fraction(0)])
+        return self.coords_from_power((0, 1, 0, 0))
 
     @cached_property
     def sqrt_map(self):
@@ -261,13 +261,8 @@ class FieldSpec:
 
         Raises ValueError when the element is not integral over the basis.
         """
-        return _integral_coords(self.basis_inv, power_vec)
-
-    def power_from_coords(self, coords):
-        return tuple(
-            sum(Fraction(coords[i]) * self.integral_basis[i][t] for i in range(4))
-            for t in range(4)
-        )
+        den, (vec,) = _scaled([power_vec])
+        return self._coords(vec, den)
 
     def name(self) -> str:
         if self.kind == "biquadratic":
@@ -291,8 +286,9 @@ def integral_basis_closure_check(spec: FieldSpec) -> bool:
         spec.coords_from_power((1, 0, 0, 0))
     except ValueError:
         return False
-    poly_d = poly_discriminant(spec.theta_minpoly)
-    return _module_discriminant(spec.integral_basis, poly_d) == spec.discriminant
+    # det(B)^2 disc(f) with B = M / D
+    d, _, _, det = spec._basis_matrix
+    return det ** 2 * poly_discriminant(spec.theta_minpoly) == spec.discriminant * d ** 8
 
 
 def _validate_spec(spec: FieldSpec):
@@ -312,16 +308,32 @@ def _validate_spec(spec: FieldSpec):
 
 def _power_basis(one, theta, mul):
     """Minimal polynomial of theta and the map to power coordinates, from
-    theta^0..theta^4 computed in an ambient Q-algebra with product mul."""
+    theta^0..theta^4 computed in an ambient Q-algebra with product mul.
+
+    The columns of T are theta^0..theta^3 in ambient coordinates (T is
+    square for the biquadratic algebra, tall for the cyclotomic one), and
+    the power coordinates of v are x = adj(G) T^t v / det(G) with the integer
+    Gram matrix G = T^t T, inverted once.  to_power raises ValueError when
+    T x = v fails, that is when v is not in the span of the theta powers.
+    """
     powers = [one]
     for _ in range(4):
         powers.append(mul(powers[-1], theta))
-    mat = [[powers[j][i] for j in range(4)] for i in range(len(one))]
-    rel = solve_exact(mat, powers[4])
-    minpoly = IntPoly(tuple(int(-c) for c in rel) + (1,))
+    cols = powers[:4]
+    gram = [[sum(a * b for a, b in zip(u, w)) for w in cols] for u in cols]
+    adj, det = adjugate_int(gram), det_int(gram)
 
     def to_power(vec):
-        return tuple(solve_exact(mat, vec))
+        den, (ints,) = _scaled([vec])
+        tv = [sum(a * b for a, b in zip(u, ints)) for u in cols]
+        nums = [sum(a * b for a, b in zip(row, tv)) for row in adj]
+        # T x = v, with x = nums / (den det) and v = ints / den
+        if any(sum(n * col[i] for n, col in zip(nums, cols)) != det * v
+               for i, v in enumerate(ints)):
+            raise ValueError("vector is not in the span of the theta powers")
+        return tuple(Fraction(n, den * det) for n in nums)
+
+    minpoly = IntPoly(tuple(int(-c) for c in to_power(powers[4])) + (1,))
 
     return minpoly, to_power
 

@@ -125,9 +125,13 @@ def unit_order_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:
     """Multiplicative order of x modulo the squared prime ideal.
 
     Valid because reduction identifies (O/pi^2)* with (Z/p^2)*, a cyclic
-    group of order p(p-1).
+    group of order p(p-1), that is C_(p-1) x C_p.  The order of u^p is the
+    order of the C_(p-1) part, and the C_p part is trivial exactly when
+    u^(p-1) = 1, so only p - 1 is factored.
     """
     u = reduce_mod_p2(x, prime)
-    if gcd(u.value, prime.p) != 1:
-        raise NotCoprime(f"element reduces to a non-unit mod {prime.p}^2")
-    return mult_order(u, prime.p * (prime.p - 1))
+    p = prime.p
+    if gcd(u.value, p) != 1:
+        raise NotCoprime(f"element reduces to a non-unit mod {p}^2")
+    order = mult_order(ResidueClass(pow(u.value, p, u.modulus), u.modulus), p - 1)
+    return order if pow(u.value, p - 1, u.modulus) == 1 else order * p

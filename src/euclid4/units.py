@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd
 
-from .elements import NFElement, from_power_coords, norm, one, sqrt_radicand, theta
+from .elements import NFElement, norm, one, sqrt_radicand, theta
 from .fields import FieldSpec
 from .intmath import continued_fraction_fundamental_unit, factorize, legendre, sqrt_mod_prime_power
+from .linalg import adjugate_int, det_int
 from .residues import reduction_maps, split_primes
 
 
@@ -35,10 +34,15 @@ class UnitData:
 
 
 def _half_sum(field: FieldSpec, const: int, elem: NFElement) -> NFElement:
-    """(const + elem) / 2 as an exact integral element."""
-    power = field.power_from_coords(elem.coords)
-    vec = [Fraction(const) + power[0]] + [p for p in power[1:]]
-    return from_power_coords(field, [v / 2 for v in vec])
+    """(const + elem) / 2 as an exact integral element.
+
+    b0 = 1, so the coordinates are ((const + x0)/2, x1/2, x2/2, x3/2); raises
+    ValueError when one of them is not an integer.
+    """
+    vec = (const + elem.coords[0],) + elem.coords[1:]
+    if any(v % 2 for v in vec):
+        raise ValueError("element is not integral")
+    return NFElement(field, tuple(v // 2 for v in vec))
 
 
 def torsion(spec: FieldSpec) -> tuple[int, NFElement]:
@@ -100,28 +104,13 @@ def infinite_order_unit(spec: FieldSpec) -> NFElement:
     return eps
 
 
-def _solve_mod(mat, rhs, modulus):
-    """Solve a 4x4 system with unit determinant modulo a prime power."""
-    m = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    q = modulus
-    for c in range(4):
-        piv = next(i for i in range(c, 4) if gcd(m[i][c], q) == 1)
-        m[c], m[piv] = m[piv], m[c]
-        inv = pow(m[c][c], -1, q)
-        m[c] = [x * inv % q for x in m[c]]
-        for i in range(4):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % q for x, y in zip(m[i], m[c])]
-    return [m[i][4] for i in range(4)]
-
-
 def sqrt_in_ring(spec: FieldSpec, v: NFElement) -> NFElement | None:
     """An exact w with w*w = v, or None.
 
     Quadratic-residue characters at split primes rule squares out quickly;
     candidate roots are Hensel-lifted componentwise modulo a split prime
-    power, reconstructed by linear algebra, and verified exactly, so a
+    power, pulled back through the inverse adj(H) / det(H) of the matrix H of
+    basis images (det(H) is a unit there), and verified exactly, so a
     returned value is always correct.
     """
     # reduction_maps also serves primes dividing the index, but the filter
@@ -143,11 +132,13 @@ def sqrt_in_ring(spec: FieldSpec, v: NFElement) -> NFElement | None:
         homs = [images for _, images in reduction_maps(spec, q, prec)]
         vals = [sum(c * im for c, im in zip(v.coords, row)) % qm for row in homs]
         roots = [sqrt_mod_prime_power(val, q, prec) for val in vals]
+        adj = adjugate_int(homs)
+        det_inv = pow(det_int(homs), -1, qm)
         for signs in range(8):
             svec = [roots[0]]
             for i in range(1, 4):
                 svec.append(roots[i] if (signs >> (i - 1)) & 1 == 0 else (qm - roots[i]) % qm)
-            coords = _solve_mod(homs, svec, qm)
+            coords = [sum(a * s for a, s in zip(row, svec)) * det_inv % qm for row in adj]
             lifted = tuple(c if c <= qm // 2 else c - qm for c in coords)
             w = NFElement(spec, lifted)
             if (w * w).coords == v.coords:
@@ -158,30 +149,27 @@ def sqrt_in_ring(spec: FieldSpec, v: NFElement) -> NFElement | None:
 
 def strongest_unit(spec: FieldSpec, g: int, eta: NFElement,
                    eps: NFElement) -> NFElement:
-    """Replace eps by a square root of a torsion multiple while one exists.
+    """A square root of the first torsion multiple eta^t eps (t < g) that
+    has one, or eps itself.
 
     The embedded subfield unit can be the square of a unit of the quartic
     field (times torsion); in that case its residue images generate only an
     index-two subgroup and reference pairs cannot be certified.  Extracting
-    the root restores the full image.  Each extraction halves the
-    archimedean size, so this terminates immediately in practice.  The
-    inverse needs no pass of its own: zeta^t eps^-1 = w^2 gives
+    the root restores the full image.  One round suffices: K is CM, so the
+    unit index [E : W E+] is at most 2 (Washington, Introduction to
+    Cyclotomic Fields, Thm 4.12).  Hence some eta^t eps is a square exactly
+    when the index is 2, its root then generates E modulo torsion, and no
+    torsion multiple of that root is a square again.  The inverse
+    needs no pass of its own: zeta^t eps^-1 = w^2 gives
     zeta^t eps = (w eps)^2.
     """
-    current = eps
-    for _ in range(6):
-        found = None
-        t_power = one(spec)
-        for _t in range(g):
-            w = sqrt_in_ring(spec, t_power * current)
-            if w is not None and has_infinite_order(w, g, eta):
-                found = w
-                break
-            t_power = t_power * eta
-        if found is None:
-            return current
-        current = found
-    return current
+    t_power = one(spec)
+    for _t in range(g):
+        w = sqrt_in_ring(spec, t_power * eps)
+        if w is not None and has_infinite_order(w, g, eta):
+            return w
+        t_power = t_power * eta
+    return eps
 
 
 @lru_cache(maxsize=128)

@@ -9,7 +9,6 @@ from euclid4.elements import (
     NFElement,
     from_power_coords,
     inverse_unit,
-    min_poly,
     norm,
     one,
     sqrt_radicand,
@@ -135,20 +134,3 @@ def test_from_power_coords(gaussian_sqrt11):
     assert from_power_coords(k, [0, Fraction(1, 2), 0, 0])
     with pytest.raises(ValueError):
         from_power_coords(k, [0, Fraction(1, 3), 0, 0])
-
-
-def test_min_poly_annihilates(sample_fields):
-    rng = random.Random(7)
-    for k in sample_fields:
-        for _ in range(25):
-            x = NFElement(k, tuple(rng.randrange(-9, 10) for _ in range(4)))
-            coeffs = min_poly(x)
-            acc = zero(k)
-            power = one(k)
-            for c in coeffs:
-                acc = acc + c * power
-                power = power * x
-            assert acc.is_zero()
-    k = sample_fields[0]
-    assert min_poly(one(k)) == [-1, 1]
-    assert min_poly(sqrt_radicand(k, -1)) == [1, 0, 1]

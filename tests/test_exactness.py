@@ -1,0 +1,73 @@
+"""Production code uses no floating point.
+
+Every module of the package is parsed and searched for the ways a float can
+enter: a float literal, a call to float, a name from math other than the
+integer functions, and true division.  The one true division allowed is the
+Fraction Sturm chain of intmath.count_real_roots.
+"""
+
+import ast
+from pathlib import Path
+
+import euclid4
+
+PACKAGE = Path(euclid4.__file__).parent
+INTEGER_MATH = {"gcd", "isqrt", "lcm"}
+DIVISION_ALLOWED = {("intmath.py", "count_real_roots")}
+
+
+def float_uses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, functions):
+        here = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{here} float literal {node.value!r}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append(f"{here} call to float")
+        elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+            found.append(f"{here} import math")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            extra = {a.name for a in node.names} - INTEGER_MATH
+            if extra:
+                found.append(f"{here} math import {sorted(extra)}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            if not any((path.name, f) in DIVISION_ALLOWED for f in functions):
+                found.append(f"{here} true division")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions = functions + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, functions)
+
+    visit(tree, ())
+    return found
+
+
+def test_no_floating_point_in_production():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    found = [use for path in modules for use in float_uses(path)]
+    assert found == []
+
+
+def test_float_scan_sees_each_kind(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import math\n"
+        "from math import gcd, sqrt\n"
+        "x = 0.5\n"
+        "y = float(3)\n"
+        "z = 1 / 2\n"
+        "z /= 2\n"
+        "w = 7 // 2\n"
+    )
+    kinds = [use.split(" ", 1)[1] for use in float_uses(sample)]
+    assert kinds == [
+        "import math",
+        "math import ['sqrt']",
+        "float literal 0.5",
+        "call to float",
+        "true division",
+        "true division",
+    ]

@@ -12,6 +12,9 @@ from euclid4.errors import (
     UnsupportedConductor,
 )
 from euclid4.fields import (
+    _cyclo_mul,
+    _cyclo_reduce,
+    _power_basis,
     build_biquadratic,
     build_cyclic_quartic,
     field_descriptor,
@@ -189,3 +192,21 @@ def test_construction_is_deterministic():
     b = build_biquadratic(-1, 19)
     assert a == b
     assert build_cyclic_quartic(29) == build_cyclic_quartic(29)
+
+
+def test_power_coordinates_reject_vector_outside_theta_span():
+    # in Q(zeta_13) the Gauss period theta = zeta + zeta^3 + zeta^9 spans the
+    # quartic subfield, and zeta itself lies outside it
+    f = 13
+
+    def ambient(*exponents):
+        vec = [0] * f
+        for e in exponents:
+            vec[e] += 1
+        return _cyclo_reduce(vec, f)
+
+    theta = ambient(1, 3, 9)
+    _, to_power = _power_basis(ambient(0), theta, lambda u, v: _cyclo_mul(u, v, f))
+    assert to_power(theta) == (0, 1, 0, 0)
+    with pytest.raises(ValueError):
+        to_power(ambient(1))

@@ -231,3 +231,26 @@ def test_conductor29_index_prime(entries):
     assert spec.index % 7 == 0 and splits_completely(spec, 7)
     primes = degree_one_primes_above(spec, 7)
     assert len(primes) == 4
+
+
+def test_unit_order_factors_only_p_minus_one(entries, monkeypatch):
+    # (Z/p^2)* = C_(p-1) x C_p: the order needs the factors of p - 1 only, not
+    # those of p(p-1); (p - 1)/2 is prime here, so factoring p(p-1) by trial
+    # division would run up to it
+    import euclid4.intmath as intmath
+
+    p = 999959
+    spec = entries["K_7"].spec
+    eps = infinite_order_unit(spec)
+    primes = degree_one_primes_above(spec, p)
+    want = [intmath.mult_order(reduce_mod_p2(eps, P), p * (p - 1)) for P in primes]
+    seen = []
+
+    def factorize(n):
+        seen.append(n)
+        return real_factorize(n)
+
+    real_factorize = intmath.factorize
+    monkeypatch.setattr(intmath, "factorize", factorize)
+    assert [unit_order_mod_p2(eps, P) for P in primes] == want
+    assert seen and max(seen) <= p - 1

@@ -5,6 +5,7 @@ from euclid4.fields import build_biquadratic, build_cyclic_quartic
 from euclid4.units import (
     Provenance,
     UnitData,
+    _half_sum,
     has_infinite_order,
     infinite_order_unit,
     sqrt_in_ring,
@@ -138,3 +139,27 @@ def test_paper_style_unit_relation(gaussian_sqrt11):
     g, eta = torsion(k)
     eps = infinite_order_unit(k)
     assert (explicit * explicit).coords == (eta * inverse_unit(eps)).coords
+
+
+def test_one_extraction_round_suffices(entries):
+    # [E : W E+] <= 2 for a CM field: once unit_data has extracted a root, no
+    # torsion multiple of its epsilon is a square again
+    supplied = 0
+    for entry in entries.values():
+        spec = entry.spec
+        ud = unit_data(spec)
+        t_power = one(spec)
+        for _ in range(ud.g):
+            assert sqrt_in_ring(spec, t_power * ud.epsilon) is None, entry.label
+            t_power = t_power * ud.eta
+        supplied += ud.provenance == Provenance.SUPPLIED
+    assert supplied == 24
+
+
+def test_half_sum_requires_integral_half(gaussian_sqrt11):
+    k = gaussian_sqrt11
+    # 2 + 2 sqrt(-1) halves to 1 + sqrt(-1); 1 + sqrt(-1) has no integral half
+    i = sqrt_radicand(k, -1)
+    assert _half_sum(k, 2, 2 * i).coords == (one(k) + i).coords
+    with pytest.raises(ValueError):
+        _half_sum(k, 1, i)
