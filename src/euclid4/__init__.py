@@ -4,7 +4,6 @@ class-number-one imaginary Galois quartic fields."""
 from .admissible import (
     AdmissibleCertificate,
     Conclusion,
-    FailureReport,
     WitnessResult,
     brute_force_surjectivity,
     check_conditions,
@@ -25,7 +24,6 @@ from .fields import (
 )
 from .intmath import (
     IntPoly,
-    ResidueClass,
     continued_fraction_fundamental_unit,
     factorize,
     hensel_lift,

@@ -25,13 +25,13 @@ from .elements import NFElement, norm
 from .errors import (
     BoundExceeded,
     CapExceeded,
+    ConditionFailed,
     MissingAssumption,
     NotGenerator,
     SamePrime,
     SearchExhausted,
 )
 from .fields import FieldSpec
-from .intmath import ResidueClass
 from .residues import (
     DegreeOnePrime,
     degree_one_primes_above,
@@ -56,7 +56,6 @@ class AdmissibleCertificate:
     ord_eps_P1: int
     ord_eta_P1: int
     ord_eps_P2: int
-    gcd_checks: tuple[bool, bool]
     conclusion: Conclusion
     unit_rank: int | None = None
     prime_count: int | None = None
@@ -67,22 +66,9 @@ class AdmissibleCertificate:
 
 
 @dataclass(frozen=True)
-class FailureReport:
-    condition: int
-    computed: object
-    required: object
-
-    def __str__(self):
-        return (
-            f"condition ({self.condition}) failed: "
-            f"computed {self.computed}, required {self.required}"
-        )
-
-
-@dataclass(frozen=True)
 class WitnessResult:
-    alpha: tuple[ResidueClass, ResidueClass]
-    beta: tuple[ResidueClass, ResidueClass]
+    alpha: tuple[int, int]
+    beta: tuple[int, int]
     k: int
     e: int
     f_exp: int
@@ -90,9 +76,9 @@ class WitnessResult:
 
 
 def check_conditions(spec: FieldSpec, units: UnitData, P1: DegreeOnePrime,
-                     P2: DegreeOnePrime):
-    """Evaluate the five conditions; a certificate on success, else the first
-    failing condition as a FailureReport."""
+                     P2: DegreeOnePrime) -> AdmissibleCertificate:
+    """Evaluate the five conditions and return the certificate; the first
+    failing condition raises ConditionFailed."""
     if P1.p == P2.p:
         raise SamePrime(f"p1 = p2 = {P1.p}")
     assert P1.field == spec and P2.field == spec
@@ -100,24 +86,23 @@ def check_conditions(spec: FieldSpec, units: UnitData, P1: DegreeOnePrime,
 
     g = units.g
     p1, p2 = P1.p, P2.p
-    if (p1 * (p1 - 1)) % g != 0:
-        return FailureReport(1, f"g = {g} does not divide p1(p1-1)", "divisibility")
-    n1 = p1 * (p1 - 1) // g
 
+    def require(condition, computed, required):
+        if computed != required:
+            raise ConditionFailed(condition, f"computed {computed}, required {required}")
+
+    if (p1 * (p1 - 1)) % g != 0:
+        raise ConditionFailed(1, f"g = {g} does not divide p1(p1-1)")
+    n1 = p1 * (p1 - 1) // g
     ord_eps_p1 = unit_order_mod_p2(units.epsilon, P1)
-    if ord_eps_p1 != n1:
-        return FailureReport(1, ord_eps_p1, n1)
+    require(1, ord_eps_p1, n1)
     m2 = p2 * (p2 - 1)
-    if gcd(n1, m2) != 1:
-        return FailureReport(2, gcd(n1, m2), 1)
-    if gcd(n1, g) != 1:
-        return FailureReport(3, gcd(n1, g), 1)
+    require(2, gcd(n1, m2), 1)
+    require(3, gcd(n1, g), 1)
     ord_eta_p1 = unit_order_mod_p2(units.eta, P1)
-    if ord_eta_p1 != g:
-        return FailureReport(4, ord_eta_p1, g)
+    require(4, ord_eta_p1, g)
     ord_eps_p2 = unit_order_mod_p2(units.epsilon, P2)
-    if ord_eps_p2 != m2:
-        return FailureReport(5, ord_eps_p2, m2)
+    require(5, ord_eps_p2, m2)
 
     return AdmissibleCertificate(
         spec=spec,
@@ -127,7 +112,6 @@ def check_conditions(spec: FieldSpec, units: UnitData, P1: DegreeOnePrime,
         ord_eps_P1=ord_eps_p1,
         ord_eta_P1=ord_eta_p1,
         ord_eps_P2=ord_eps_p2,
-        gcd_checks=(True, True),
         conclusion=Conclusion.ADMISSIBLE_PAIR,
     )
 
@@ -210,9 +194,7 @@ class PairAttempts:
                 self.stats["no_condition5"] += 1
                 continue
             self.stats["pairs_checked"] += 1
-            result = check_conditions(self.spec, self.variants[t], prime1, prime2)
-            assert isinstance(result, AdmissibleCertificate)
-            return result
+            return check_conditions(self.spec, self.variants[t], prime1, prime2)
         return None
 
 
@@ -284,7 +266,7 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
     c1 = m2 * pow(m2, -1, m1)
     c2 = m1 * pow(m1, -1, m2)
     gens = [
-        (reduce_mod_p2(u, P1).value * c1 + reduce_mod_p2(u, P2).value * c2) % M
+        (reduce_mod_p2(u, P1) * c1 + reduce_mod_p2(u, P2) * c2) % M
         for u in (units.eta, units.epsilon)
     ]
     seen = bytearray(M)
@@ -303,15 +285,13 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
 
 
 def _dlog(base: int, target: int, modulus: int, order: int) -> int | None:
-    """x with base^x = target mod modulus, or None.  Brute force for small
-    orders, baby-step giant-step above."""
-    if order <= 10 ** 4:
-        cur = 1
-        for x in range(order):
-            if cur == target:
-                return x
-            cur = cur * base % modulus
-        return None
+    """The least x >= 0 with base^x = target mod modulus, or None when target
+    is not a power of base; order is a multiple of the order of base.
+
+    Baby-step giant-step: the table keeps the least j < m for each baby step
+    base^j, and giant steps i = 0, 1, ... are tried in turn, so the first
+    hit i*m + j is the least exponent.
+    """
     m = isqrt(order) + 1
     table = {}
     cur = 1
@@ -322,15 +302,15 @@ def _dlog(base: int, target: int, modulus: int, order: int) -> int | None:
     cur = target % modulus
     for i in range(m + 1):
         if cur in table:
-            return (i * m + table[cur]) % order
+            return i * m + table[cur]
         cur = cur * giant % modulus
     return None
 
 
-def construct_witness(cert: AdmissibleCertificate, x: ResidueClass,
-                      y: ResidueClass) -> WitnessResult:
+def construct_witness(cert: AdmissibleCertificate, x: int, y: int) -> WitnessResult:
     """A unit z with z = x mod P1^2 and z = y mod P2^2, built constructively.
 
+    x and y are residues in [0, p1^2) and [0, p2^2), prime to p1 and p2.
     beta = eps^(p1(p1-1)/g) is trivial mod P1^2 and generates mod P2^2;
     alpha = eta beta^k eps is trivial mod P2^2 (for the right k) and
     generates mod P1^2; z = alpha^e beta^f hits the target pair.  The two
@@ -339,18 +319,18 @@ def construct_witness(cert: AdmissibleCertificate, x: ResidueClass,
     """
     p1, p2 = cert.P1.p, cert.P2.p
     q1, q2 = p1 * p1, p2 * p2
-    if x.modulus != q1 or y.modulus != q2:
+    if not (0 <= x < q1 and 0 <= y < q2):
         raise ValueError("targets must be residues mod p1^2 and p2^2")
-    if gcd(x.value, p1) != 1 or gcd(y.value, p2) != 1:
+    if gcd(x, p1) != 1 or gcd(y, p2) != 1:
         raise ValueError("targets must be coprime residues")
 
     g = cert.units.g
     n1 = cert.ord_eps_P1
     ord2 = p2 * (p2 - 1)
-    e1 = reduce_mod_p2(cert.units.epsilon, cert.P1).value
-    e2 = reduce_mod_p2(cert.units.epsilon, cert.P2).value
-    h1 = reduce_mod_p2(cert.units.eta, cert.P1).value
-    h2 = reduce_mod_p2(cert.units.eta, cert.P2).value
+    e1 = reduce_mod_p2(cert.units.epsilon, cert.P1)
+    e2 = reduce_mod_p2(cert.units.epsilon, cert.P2)
+    h1 = reduce_mod_p2(cert.units.eta, cert.P1)
+    h2 = reduce_mod_p2(cert.units.eta, cert.P2)
 
     b1 = pow(e1, n1, q1)
     b2 = pow(e2, n1, q2)
@@ -366,10 +346,10 @@ def construct_witness(cert: AdmissibleCertificate, x: ResidueClass,
     if alpha2 != 1:
         raise NotGenerator("alpha is not trivial mod P2^2")
 
-    e_exp = _dlog(alpha1, x.value, q1, p1 * (p1 - 1))
+    e_exp = _dlog(alpha1, x, q1, p1 * (p1 - 1))
     if e_exp is None:
         raise NotGenerator("alpha does not generate mod P1^2")
-    f_exp = _dlog(b2, y.value, q2, ord2)
+    f_exp = _dlog(b2, y, q2, ord2)
     if f_exp is None:
         raise NotGenerator("beta does not generate mod P2^2")
 
@@ -379,16 +359,9 @@ def construct_witness(cert: AdmissibleCertificate, x: ResidueClass,
     m = n1 * ord2 // gcd(n1, ord2)
     z = (cert.units.eta ** (e_exp % g)) * (cert.units.epsilon ** (eps_exp % m))
 
-    if reduce_mod_p2(z, cert.P1).value != x.value or reduce_mod_p2(z, cert.P2).value != y.value:
+    if reduce_mod_p2(z, cert.P1) != x or reduce_mod_p2(z, cert.P2) != y:
         raise NotGenerator("witness failed re-verification")
-    return WitnessResult(
-        alpha=(ResidueClass(alpha1, q1), ResidueClass(alpha2, q2)),
-        beta=(ResidueClass(b1, q1), ResidueClass(b2, q2)),
-        k=k,
-        e=e_exp,
-        f_exp=f_exp,
-        z=z,
-    )
+    return WitnessResult(alpha=(alpha1, alpha2), beta=(b1, b2), k=k, e=e_exp, f_exp=f_exp, z=z)
 
 
 def conclude_euclidean(cert: AdmissibleCertificate,

@@ -37,10 +37,6 @@ class Ramified(Euclid4Error):
     """Prime divides the field discriminant."""
 
 
-class IndexDivisor(Euclid4Error):
-    """Prime divides the generator index and no residue model applies."""
-
-
 class SamePrime(Euclid4Error):
     """The two rational primes of a candidate pair coincide."""
 

@@ -129,23 +129,6 @@ def _cf_unit_search(d: int, p0: int, q0: int, targets: tuple[int, ...]):
 
 
 @dataclass(frozen=True)
-class ResidueClass:
-    """A residue `value` modulo `modulus` (here always p or p^2)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus <= 0:
-            raise ValueError("modulus must be positive")
-        if not 0 <= self.value < self.modulus:
-            object.__setattr__(self, "value", self.value % self.modulus)
-
-    def __int__(self):
-        return self.value
-
-
-@dataclass(frozen=True)
 class IntPoly:
     """Integer polynomial, coefficients constant-term first, trimmed."""
 
@@ -166,12 +149,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_mod(self, x: int, m: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -183,22 +160,6 @@ class IntPoly:
             return IntPoly((0,))
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                if c == 1:
-                    terms.append(var)
-                elif c == -1:
-                    terms.append(f"-{var}")
-                else:
-                    terms.append(f"{c}*{var}")
-        return " + ".join(reversed(terms)).replace("+ -", "- ") if terms else "0"
 
 
 def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
@@ -239,7 +200,7 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
     return x
 
 
-def poly_roots_mod_p(f: IntPoly, p: int) -> list[ResidueClass]:
+def poly_roots_mod_p(f: IntPoly, p: int) -> list[int]:
     """All roots of f modulo an odd prime p, ascending.
 
     Exhaustive evaluation in O(p); production code finds its roots with
@@ -249,37 +210,37 @@ def poly_roots_mod_p(f: IntPoly, p: int) -> list[ResidueClass]:
         raise ValueError("p must be an odd prime")
     if all(c % p == 0 for c in f.coeffs):
         raise ValueError("f vanishes identically mod p")
-    return [ResidueClass(c, p) for c in range(p) if f.eval_mod(c, p) == 0]
+    return [c for c in range(p) if f.eval_mod(c, p) == 0]
 
 
-def hensel_lift(f: IntPoly, c: ResidueClass) -> ResidueClass:
-    """Refine a simple root of f mod p to the unique root mod p^2 above it."""
-    p = c.modulus
-    if f.eval_mod(c.value, p) != 0:
+def hensel_lift(f: IntPoly, c: int, p: int) -> int:
+    """Refine a simple root c of f mod p to the unique root mod p^2 above it."""
+    c %= p
+    if f.eval_mod(c, p) != 0:
         raise ValueError("c is not a root of f mod p")
-    d = f.derivative().eval_mod(c.value, p)
+    d = f.derivative().eval_mod(c, p)
     if d == 0:
-        raise NonSimpleRoot(f"f'({c.value}) = 0 mod {p}")
+        raise NonSimpleRoot(f"f'({c}) = 0 mod {p}")
     p2 = p * p
-    lifted = (c.value - f.eval_mod(c.value, p2) * pow(d, -1, p2)) % p2
-    assert f.eval_mod(lifted, p2) == 0 and lifted % p == c.value
-    return ResidueClass(lifted, p2)
+    lifted = (c - f.eval_mod(c, p2) * pow(d, -1, p2)) % p2
+    assert f.eval_mod(lifted, p2) == 0 and lifted % p == c
+    return lifted
 
 
-def mult_order(u: ResidueClass, group_order: int) -> int:
-    """Multiplicative order of u, dividing group_order.
+def mult_order(u: int, m: int, group_order: int) -> int:
+    """Multiplicative order of u modulo m, dividing group_order.
 
     group_order must be a multiple of the true order (for modulus p^2 pass
     p(p-1)).  Computed by dividing out prime factors of group_order.
     """
-    m = u.modulus
-    if gcd(u.value, m) != 1:
-        raise NotCoprime(f"{u.value} shares a factor with {m}")
-    if pow(u.value, group_order, m) != 1:
+    u %= m
+    if gcd(u, m) != 1:
+        raise NotCoprime(f"{u} shares a factor with {m}")
+    if pow(u, group_order, m) != 1:
         raise ValueError("group_order is not an exponent multiple for u")
     t = group_order
     for q in factorize(group_order):
-        while t % q == 0 and pow(u.value, t // q, m) == 1:
+        while t % q == 0 and pow(u, t // q, m) == 1:
             t //= q
     return t
 

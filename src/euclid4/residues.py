@@ -20,7 +20,7 @@ from math import gcd
 from .elements import NFElement
 from .errors import NotCoprime, Ramified
 from .fields import FieldSpec
-from .intmath import ResidueClass, is_prime, legendre, mult_order, sqrt_mod_prime_power
+from .intmath import is_prime, legendre, mult_order, sqrt_mod_prime_power
 
 # Not called here: benchmark/test_gate.py checks that tracing patches this
 # binding of the (now test-only) residue scan, so the name stays bound.
@@ -31,32 +31,26 @@ from .intmath import poly_roots_mod_p  # noqa: F401
 class DegreeOnePrime:
     """A prime ideal of residue degree one above p, with its mod-p^2 data.
 
-    basis_images are the images of the four integral basis elements under the
-    reduction map O -> Z/p^2; they determine the map completely and stay
-    meaningful even when p divides the generator index.
+    lifted_c is the image of theta mod p^2 (its residue mod p is the root of
+    theta's minimal polynomial).  basis_images are the images of the four
+    integral basis elements under the reduction map O -> Z/p^2; they
+    determine the map completely and stay meaningful even when p divides the
+    generator index.
     """
 
     field: FieldSpec
     p: int
-    root_c: ResidueClass
-    lifted_c: ResidueClass
+    lifted_c: int
     conjugate_index: int
     basis_images: tuple[int, int, int, int]
 
     def __repr__(self):
-        return f"DegreeOnePrime(p={self.p}, root={self.root_c.value}, conj={self.conjugate_index})"
-
-
-def _validate_p(spec: FieldSpec, p: int):
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    if spec.discriminant % p == 0:
-        raise Ramified(f"{p} divides the field discriminant")
+        return f"DegreeOnePrime(p={self.p}, root={self.lifted_c % self.p}, conj={self.conjugate_index})"
 
 
 def splits_completely(spec: FieldSpec, p: int) -> bool:
-    """Cheap arithmetic splitting test for an odd unramified prime."""
-    _validate_p(spec, p)
+    """Cheap arithmetic splitting test; p must be an odd unramified prime,
+    which the caller has checked."""
     if spec.kind == "biquadratic":
         return all(legendre(d, p) == 1 for d in spec.sqrt_map)
     f = spec.conductor
@@ -80,8 +74,14 @@ def reduction_maps(spec: FieldSpec, p: int, k: int) -> list[tuple[int, tuple[int
     s^2 = d and t^2 = B + C s, two signs each.  The basis images are
     adj(S) (1, s, t, st) / D.  The maps are sorted by (theta image mod p,
     basis images), which is the ascending order of the roots of theta's
-    minimal polynomial mod p whenever those are distinct.
+    minimal polynomial mod p whenever those are distinct.  Raises
+    ValueError unless p is an odd prime and Ramified when it divides the
+    field discriminant.
     """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    if spec.discriminant % p == 0:
+        raise Ramified(f"{p} divides the field discriminant")
     if not splits_completely(spec, p):
         return []
     d, b, c, det, adj = spec.tower
@@ -107,18 +107,16 @@ def degree_one_primes_above(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
     Raises Ramified when p divides the field discriminant.
     """
     return [
-        DegreeOnePrime(spec, p, ResidueClass(theta % p, p), ResidueClass(theta, p * p), idx, images)
+        DegreeOnePrime(spec, p, theta, idx, images)
         for idx, (theta, images) in enumerate(reduction_maps(spec, p, 2))
     ]
 
 
-def reduce_mod_p2(x: NFElement, prime: DegreeOnePrime) -> ResidueClass:
+def reduce_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:
     """Image of x under the reduction map O -> Z/p^2 attached to the prime."""
     if x.field != prime.field:
         raise ValueError("element does not belong to the prime's field")
-    p2 = prime.p * prime.p
-    val = sum(c * im for c, im in zip(x.coords, prime.basis_images)) % p2
-    return ResidueClass(val, p2)
+    return sum(c * im for c, im in zip(x.coords, prime.basis_images)) % (prime.p * prime.p)
 
 
 def unit_order_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:
@@ -131,7 +129,8 @@ def unit_order_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:
     """
     u = reduce_mod_p2(x, prime)
     p = prime.p
-    if gcd(u.value, p) != 1:
+    p2 = p * p
+    if gcd(u, p) != 1:
         raise NotCoprime(f"element reduces to a non-unit mod {p}^2")
-    order = mult_order(ResidueClass(pow(u.value, p, u.modulus), u.modulus), p - 1)
-    return order if pow(u.value, p - 1, u.modulus) == 1 else order * p
+    order = mult_order(pow(u, p, p2), p2, p - 1)
+    return order if pow(u, p - 1, p2) == 1 else order * p

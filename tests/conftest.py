@@ -73,7 +73,7 @@ def run_splitting_agreement(entries_map):
 def run_order_agreement():
     """oracle_order vs mult_order: all odd p <= 200 with sampled units, plus
     500 seeded random cases with 200 < p < 500."""
-    from euclid4.intmath import ResidueClass, is_prime, mult_order
+    from euclid4.intmath import is_prime, mult_order
     from euclid4.oracles import oracle_order
 
     mismatches = []
@@ -85,7 +85,7 @@ def run_order_agreement():
         cases += 1
         m = p * p
         got = oracle_order(u, m)
-        want = mult_order(ResidueClass(u, m), p * (p - 1))
+        want = mult_order(u, m, p * (p - 1))
         if got != want:
             mismatches.append((u, p, got, want))
 

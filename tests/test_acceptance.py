@@ -16,7 +16,7 @@ from euclid4.admissible import brute_force_surjectivity, construct_witness, find
 from euclid4.elements import from_power_coords, norm, one
 from euclid4.errors import BoundExceeded
 from euclid4.fields import quadratic_discriminant
-from euclid4.intmath import ResidueClass, squarefree_part
+from euclid4.intmath import squarefree_part
 from euclid4.residues import degree_one_primes_above, reduce_mod_p2
 from euclid4.units import Provenance, UnitData, torsion, unit_data
 
@@ -40,7 +40,7 @@ def test_criterion_1_worked_example(gaussian_sqrt11):
 
     ok_157 = False
     for prime in degree_one_primes_above(k, 157):
-        r = reduce_mod_p2(eps, prime).value
+        r = reduce_mod_p2(eps, prime)
         p2 = 157 * 157
         if (
             pow(r, 157, p2) == 14591
@@ -49,7 +49,7 @@ def test_criterion_1_worked_example(gaussian_sqrt11):
         ):
             ok_157 = True
     ok_5 = any(
-        pow(reduce_mod_p2(eps, prime).value, 10, 25) == 25 - 1
+        pow(reduce_mod_p2(eps, prime), 10, 25) == 25 - 1
         for prime in degree_one_primes_above(k, 5)
     )
     elapsed = time.monotonic() - t0
@@ -172,9 +172,9 @@ def test_criterion_7_witnesses(reproduction):
             y = rng.randrange(1, q2)
             while gcd(y, p2) != 1:
                 y = rng.randrange(1, q2)
-            w = construct_witness(cert, ResidueClass(x, q1), ResidueClass(y, q2))
-            assert reduce_mod_p2(w.z, cert.P1).value == x
-            assert reduce_mod_p2(w.z, cert.P2).value == y
+            w = construct_witness(cert, x, y)
+            assert reduce_mod_p2(w.z, cert.P1) == x
+            assert reduce_mod_p2(w.z, cert.P2) == y
             total += 1
     ok = total == 300
     line = _report(7, ok, f"{total}/300 witnesses verified through the reduction map")
@@ -194,7 +194,7 @@ def test_criterion_8_prime_elements(entries):
             try:
                 el = find_prime_element(prime, 50)
                 assert abs(norm(el)) == p
-                assert reduce_mod_p2(el, prime).value % p == 0
+                assert reduce_mod_p2(el, prime) % p == 0
                 found.append((entry.label, p))
             except BoundExceeded:
                 exhausted.append((entry.label, p))

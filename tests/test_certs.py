@@ -70,6 +70,14 @@ def test_tampered_prime_detected(k8_cert):
         parse_certificate(doc)
 
 
+def test_tampered_gcd_flags_detected(k8_cert):
+    doc = certificate_to_dict(k8_cert, "K_8")
+    doc["gcds"] = [True, False]
+    with pytest.raises(ConditionFailed) as exc:
+        parse_certificate(doc)
+    assert exc.value.condition == 2
+
+
 def test_schema_errors(k8_cert):
     with pytest.raises(SchemaError):
         verify_certificate_json("not json at all")
@@ -124,6 +132,9 @@ def _large_split_prime(doc):
 MALFORMED = {
     "P1.root_c-missing": lambda doc: doc["P1"].pop("root_c"),
     "P2.lifted_c-missing": lambda doc: doc["P2"].pop("lifted_c"),
+    # root_c is written as lifted_c mod p; a change to it alone is caught
+    "P1.root_c-changed": lambda doc: doc["P1"].update(
+        root_c=str((int(doc["P1"]["root_c"]) + 1) % int(doc["P1"]["p"]))),
     "three-eta_coords": lambda doc: doc["units"]["eta_coords"].pop(),
     "units-not-an-object": lambda doc: doc.update(units=5),
     "P1-not-an-object": lambda doc: doc.update(P1=7),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from euclid4.errors import CapExceeded, NonSimpleRoot, NotCoprime
 from euclid4.intmath import (
     IntPoly,
-    ResidueClass,
     continued_fraction_fundamental_unit,
     count_real_roots,
     factorize,
@@ -86,10 +85,10 @@ def test_squarefree_part():
 
 def test_poly_roots_examples():
     x2p1 = IntPoly((1, 0, 1))
-    assert [r.value for r in poly_roots_mod_p(x2p1, 5)] == [2, 3]
+    assert poly_roots_mod_p(x2p1, 5) == [2, 3]
     assert poly_roots_mod_p(x2p1, 7) == []
     quartic = IntPoly((144, 0, -20, 0, 1))
-    roots = [r.value for r in poly_roots_mod_p(quartic, 157)]
+    roots = poly_roots_mod_p(quartic, 157)
     assert roots == [19, 75, 82, 138]
     brute = [c for c in range(157) if (c ** 4 - 20 * c ** 2 + 144) % 157 == 0]
     assert roots == brute
@@ -124,19 +123,16 @@ def test_sqrt_mod_prime_power_lifts():
 
 
 def test_hensel_examples():
-    lifted = hensel_lift(IntPoly((1, 0, 1)), ResidueClass(2, 5))
-    assert (lifted.value, lifted.modulus) == (7, 25)
+    assert hensel_lift(IntPoly((1, 0, 1)), 2, 5) == 7
     # x^2 - 11 at c=2 mod 7: f(2) = -7, f'(2) = 4, lift is 16 (16^2-11 = 5*49)
-    lifted = hensel_lift(IntPoly((-11, 0, 1)), ResidueClass(2, 7))
-    assert (lifted.value, lifted.modulus) == (16, 49)
+    assert hensel_lift(IntPoly((-11, 0, 1)), 2, 7) == 16
     assert (16 * 16 - 11) % 49 == 0
-    lifted = hensel_lift(IntPoly((-3, 1)), ResidueClass(3, 5))
-    assert (lifted.value, lifted.modulus) == (3, 25)
+    assert hensel_lift(IntPoly((-3, 1)), 3, 5) == 3
 
 
 def test_hensel_non_simple_root():
     with pytest.raises(NonSimpleRoot):
-        hensel_lift(IntPoly((0, 0, 1)), ResidueClass(0, 5))
+        hensel_lift(IntPoly((0, 0, 1)), 0, 5)
 
 
 def test_hensel_random_property():
@@ -152,17 +148,17 @@ def test_hensel_random_property():
         if not simple:
             continue
         c = rng.choice(simple)
-        lifted = hensel_lift(f, ResidueClass(c, p))
-        assert lifted.value % p == c
-        assert f.eval_mod(lifted.value, p * p) == 0
+        lifted = hensel_lift(f, c, p)
+        assert lifted % p == c
+        assert f.eval_mod(lifted, p * p) == 0
         done += 1
 
 
 def test_mult_order_examples():
-    assert mult_order(ResidueClass(24, 25), 20) == 2
-    assert mult_order(ResidueClass(1, 25), 20) == 1
+    assert mult_order(24, 25, 20) == 2
+    assert mult_order(1, 25, 20) == 1
     with pytest.raises(NotCoprime):
-        mult_order(ResidueClass(10, 25), 20)
+        mult_order(10, 25, 20)
 
 
 def test_mult_order_properties():
@@ -173,7 +169,7 @@ def test_mult_order_properties():
         u = rng.randrange(1, m)
         while u % p == 0:
             u = rng.randrange(1, m)
-        order = mult_order(ResidueClass(u, m), p * (p - 1))
+        order = mult_order(u, m, p * (p - 1))
         assert p * (p - 1) % order == 0
         assert pow(u, order, m) == 1
         for q in factorize(order):
@@ -211,8 +207,9 @@ def test_count_real_roots():
     assert count_real_roots(IntPoly((-4, 0, 3, 0, 1))) == 2
 
 
-def test_residue_class_normalization():
-    assert ResidueClass(-1, 25).value == 24
-    assert int(ResidueClass(7, 25)) == 7
+def test_residue_arguments_are_normalized():
+    # residues are plain ints; representatives outside [0, m) are reduced
+    assert mult_order(-1, 25, 20) == mult_order(24, 25, 20) == 2
+    assert hensel_lift(IntPoly((1, 0, 1)), -3, 5) == 7
     with pytest.raises(ValueError):
-        ResidueClass(1, 0)
+        mult_order(2, 25, 7)

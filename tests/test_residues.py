@@ -47,9 +47,9 @@ def test_prime_invariants(gaussian_sqrt11):
     for prime in degree_one_primes_above(gaussian_sqrt11, 157):
         p = prime.p
         f = gaussian_sqrt11.theta_minpoly
-        assert f.eval_mod(prime.root_c.value, p) == 0
-        assert f.eval_mod(prime.lifted_c.value, p * p) == 0
-        assert prime.lifted_c.value % p == prime.root_c.value
+        assert 0 <= prime.lifted_c < p * p
+        assert f.eval_mod(prime.lifted_c % p, p) == 0
+        assert f.eval_mod(prime.lifted_c, p * p) == 0
         assert prime.basis_images[0] == 1
 
 
@@ -57,13 +57,13 @@ def test_reduce_is_ring_map(gaussian_sqrt11):
     prime = degree_one_primes_above(gaussian_sqrt11, 157)[2]
     p2 = 157 * 157
     rng = random.Random(3)
-    assert reduce_mod_p2(one(gaussian_sqrt11), prime).value == 1
+    assert reduce_mod_p2(one(gaussian_sqrt11), prime) == 1
     for _ in range(500):
         x = NFElement(gaussian_sqrt11, tuple(rng.randrange(-99, 100) for _ in range(4)))
         y = NFElement(gaussian_sqrt11, tuple(rng.randrange(-99, 100) for _ in range(4)))
-        rx, ry = reduce_mod_p2(x, prime).value, reduce_mod_p2(y, prime).value
-        assert reduce_mod_p2(x * y, prime).value == rx * ry % p2
-        assert reduce_mod_p2(x + y, prime).value == (rx + ry) % p2
+        rx, ry = reduce_mod_p2(x, prime), reduce_mod_p2(y, prime)
+        assert reduce_mod_p2(x * y, prime) == rx * ry % p2
+        assert reduce_mod_p2(x + y, prime) == (rx + ry) % p2
 
 
 @given(st.tuples(*[st.integers(min_value=-500, max_value=500)] * 4),
@@ -75,8 +75,8 @@ def test_reduce_homomorphism_hypothesis(a, b):
     x, y = NFElement(k, a), NFElement(k, b)
     p2 = 29 * 29
     assert (
-        reduce_mod_p2(x * y, prime).value
-        == reduce_mod_p2(x, prime).value * reduce_mod_p2(y, prime).value % p2
+        reduce_mod_p2(x * y, prime)
+        == reduce_mod_p2(x, prime) * reduce_mod_p2(y, prime) % p2
     )
 
 
@@ -87,18 +87,18 @@ def test_worked_example_residues(gaussian_sqrt11):
     p2 = 157 * 157
     matches = []
     for prime in degree_one_primes_above(k, 157):
-        r = reduce_mod_p2(eps, prime).value
+        r = reduce_mod_p2(eps, prime)
         if pow(r, 157, p2) == 14591:
             matches.append(prime)
             assert pow(r, 39, p2) == 11776
             assert pow(r, 6123, p2) == 1
             assert unit_order_mod_p2(eps, prime) == 6123
     assert len(matches) == 1
-    assert matches[0].conjugate_index == 0 and matches[0].root_c.value == 19
+    assert matches[0].conjugate_index == 0 and matches[0].lifted_c % 157 == 19
 
     hits = 0
     for prime in degree_one_primes_above(k, 5):
-        r = reduce_mod_p2(eps, prime).value
+        r = reduce_mod_p2(eps, prime)
         if pow(r, 10, 25) == 24:  # -1 mod 25
             hits += 1
             assert unit_order_mod_p2(eps, prime) == 20
@@ -124,7 +124,7 @@ def test_fermat_euler(gaussian_sqrt11):
     p2 = 5 * 5
     for _ in range(60):
         x = NFElement(gaussian_sqrt11, tuple(rng.randrange(-50, 51) for _ in range(4)))
-        r = reduce_mod_p2(x, prime).value
+        r = reduce_mod_p2(x, prime)
         if r % 5:
             assert pow(r, 5 * 4, p2) == 1
 
@@ -152,8 +152,8 @@ def test_index_divisor_prime_via_tower(entries):
             x = NFElement(spec, tuple(rng.randrange(-20, 21) for _ in range(4)))
             y = NFElement(spec, tuple(rng.randrange(-20, 21) for _ in range(4)))
             assert (
-                reduce_mod_p2(x * y, prime).value
-                == reduce_mod_p2(x, prime).value * reduce_mod_p2(y, prime).value % 9
+                reduce_mod_p2(x * y, prime)
+                == reduce_mod_p2(x, prime) * reduce_mod_p2(y, prime) % 9
             )
     eps = infinite_order_unit(spec)
     assert sorted(unit_order_mod_p2(eps, prime) for prime in primes) == [6, 6, 6, 6]
@@ -165,9 +165,9 @@ def root_model_primes(spec, p):
     f, p2 = spec.theta_minpoly, p * p
     out = []
     for root in poly_roots_mod_p(f, p):
-        c = hensel_lift(f, root)
+        c = hensel_lift(f, root, p)
         images = tuple(
-            sum(a.numerator * pow(a.denominator, -1, p2) * c.value ** i for i, a in enumerate(row)) % p2
+            sum(a.numerator * pow(a.denominator, -1, p2) * c ** i for i, a in enumerate(row)) % p2
             for row in spec.integral_basis
         )
         out.append((root, c, images))
@@ -183,7 +183,7 @@ def test_models_agree_when_both_apply(gaussian_sqrt11, entries):
         if entry.spec.index % p
     ]
     for spec, p in cases:
-        got = [(pr.root_c, pr.lifted_c, pr.basis_images) for pr in degree_one_primes_above(spec, p)]
+        got = [(pr.lifted_c % p, pr.lifted_c, pr.basis_images) for pr in degree_one_primes_above(spec, p)]
         assert got == root_model_primes(spec, p), (spec, p)
 
 
@@ -243,7 +243,7 @@ def test_unit_order_factors_only_p_minus_one(entries, monkeypatch):
     spec = entries["K_7"].spec
     eps = infinite_order_unit(spec)
     primes = degree_one_primes_above(spec, p)
-    want = [intmath.mult_order(reduce_mod_p2(eps, P), p * (p - 1)) for P in primes]
+    want = [intmath.mult_order(reduce_mod_p2(eps, P), p * p, p * (p - 1)) for P in primes]
     seen = []
 
     def factorize(n):
@@ -254,3 +254,30 @@ def test_unit_order_factors_only_p_minus_one(entries, monkeypatch):
     monkeypatch.setattr(intmath, "factorize", factorize)
     assert [unit_order_mod_p2(eps, P) for P in primes] == want
     assert seen and max(seen) <= p - 1
+
+
+def test_split_primes_tests_each_candidate_once(entries, monkeypatch):
+    """split_primes runs one primality test per odd candidate; the splitting
+    test does not repeat it, and reduction_maps still guards outside input."""
+    import euclid4.residues as residues
+
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return real_is_prime(n)
+
+    real_is_prime = residues.is_prime
+    monkeypatch.setattr(residues, "is_prime", counting_is_prime)
+    bound = 1000
+    for label in ("K_1", "13"):
+        spec = entries[label].spec
+        calls.clear()
+        assert list(residues.split_primes(spec, bound))
+        assert calls == list(range(3, bound + 1, 2)), label
+    spec = entries["K_1"].spec
+    ramified = next(p for p in range(3, 100, 2) if spec.discriminant % p == 0)
+    with pytest.raises(Ramified):
+        reduction_maps(spec, ramified, 2)
+    with pytest.raises(ValueError):
+        reduction_maps(spec, 9, 2)
