@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .elements import NFElement, norm
 from .errors import (
@@ -233,19 +233,29 @@ def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int) -> Admissibl
     )
 
 
+# Block length of the oracle's coset walk: a block of int64 residues stays
+# a few pages, whatever the group order.
+_BLOCK = 1 << 12
+
+
 def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
                              P1: DegreeOnePrime, P2: DegreeOnePrime,
                              a1: int, a2: int, cap: int = 10 ** 7) -> bool:
-    """Enumerate the unit-image subgroup of (Z/p1^a1)* x (Z/p2^a2)* by
-    closure and compare with the full group order.
+    """Enumerate the unit-image subgroup of (Z/p1^a1)* x (Z/p2^a2)* and
+    compare its size with the full group order.
 
     This is the definition-level oracle: it shares nothing with the order
     computations above.  Exponents up to 2 are supported (squares suffice
     for admissibility).  The moduli m1 = p1^a1 and m2 = p2^a2 are coprime,
     so the Chinese remainder theorem identifies the group with (Z/M)*,
-    M = m1 m2, and each unit image is one residue mod M.  The closure is
-    breadth-first from 1 under eta and eps, and marks the residues it
-    reaches in a bytearray of M bytes, one byte per residue.
+    M = m1 m2, and each unit image is one residue mod M.  The group is
+    abelian, so <eta, eps> is the union of the cosets eta^j <eps> for j < r,
+    r the first j with eta^j already marked.  Each coset s <eps> is walked
+    in blocks s eps^(kB) (1, eps, ..., eps^(B-1)) mod M of int64 residues,
+    marked in a bytearray of M bytes, one byte per residue; the walk of the
+    first coset ends where it returns to 1, at the order of eps.  M must
+    stay below 2^31, where the int64 products of two residues cannot
+    overflow, and the unit images must be invertible mod M.
     """
     if not (0 <= a1 <= 2 and 0 <= a2 <= 2):
         raise ValueError("exponents must be 0, 1 or 2")
@@ -262,25 +272,50 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
         raise CapExceeded(f"group order {target} exceeds cap {cap}")
 
     M = m1 * m2
+    if M >= 2 ** 31:
+        raise CapExceeded(f"modulus {M} is not below 2^31")
     # c1 = 1 mod m1, 0 mod m2 and c2 = 0 mod m1, 1 mod m2 (pow(_, -1, 1) is 0)
     c1 = m2 * pow(m2, -1, m1)
     c2 = m1 * pow(m1, -1, m2)
-    gens = [
+    eta, eps = (
         (reduce_mod_p2(u, P1) * c1 + reduce_mod_p2(u, P2) * c2) % M
         for u in (units.eta, units.epsilon)
-    ]
+    )
+    if gcd(eta, M) != 1 or gcd(eps, M) != 1:
+        raise ValueError(f"a unit image is not invertible mod {M}")
+
+    import numpy as np
+
+    size = min(_BLOCK, target)
+    powers = np.empty(size, dtype=np.int64)  # eps^i mod M
+    powers[0] = 1 % M
+    n = 1
+    while n < size:
+        m = min(n, size - n)
+        powers[n:n + m] = powers[:m] * pow(eps, n, M) % M
+        n += m
+    step = pow(eps, size, M)
+
     seen = bytearray(M)
-    frontier = [1 % M]
-    seen[frontier[0]] = 1
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g % M
-                if not seen[y]:
-                    seen[y] = 1
-                    nxt.append(y)
-        frontier = nxt
+    marks = np.frombuffer(seen, dtype=np.uint8)
+    order = 0  # the order of eps, once the first coset has returned to 1
+    s = 1 % M
+    while not seen[s]:
+        base, k = s, 0  # base = s eps^k
+        while True:
+            block = powers * base % M
+            if not order:
+                skip = int(k == 0)
+                back = np.flatnonzero(block[skip:] == s)
+                if back.size:
+                    order = k + skip + int(back[0])
+            if order and k + size >= order:
+                marks[block[:order - k]] = 1
+                break
+            marks[block] = 1
+            base = base * step % M
+            k += size
+        s = s * eta % M
     return seen.count(1) == target
 
 
@@ -383,38 +418,80 @@ def conclude_euclidean(cert: AdmissibleCertificate,
     return replace(cert, conclusion=Conclusion.EUCLIDEAN, unit_rank=rank, prime_count=s)
 
 
-def _box_hits_numpy(form, r, p, bound, dtype):
+_WORD = 1 << 64
+
+
+def _tower_constants(spec: FieldSpec):
+    """((d, e, Be, Ce, d Ce), e^2 D^4, adj(S)) for the tower of spec.
+
+    e is the least common denominator of B and C in y^2 = B + C x, so
+    e y^2 = Be + Ce x with integers Be, Ce (see FieldSpec.tower)."""
+    d, b, c, det, adj = spec.tower
+    e = lcm(b.denominator, c.denominator)
+    be, ce = b.numerator * (e // b.denominator), c.numerator * (e // c.denominator)
+    return (d, e, be, ce, d * ce), e * e * det ** 4, adj
+
+
+def _tower_norm(consts, t0, t1, t2, t3):
+    """U^2 - d V^2 = e^2 D^4 N(alpha) for alpha = (a + b y) / D with
+    a = t0 + t1 x and b = t2 + t3 x, where e (a^2 - b^2 y^2) = U + V x.
+
+    consts is the first entry of _tower_constants.  On exact integers the
+    value is exact; on uint64 arrays, with the constants reduced mod 2^64,
+    it is the same polynomial identity mod 2^64."""
+    d, e, be, ce, dce = consts
+    b0 = t2 * t2 + d * (t3 * t3)
+    b1 = 2 * t2 * t3
+    u = e * (t0 * t0 + d * (t1 * t1)) - be * b0 - dce * b1
+    v = e * (2 * t0 * t1) - ce * b0 - be * b1
+    return u * u - d * (v * v)
+
+
+def _box_hits(prime: DegreeOnePrime, bound: int) -> list[tuple[int, int, int, int]]:
     """Coordinate vectors c with |c_i| <= bound, c0 + c1 r1 + c2 r2 + c3 r3
-    = 0 mod p and |form(c)| = p, with the form evaluated in the given numpy
-    dtype: int64 where no value can overflow it, object (exact Python
-    integers) otherwise."""
+    = 0 mod p (r the basis images mod p) and |N(c)| = p, ordered by
+    sup-norm and then lexicographically.
+
+    Each c maps to tower coordinates T = c adj(S), and the tower norm of T
+    is evaluated in uint64, that is mod 2^64.  Reduction mod 2^64 is a ring
+    map, so overflow never drops a true hit; every candidate matching
+    +-p e^2 D^4 mod 2^64 is confirmed in exact integers, its residue and
+    its norm, before it counts.
+    """
     import numpy as np
 
+    spec, p = prime.field, prime.p
+    r = [im % p for im in prime.basis_images]
+    assert r[0] == 1  # first basis element is 1
+    consts, scale, adj = _tower_constants(spec)
+    wconsts = tuple(k % _WORD for k in consts)
+    wadj = [[a % _WORD for a in row] for row in adj]
+    targets = (p * scale % _WORD, -p * scale % _WORD)
+
+    side = np.arange(-bound, bound + 1, dtype=np.int64)
+    c2, c3 = (a.ravel() for a in np.meshgrid(side, side, indexing="ij"))
+    rest = c2 * r[2] + c3 * r[3]
+    # T_j = sum_i c_i adj[i][j] mod 2^64; the (c2, c3) part is shared
+    u2, u3 = c2.view(np.uint64), c3.view(np.uint64)
+    t23 = [u2 * wadj[2][j] + u3 * wadj[3][j] for j in range(4)]
     hits = []
-    side = np.arange(-bound, bound + 1, dtype=dtype)
-    c2g, c3g = np.meshgrid(side, side, indexing="ij")
-    c2f, c3f = c2g.ravel(), c3g.ravel()
     for c1 in range(-bound, bound + 1):
-        t = (-(c1 * r[1] + c2f * r[2] + c3f * r[3])) % p
-        c0_start = -bound + ((t + bound) % p)
-        for k in range(2 * bound // p + 1):
-            c0 = c0_start + k * p
-            mask = c0 <= bound
-            if not mask.any():
+        c1_part = [c1 * a % _WORD for a in adj[1]]
+        c0_first = -bound + (-(c1 * r[1] + rest) + bound) % p
+        for c0_shift in range(0, 2 * bound + 1, p):
+            idx = np.flatnonzero(c0_first <= bound - c0_shift)
+            if not idx.size:
                 break
-            cols = (c0[mask], np.full(mask.sum(), c1, dtype=dtype),
-                    c2f[mask], c3f[mask])
-            acc = np.zeros(cols[0].shape, dtype=dtype)
-            for exps, coef in form.items():
-                term = np.full(cols[0].shape, coef, dtype=dtype)
-                for j, e in enumerate(exps):
-                    for _ in range(e):
-                        term *= cols[j]
-                acc += term
-            sel = np.nonzero(np.abs(acc) == p)[0]
-            for idx in sel:
-                hits.append(tuple(int(cols[j][idx]) for j in range(4)))
-    return hits
+            c0 = c0_first[idx] + c0_shift
+            u0 = c0.view(np.uint64)
+            t = [t23[j][idx] + u0 * wadj[0][j] + c1_part[j] for j in range(4)]
+            n = _tower_norm(wconsts, *t)
+            for i in np.flatnonzero((n == targets[0]) | (n == targets[1])):
+                c = (int(c0[i]), c1, int(c2[idx[i]]), int(c3[idx[i]]))
+                in_ideal = sum(v * w for v, w in zip(c, r)) % p == 0
+                if in_ideal and abs(norm(NFElement(spec, c))) == p:
+                    hits.append(c)
+    return sorted(hits, key=lambda c: (max(abs(v) for v in c), c))
 
 
 def find_prime_element(prime: DegreeOnePrime, coord_bound: int) -> NFElement:
@@ -422,36 +499,20 @@ def find_prime_element(prime: DegreeOnePrime, coord_bound: int) -> NFElement:
 
     Searches integral-basis coordinate vectors over the sublattice of
     elements reducing to 0 mod p and returns the one with |norm| = p that
-    comes first by increasing sup-norm, lexicographic within a shell.  The
-    candidate sweep evaluates the precomputed norm form with numpy, in int64
-    when the overflow bound sum|coef| * bound^4 stays below 2^62 and in
-    exact object integers otherwise; the returned element is always
-    confirmed with exact integer arithmetic.
+    comes first by increasing sup-norm, lexicographic within a shell, in
+    boxes of coordinate bound 4, 16, 64, ... capped at coord_bound.  The sweep filters
+    candidates by the tower norm mod 2^64 and confirms them with exact
+    integer arithmetic (_box_hits).
     """
-    spec = prime.field
-    p = prime.p
-    r = [im % p for im in prime.basis_images]
-    assert r[0] == 1  # first basis element is 1
-    form = spec.norm_form
-
-    def scan(bound):
-        limit = sum(abs(v) for v in form.values()) * max(1, bound) ** 4
-        hits = _box_hits_numpy(form, r, p, bound, "int64" if limit < 2 ** 62 else object)
-        if not hits:
-            return None
-        best = min(hits, key=lambda c: (max(abs(v) for v in c), c))
-        assert abs(norm(NFElement(spec, best))) == p
-        return best
-
     bound = 4
     while True:
         bound = min(bound, coord_bound)
-        found = scan(bound)
-        if found is not None:
-            return NFElement(spec, found)
+        hits = _box_hits(prime, bound)
+        if hits:
+            return NFElement(prime.field, hits[0])
         if bound == coord_bound:
             break
         bound *= 4
     raise BoundExceeded(
-        f"no element of norm +-{p} with coordinates bounded by {coord_bound}"
+        f"no element of norm +-{prime.p} with coordinates bounded by {coord_bound}"
     )

@@ -218,44 +218,6 @@ class FieldSpec:
         assert not any(splits_completely(self, q) for q in factorize(rest)), det
         return d, b, c, det, adjugate_int(rows)
 
-    @cached_property
-    def norm_form(self):
-        """The quartic norm form N(c0 b0 + .. + c3 b3) as a monomial dict.
-
-        Keys are exponent 4-tuples summing to 4, values exact integers.
-        Built by expanding the determinant of the generic multiplication
-        matrix, whose entries are linear forms in the coordinates.
-        """
-        from itertools import permutations
-
-        table = self.mult_table
-        # entry (j, k) of the multiplication matrix is sum_i c_i table[i][j][k]
-        def linear_form(j, k):
-            return tuple(table[i][j][k] for i in range(4))
-
-        form: dict[tuple[int, int, int, int], int] = {}
-        for perm in permutations(range(4)):
-            sign = 1
-            seen = list(perm)
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    if seen[a] > seen[b]:
-                        sign = -sign
-            poly = {(0, 0, 0, 0): sign}
-            for j in range(4):
-                lf = linear_form(j, perm[j])
-                nxt: dict[tuple[int, int, int, int], int] = {}
-                for exps, coef in poly.items():
-                    for i in range(4):
-                        if lf[i] == 0:
-                            continue
-                        key = tuple(e + (1 if t == i else 0) for t, e in enumerate(exps))
-                        nxt[key] = nxt.get(key, 0) + coef * lf[i]
-                poly = nxt
-            for key, coef in poly.items():
-                form[key] = form.get(key, 0) + coef
-        return {k: v for k, v in form.items() if v != 0}
-
     def coords_from_power(self, power_vec):
         """Integral-basis coordinates of an element given in power coordinates.
 

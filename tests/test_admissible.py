@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -5,12 +6,15 @@ from math import gcd
 
 import pytest
 
+from euclid4 import admissible
 from euclid4.admissible import (
     MAX_CERT_PRIME,
     AdmissibleCertificate,
     Conclusion,
-    _box_hits_numpy,
+    _box_hits,
     _dlog,
+    _tower_constants,
+    _tower_norm,
     brute_force_surjectivity,
     check_conditions,
     conclude_euclidean,
@@ -19,7 +23,7 @@ from euclid4.admissible import (
     search_pair,
 )
 from euclid4.certs import certificate_to_dict
-from euclid4.elements import from_power_coords, norm, one
+from euclid4.elements import NFElement, from_power_coords, norm, one
 from euclid4.errors import (
     BoundExceeded,
     CapExceeded,
@@ -127,6 +131,13 @@ def test_surjectivity_trivial_and_cap(entries):
         brute_force_surjectivity(spec, ud, primes3[0], primes59[0], 2, 2, cap=10)
     with pytest.raises(ValueError):
         brute_force_surjectivity(spec, ud, primes3[0], primes59[0], 3, 2)
+    # 59^2 859^2 is above 2^31, where int64 products of residues overflow
+    primes859 = degree_one_primes_above(spec, 859)
+    with pytest.raises(CapExceeded, match=r"2\^31"):
+        brute_force_surjectivity(spec, ud, primes59[0], primes859[0], 2, 2, cap=10 ** 10)
+    zero = UnitData(ud.g, ud.eta, NFElement(spec, (0, 0, 0, 0)), Provenance.SUPPLIED)
+    with pytest.raises(ValueError, match="invertible"):
+        brute_force_surjectivity(spec, zero, primes3[0], primes59[0], 2, 2)
 
 
 def test_surjectivity_on_reproduced_pair(reproduction):
@@ -211,7 +222,9 @@ def test_conclude_euclidean(reproduction):
         conclude_euclidean(replace(cert, P2=cert.P1), class_number_one=True)
 
 
+@pytest.mark.filterwarnings("error")
 def test_find_prime_element_examples(gaussian_sqrt11):
+    """Known generators; the mod 2^64 sweep raises no numpy overflow warning."""
     k = gaussian_sqrt11
     P5 = degree_one_primes_above(k, 5)[0]
     el = find_prime_element(P5, 50)
@@ -242,33 +255,50 @@ def test_find_prime_element_other_conjugate(gaussian_sqrt11):
 
 
 @pytest.mark.parametrize("label, p", [("K_1", 29), ("K_8", 59), ("13", 29)])
-def test_object_scan_matches_int64_scan(entries, label, p):
-    """The exact object-dtype scan, taken when int64 could overflow, finds
-    the same candidates in the same order as the int64 scan."""
+def test_box_sweep_matches_exact_enumeration(entries, label, p):
+    """The mod 2^64 sweep finds the same hits, in the same order, as a plain
+    exact enumeration of the whole box at bound 6."""
     spec = entries[label].spec
     prime = degree_one_primes_above(spec, p)[0]
     r = [im % p for im in prime.basis_images]
-    hits = _box_hits_numpy(spec.norm_form, r, p, 8, "int64")
-    assert hits
-    assert _box_hits_numpy(spec.norm_form, r, p, 8, object) == hits
+    side = range(-6, 7)
+    exact = [c for c in itertools.product(side, repeat=4)
+             if sum(ci * ri for ci, ri in zip(c, r)) % p == 0
+             and abs(norm(NFElement(spec, c))) == p]
+    exact.sort(key=lambda c: (max(abs(v) for v in c), c))
+    assert exact
+    assert _box_hits(prime, 6) == exact
+
+
+def test_tower_norm_identity(entries):
+    """U^2 - d V^2 = e^2 D^4 N(c) in exact integers on every registry field,
+    for seeded coordinates far past int64 in the products."""
+    rng = random.Random(9)
+    for entry in entries.values():
+        spec = entry.spec
+        consts, scale, adj = _tower_constants(spec)
+        for _ in range(5):
+            c = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(4))
+            t = [sum(ci * adj[i][j] for i, ci in enumerate(c)) for j in range(4)]
+            assert _tower_norm(consts, *t) == scale * norm(NFElement(spec, c)), entry.label
 
 
 def test_reference_pair_errata(entries):
-    """Six registry reference pairs are not admissible for <eta, eps>.
+    """Seven registry reference pairs are not admissible for <eta, eps>.
 
     Enumeration of the unit image modulo P1^2 P2^2 over all 16 conjugate
     combinations finds none onto the residue group.  The refutation holds
     for the field's full unit group only if <eta, eps> is all of it.  For
     K_29 = Q(sqrt(-19), sqrt(-67)) with (23, 47) the gcd condition alone
     already fails: 23 divides 47 - 1, so gcd(p1(p1-1)/g, p2(p2-1)) = 23 in
-    either role assignment.  13 (79, 29) takes about 18 s to enumerate and
-    K_33 (47, 167), of group order 6.0e7, is above the oracle cap.
+    either role assignment.  13 (79, 29), of group order 5.0e6, is below
+    the oracle cap; K_33 (47, 167), of group order 6.0e7, is above it.
     """
     assert gcd(23 * 22 // 2, 47 * 46) == 23
     assert gcd(47 * 46 // 2, 23 * 22) == 23
 
     refuted = {"K_7": (23, 31), "K_12": (11, 17), "K_26": (23, 5),
-               "K_29": (23, 47), "K_31": (23, 17), "37": (7, 53)}
+               "K_29": (23, 47), "K_31": (23, 17), "37": (7, 53), "13": (79, 29)}
     for label, (p1, p2) in refuted.items():
         assert entries[label].expected_p1_p2 == (p1, p2)
         spec = entries[label].spec
@@ -307,21 +337,29 @@ def _set_closure_surjects(units, P1, P2, a1, a2):
 
 
 @pytest.mark.parametrize("label, p1, p2", [("13", 3, 29), ("K_2", 5, 17), ("16", 7, 17), ("K_8", 3, 59)])
-def test_surjectivity_matches_set_closure(entries, label, p1, p2):
+def test_surjectivity_matches_set_closure(entries, monkeypatch, label, p1, p2):
     """Every conjugate combination, every exponent pair in {0, 1, 2}^2, with
-    the field's units and with eps replaced by 1."""
+    the field's units, with eps replaced by 1 and with eta replaced by 1, at
+    coset-walk block lengths 7, 64 and the default.  With 7, orders of eps
+    divisible by 7 (fields 13 and 16) end the walk exactly on a block
+    boundary."""
     spec = entries[label].spec
     ud = unit_data(spec)
-    broken = UnitData(ud.g, ud.eta, one(spec), Provenance.SUPPLIED)
+    variants = (ud, UnitData(ud.g, ud.eta, one(spec), Provenance.SUPPLIED),
+                UnitData(ud.g, one(spec), ud.epsilon, Provenance.SUPPLIED))
     outcomes = set()
     for P1 in degree_one_primes_above(spec, p1):
         for P2 in degree_one_primes_above(spec, p2):
             for a1 in range(3):
                 for a2 in range(3):
-                    for units in (ud, broken):
-                        got = brute_force_surjectivity(spec, units, P1, P2, a1, a2)
-                        assert got == _set_closure_surjects(units, P1, P2, a1, a2)
-                        outcomes.add(got)
+                    for units in variants:
+                        expected = _set_closure_surjects(units, P1, P2, a1, a2)
+                        for block in (7, 64, admissible._BLOCK):
+                            with monkeypatch.context() as m:
+                                m.setattr(admissible, "_BLOCK", block)
+                                got = brute_force_surjectivity(spec, units, P1, P2, a1, a2)
+                            assert got == expected, block
+                        outcomes.add(expected)
     assert outcomes == {True, False}
 
 

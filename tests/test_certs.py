@@ -110,6 +110,18 @@ def test_verify_without_oracle(k8_cert):
 FROZEN_CERTS = Path(__file__).resolve().parent.parent / "benchmark" / "data" / "certs"
 
 
+def test_verify_with_oracle_on_frozen_certificates():
+    """verify --oracle on all forty frozen certificates: the enumeration
+    confirms the 28 whose group is under the oracle cap and skips the 12
+    above it."""
+    paths = sorted(FROZEN_CERTS.glob("*.json"))
+    assert len(paths) == 40
+    checked = [verify_certificate_json(path.read_text(), oracle=True)["oracle_checked"]
+               for path in paths]
+    assert checked.count(True) == 28
+    assert checked.count(False) == 12
+
+
 def test_reproduction_matches_frozen_certificates(reproduction):
     """All forty reproduced rows serialize byte for byte to the frozen files."""
     assert len(reproduction) == 40
