@@ -452,6 +452,8 @@ def _box_hits(prime: DegreeOnePrime, bound: int) -> list[tuple[int, int, int, in
     = 0 mod p (r the basis images mod p) and |N(c)| = p, ordered by
     sup-norm and then lexicographically.
 
+    Half the box is swept (c1 > 0, or c1 = 0 and (c2, c3) > (0, 0) in lex
+    order) and each hit c brings -c: N(-c) = N(c), and N(c0, 0, 0, 0) = c0^4.
     Each c maps to tower coordinates T = c adj(S), and the tower norm of T
     is evaluated in uint64, that is mod 2^64.  Reduction mod 2^64 is a ring
     map, so overflow never drops a true hit; every candidate matching
@@ -475,9 +477,11 @@ def _box_hits(prime: DegreeOnePrime, bound: int) -> list[tuple[int, int, int, in
     u2, u3 = c2.view(np.uint64), c3.view(np.uint64)
     t23 = [u2 * wadj[2][j] + u3 * wadj[3][j] for j in range(4)]
     hits = []
-    for c1 in range(-bound, bound + 1):
+    for c1 in range(bound + 1):
         c1_part = [c1 * a % _WORD for a in adj[1]]
         c0_first = -bound + (-(c1 * r[1] + rest) + bound) % p
+        if c1 == 0:  # keep (c2, c3) > (0, 0): push the other half past the box
+            c0_first[:c2.size // 2 + 1] = bound + 1
         for c0_shift in range(0, 2 * bound + 1, p):
             idx = np.flatnonzero(c0_first <= bound - c0_shift)
             if not idx.size:
@@ -490,8 +494,14 @@ def _box_hits(prime: DegreeOnePrime, bound: int) -> list[tuple[int, int, int, in
                 c = (int(c0[i]), c1, int(c2[idx[i]]), int(c3[idx[i]]))
                 in_ideal = sum(v * w for v, w in zip(c, r)) % p == 0
                 if in_ideal and abs(norm(NFElement(spec, c))) == p:
-                    hits.append(c)
+                    hits += [c, tuple(-v for v in c)]
     return sorted(hits, key=lambda c: (max(abs(v) for v in c), c))
+
+
+# Largest coord_bound of find_prime_element: a sweep at bound b tests about
+# (2b + 1)^4 / 2p candidates in arrays of (2b + 1)^2 int64 entries; at b = 64
+# and p = 3 (K_8) that is about 3 s and 3 MB, and b = 100 takes about 15 s.
+MAX_COORD_BOUND = 64
 
 
 def find_prime_element(prime: DegreeOnePrime, coord_bound: int) -> NFElement:
@@ -502,8 +512,13 @@ def find_prime_element(prime: DegreeOnePrime, coord_bound: int) -> NFElement:
     comes first by increasing sup-norm, lexicographic within a shell, in
     boxes of coordinate bound 4, 16, 64, ... capped at coord_bound.  The sweep filters
     candidates by the tower norm mod 2^64 and confirms them with exact
-    integer arithmetic (_box_hits).
+    integer arithmetic (_box_hits).  A prime above MAX_CERT_PRIME or a
+    coord_bound above MAX_COORD_BOUND is CapExceeded.
     """
+    if prime.p > MAX_CERT_PRIME:
+        raise CapExceeded(f"prime {prime.p} exceeds the certificate cap {MAX_CERT_PRIME}")
+    if coord_bound > MAX_COORD_BOUND:
+        raise CapExceeded(f"coordinate bound {coord_bound} exceeds the cap {MAX_COORD_BOUND}")
     bound = 4
     while True:
         bound = min(bound, coord_bound)

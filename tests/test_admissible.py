@@ -9,6 +9,7 @@ import pytest
 from euclid4 import admissible
 from euclid4.admissible import (
     MAX_CERT_PRIME,
+    MAX_COORD_BOUND,
     AdmissibleCertificate,
     Conclusion,
     _box_hits,
@@ -245,6 +246,18 @@ def test_find_prime_element_examples(gaussian_sqrt11):
         find_prime_element(P5, 0)
 
 
+def test_find_prime_element_caps(entries, gaussian_sqrt11):
+    """A prime above MAX_CERT_PRIME (int64 residues in the sweep) or a
+    bound above MAX_COORD_BOUND is refused before the sweep starts."""
+    big = degree_one_primes_above(entries["K_1"].spec, 100000000000000013)[0]
+    with pytest.raises(CapExceeded, match="certificate cap"):
+        find_prime_element(big, 4)
+    P5 = degree_one_primes_above(gaussian_sqrt11, 5)[0]
+    with pytest.raises(CapExceeded, match="coordinate bound"):
+        find_prime_element(P5, MAX_COORD_BOUND + 1)
+    assert find_prime_element(P5, MAX_COORD_BOUND).coords == (-2, -1, 0, 0)
+
+
 def test_find_prime_element_other_conjugate(gaussian_sqrt11):
     k = gaussian_sqrt11
     primes = degree_one_primes_above(k, 5)
@@ -254,12 +267,18 @@ def test_find_prime_element_other_conjugate(gaussian_sqrt11):
     assert reduce_mod_p2(b, primes[1]) % 5 == 0
 
 
-@pytest.mark.parametrize("label, p", [("K_1", 29), ("K_8", 59), ("13", 29)])
-def test_box_sweep_matches_exact_enumeration(entries, label, p):
-    """The mod 2^64 sweep finds the same hits, in the same order, as a plain
-    exact enumeration of the whole box at bound 6."""
+@pytest.mark.parametrize("label, p, conj, c1_zero", [
+    ("K_1", 29, 0, 2), ("K_8", 59, 0, 0), ("13", 29, 0, 0),
+    ("29", 7, 0, 6),  # two hits, (0, 0, 0, +-1), on the line c1 = c2 = 0
+    ("K_19", 37, 1, 2),  # hits in the plane c1 = 0 with c2 != 0
+    ("K_8", 3, 0, 0), ("K_2", 5, 0, 0),  # p below the box width: c0 shifts
+], ids=["K_1-29", "K_8-59", "13-29", "29-7", "K_19-37-1", "K_8-3", "K_2-5"])
+def test_box_sweep_matches_exact_enumeration(entries, label, p, conj, c1_zero):
+    """The mod 2^64 half-box sweep finds the same hits, in the same order,
+    as a plain exact enumeration of the whole box at bound 6; c1_zero of
+    them lie on the edge c1 = 0 of the swept half."""
     spec = entries[label].spec
-    prime = degree_one_primes_above(spec, p)[0]
+    prime = degree_one_primes_above(spec, p)[conj]
     r = [im % p for im in prime.basis_images]
     side = range(-6, 7)
     exact = [c for c in itertools.product(side, repeat=4)
@@ -267,7 +286,10 @@ def test_box_sweep_matches_exact_enumeration(entries, label, p):
              and abs(norm(NFElement(spec, c))) == p]
     exact.sort(key=lambda c: (max(abs(v) for v in c), c))
     assert exact
-    assert _box_hits(prime, 6) == exact
+    hits = _box_hits(prime, 6)
+    assert hits == exact
+    assert sum(c[1] == 0 for c in hits) == c1_zero
+    assert set(hits) == {tuple(-v for v in c) for c in hits}
 
 
 def test_tower_norm_identity(entries):
