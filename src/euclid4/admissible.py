@@ -33,8 +33,10 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .residues import (
+    MAX_CERT_PRIME,
     DegreeOnePrime,
     degree_one_primes_above,
+    has_order_mod_p2,
     reduce_mod_p2,
     split_primes,
     unit_order_mod_p2,
@@ -118,13 +120,16 @@ def check_conditions(spec: FieldSpec, units: UnitData, P1: DegreeOnePrime,
 
 class PairAttempts:
     """Prime pairs tried against the torsion multiples eta^t * eps of one
-    field's unit, with the primes above each p and their unit orders cached.
+    field's unit, with the primes above each p and the verdicts of the
+    order conditions cached.
 
     attempt(p1, p2) tests the gcd conditions (2) and (3), which depend on p1
     and p2 alone, then returns the certificate for the first t for which a
     conjugate above p1 passes (1) and (4) and a conjugate above p2 passes
     (5), taking the first such conjugate in index order on each side; None
-    when no t does.  stats counts the rejections by reason.
+    when no t does.  stats counts the rejections by reason.  The conditions
+    only ask whether an order equals a given n (has_order_mod_p2); the full
+    orders are computed once, by check_conditions, for the pair returned.
     """
 
     def __init__(self, spec: FieldSpec, units: UnitData):
@@ -143,38 +148,47 @@ class PairAttempts:
             "pairs_checked": 0,
         }
         self._primes: dict[int, list[DegreeOnePrime]] = {}
-        self._orders: dict = {}
+        # (p, t) -> (first conjugate passing (1) and (4), or None, and the
+        # (1) and (4) failures before it); (p, t) -> first passing (5)
+        self._cond14: dict = {}
+        self._cond5: dict = {}
 
-    def _orders_above(self, p, t):
-        """(prime, ord(eps_t), ord(eta)) mod the square of each prime above p."""
-        key = (p, t)
-        if key not in self._orders:
-            if p not in self._primes:
-                self._primes[p] = degree_one_primes_above(self.spec, p)
-            var = self.variants[t]
-            self._orders[key] = [
-                (prime, unit_order_mod_p2(var.epsilon, prime), unit_order_mod_p2(var.eta, prime))
-                for prime in self._primes[p]
-            ]
-        return self._orders[key]
+    def _above(self, p):
+        if p not in self._primes:
+            self._primes[p] = degree_one_primes_above(self.spec, p)
+        return self._primes[p]
 
     def _cond1_conjugate(self, p1, t):
-        g = self.units.g
-        n1 = p1 * (p1 - 1) // g
-        for prime, oe, oh in self._orders_above(p1, t):
-            if oe != n1:
-                self.stats["cond1_failures"] += 1
-            elif oh != g:
-                self.stats["cond4_failures"] += 1
-            else:
-                return prime
-        return None
+        key = (p1, t)
+        if key not in self._cond14:
+            var = self.variants[t]
+            g = self.units.g
+            n1 = p1 * (p1 - 1) // g
+            found, fail1, fail4 = None, 0, 0
+            for prime in self._above(p1):
+                if not has_order_mod_p2(reduce_mod_p2(var.epsilon, prime), p1, n1):
+                    fail1 += 1
+                elif not has_order_mod_p2(reduce_mod_p2(var.eta, prime), p1, g):
+                    fail4 += 1
+                else:
+                    found = prime
+                    break
+            self._cond14[key] = (found, fail1, fail4)
+        found, fail1, fail4 = self._cond14[key]
+        self.stats["cond1_failures"] += fail1
+        self.stats["cond4_failures"] += fail4
+        return found
 
     def _cond5_conjugate(self, p2, t):
-        for prime, oe, _ in self._orders_above(p2, t):
-            if oe == p2 * (p2 - 1):
-                return prime
-        return None
+        key = (p2, t)
+        if key not in self._cond5:
+            eps = self.variants[t].epsilon
+            self._cond5[key] = next(
+                (prime for prime in self._above(p2)
+                 if has_order_mod_p2(reduce_mod_p2(eps, prime), p2, p2 * (p2 - 1))),
+                None,
+            )
+        return self._cond5[key]
 
     def attempt(self, p1: int, p2: int) -> AdmissibleCertificate | None:
         g = self.units.g
@@ -198,11 +212,6 @@ class PairAttempts:
         return None
 
 
-# Largest prime a certificate may name, in search and verification alike;
-# orders mod p^2 trial-divide only p - 1, about sqrt(p) steps below it.
-MAX_CERT_PRIME = 10 ** 6
-
-
 def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int) -> AdmissibleCertificate:
     """Deterministic sweep for the first admissible pair below the bound.
 
@@ -215,8 +224,6 @@ def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int) -> Admissibl
     """
     if prime_bound < 3:
         raise SearchExhausted("prime bound below 3", {"split_primes": 0})
-    if prime_bound > MAX_CERT_PRIME:
-        raise CapExceeded(f"bound {prime_bound} exceeds the certificate cap {MAX_CERT_PRIME}")
 
     primes = list(split_primes(spec, prime_bound))
     attempts = PairAttempts(spec, units)

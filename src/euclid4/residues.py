@@ -15,12 +15,13 @@ k = 2 and the unit square-root lifting at higher k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
 
 from .elements import NFElement
-from .errors import NotCoprime, Ramified
+from .errors import CapExceeded, NotCoprime, Ramified
 from .fields import FieldSpec
-from .intmath import is_prime, legendre, mult_order, sqrt_mod_prime_power
+from .intmath import factorize, is_prime, legendre, mult_order, sqrt_mod_prime_power
 
 # Not called here: benchmark/test_gate.py checks that tracing patches this
 # binding of the (now test-only) residue scan, so the name stays bound.
@@ -59,11 +60,33 @@ def splits_completely(spec: FieldSpec, p: int) -> bool:
     return pow(p, (f - 1) // 4, f) == 1
 
 
+# Largest prime a certificate may name, in search and verification alike;
+# orders mod p^2 trial-divide only p - 1, about sqrt(p) steps below it.
+MAX_CERT_PRIME = 10 ** 6
+
+# _odd_sieve[i] is 1 exactly when 2i + 1 is prime.  One sieve serves every
+# split_primes call; it doubles on demand, to at most MAX_CERT_PRIME / 2 bytes.
+_odd_sieve = bytearray()
+
+
 def split_primes(spec: FieldSpec, bound: int):
-    """The odd unramified primes up to bound that split completely, ascending."""
-    for p in range(3, bound + 1, 2):
-        if is_prime(p) and spec.discriminant % p and splits_completely(spec, p):
-            yield p
+    """The odd unramified primes up to bound that split completely, ascending,
+    read off the shared sieve; a bound above MAX_CERT_PRIME is CapExceeded."""
+    global _odd_sieve
+    if bound > MAX_CERT_PRIME:
+        raise CapExceeded(f"bound {bound} exceeds the certificate cap {MAX_CERT_PRIME}")
+    size = bound // 2 + 1
+    if len(_odd_sieve) < size:
+        size = min(max(size, 2 * len(_odd_sieve)), MAX_CERT_PRIME // 2 + 1)
+        flags = bytearray([1]) * size
+        flags[0] = 0
+        for i in range(1, (isqrt(2 * size - 1) + 1) // 2):
+            if flags[i]:
+                start = 2 * i * (i + 1)  # (2i + 1)^2 = 2 start + 1
+                flags[start::2 * i + 1] = bytes(len(range(start, size, 2 * i + 1)))
+        _odd_sieve = flags
+    odd = compress(range(1, bound + 1, 2), _odd_sieve)
+    return (p for p in odd if spec.discriminant % p and splits_completely(spec, p))
 
 
 def reduction_maps(spec: FieldSpec, p: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -134,3 +157,16 @@ def unit_order_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:
         raise NotCoprime(f"element reduces to a non-unit mod {p}^2")
     order = mult_order(pow(u, p, p2), p2, p - 1)
     return order if pow(u, p - 1, p2) == 1 else order * p
+
+
+def has_order_mod_p2(u: int, p: int, n: int) -> bool:
+    """Whether the residue u has order exactly n modulo p^2, for n dividing
+    p(p-1): u^n = 1 and u^(n/l) != 1 for each prime l | n (Cohen, A Course
+    in Computational Algebraic Number Theory, 1.4.3).  The primes dividing
+    n are p and those of n with p removed, a divisor of p - 1."""
+    if p * (p - 1) % n:
+        raise ValueError(f"{n} does not divide {p}({p} - 1)")
+    p2 = p * p
+    m, ells = (n // p, [p]) if n % p == 0 else (n, [])
+    ells += factorize(m)
+    return pow(u, n, p2) == 1 and all(pow(u, n // l, p2) != 1 for l in ells)

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,7 @@ from euclid4.admissible import (
     find_prime_element,
     search_pair,
 )
-from euclid4.certs import certificate_to_dict
+from euclid4.certs import certificate_to_dict, certificate_to_json
 from euclid4.elements import NFElement, from_power_coords, norm, one
 from euclid4.errors import (
     BoundExceeded,
@@ -33,7 +36,13 @@ from euclid4.errors import (
     SamePrime,
     SearchExhausted,
 )
-from euclid4.residues import degree_one_primes_above, reduce_mod_p2
+from euclid4.intmath import is_prime
+from euclid4.residues import (
+    degree_one_primes_above,
+    reduce_mod_p2,
+    splits_completely,
+    unit_order_mod_p2,
+)
 from euclid4.units import Provenance, UnitData, torsion, unit_data
 
 
@@ -120,6 +129,94 @@ def test_search_bound_above_certificate_cap(entries):
     spec = entries["K_1"].spec
     with pytest.raises(CapExceeded):
         search_pair(spec, unit_data(spec), MAX_CERT_PRIME + 1)
+
+
+def full_order_attempts(spec, units, pairs):
+    """The pair attempt with every order computed in full and compared with
+    n1, g and p(p - 1): (outcomes, stats), each outcome None or
+    (t, conjugate above p1, conjugate above p2)."""
+    variants = [units.epsilon]
+    for _ in range(1, units.g):
+        variants.append(units.eta * variants[-1])
+    g = units.g
+    stats = dict.fromkeys(("no_condition5", "g_nondivisible", "gcd_failures",
+                           "cond1_failures", "cond4_failures", "pairs_checked"), 0)
+    orders = {}
+
+    def orders_above(p, t):
+        if (p, t) not in orders:
+            orders[p, t] = [(P, unit_order_mod_p2(variants[t], P), unit_order_mod_p2(units.eta, P))
+                            for P in degree_one_primes_above(spec, p)]
+        return orders[p, t]
+
+    def attempt(p1, p2):
+        if (p1 * (p1 - 1)) % g:
+            stats["g_nondivisible"] += 1
+            return None
+        n1 = p1 * (p1 - 1) // g
+        if gcd(n1, g) != 1 or gcd(n1, p2 * (p2 - 1)) != 1:
+            stats["gcd_failures"] += 1
+            return None
+        for t in range(g):
+            prime1 = None
+            for P, oe, oh in orders_above(p1, t):
+                if oe != n1:
+                    stats["cond1_failures"] += 1
+                elif oh != g:
+                    stats["cond4_failures"] += 1
+                else:
+                    prime1 = P
+                    break
+            if prime1 is None:
+                continue
+            prime2 = next((P for P, oe, _ in orders_above(p2, t) if oe == p2 * (p2 - 1)), None)
+            if prime2 is None:
+                stats["no_condition5"] += 1
+                continue
+            stats["pairs_checked"] += 1
+            return t, prime1.conjugate_index, prime2.conjugate_index
+        return None
+
+    return [attempt(p1, p2) for p1, p2 in pairs], stats
+
+
+def test_pair_attempts_match_full_orders(entries):
+    """On every field, over every ordered pair of split primes <= 10^3, the
+    order-test verdicts give the outcomes and the rejection counts of the
+    full-order comparison."""
+    for label, entry in entries.items():
+        spec = entry.spec
+        units = unit_data(spec)
+        primes = [p for p in range(3, 1001, 2)
+                  if is_prime(p) and spec.discriminant % p and splits_completely(spec, p)]
+        pairs = [(p1, p2) for p2 in primes for p1 in primes if p1 != p2]
+        want, want_stats = full_order_attempts(spec, units, pairs)
+        attempts = admissible.PairAttempts(spec, units)
+        got = []
+        for p1, p2 in pairs:
+            cert = attempts.attempt(p1, p2)
+            if cert is None:
+                got.append(None)
+                continue
+            t = attempts.variants.index(cert.units)
+            got.append((t, cert.P1.conjugate_index, cert.P2.conjugate_index))
+        assert got == want, label
+        assert attempts.stats == want_stats, label
+
+
+def test_search_matches_expected_certificates(entries):
+    """search_pair at bound 10^4 gives, on all 40 fields, the pair, the
+    conjugates and the certificate digest recorded for the search
+    benchmark."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "data" / "expected.json"
+    expected = json.loads(path.read_text())["search"]
+    assert sorted(expected) == sorted(entries)
+    for label, entry in entries.items():
+        cert = search_pair(entry.spec, unit_data(entry.spec), 10 ** 4)
+        digest = hashlib.sha256(certificate_to_json(cert, label).encode()).hexdigest()
+        got = [list(cert.pair), [cert.P1.conjugate_index, cert.P2.conjugate_index], digest]
+        exp = expected[label]
+        assert got == [exp["pair"], exp["conjugates"], exp["certificate"]], label
 
 
 def test_surjectivity_trivial_and_cap(entries):

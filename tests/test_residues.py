@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from euclid4.elements import NFElement, from_power_coords, one
-from euclid4.errors import NotCoprime, Ramified
+from euclid4.errors import CapExceeded, NotCoprime, Ramified
 from euclid4.fields import SUPPORTED_CONDUCTORS, build_biquadratic, build_cyclic_quartic
-from euclid4.intmath import hensel_lift, is_squarefree, poly_roots_mod_p
+from euclid4.intmath import hensel_lift, is_prime, is_squarefree, mult_order, poly_roots_mod_p
 from euclid4.residues import (
+    MAX_CERT_PRIME,
     degree_one_primes_above,
+    has_order_mod_p2,
     reduce_mod_p2,
     reduction_maps,
     splits_completely,
@@ -256,28 +259,91 @@ def test_unit_order_factors_only_p_minus_one(entries, monkeypatch):
     assert seen and max(seen) <= p - 1
 
 
-def test_split_primes_tests_each_candidate_once(entries, monkeypatch):
-    """split_primes runs one primality test per odd candidate; the splitting
-    test does not repeat it, and reduction_maps still guards outside input."""
+def test_split_primes_reads_the_sieve(entries, monkeypatch):
+    """split_primes reads the shared sieve, growing it from empty, and makes
+    no primality test; its output is the filtered walk over odd candidates,
+    and reduction_maps still guards outside input."""
     import euclid4.residues as residues
+
+    def reference(spec, bound):
+        return [p for p in range(3, bound + 1, 2)
+                if is_prime(p) and spec.discriminant % p and splits_completely(spec, p)]
 
     calls = []
 
     def counting_is_prime(n):
         calls.append(n)
-        return real_is_prime(n)
+        return is_prime(n)
 
-    real_is_prime = residues.is_prime
     monkeypatch.setattr(residues, "is_prime", counting_is_prime)
-    bound = 1000
-    for label in ("K_1", "13"):
-        spec = entries[label].spec
-        calls.clear()
-        assert list(residues.split_primes(spec, bound))
-        assert calls == list(range(3, bound + 1, 2)), label
+    monkeypatch.setattr(residues, "_odd_sieve", bytearray())
+    cases = [(entry.spec, 1000) for entry in entries.values()]
+    cases += [(entries[label].spec, 20000) for label in ("K_1", "13")]
+    for spec, bound in cases:
+        assert list(residues.split_primes(spec, bound)) == reference(spec, bound), (spec, bound)
+    assert calls == []
     spec = entries["K_1"].spec
     ramified = next(p for p in range(3, 100, 2) if spec.discriminant % p == 0)
     with pytest.raises(Ramified):
         reduction_maps(spec, ramified, 2)
     with pytest.raises(ValueError):
         reduction_maps(spec, 9, 2)
+
+
+def test_split_primes_cap(entries, monkeypatch):
+    """A bound above MAX_CERT_PRIME raises CapExceeded before the sieve is
+    touched; at the cap the sieve holds one byte per odd number and flags
+    the 78,497 odd primes below 10^6."""
+    import euclid4.residues as residues
+
+    spec = entries["K_1"].spec
+    monkeypatch.setattr(residues, "_odd_sieve", bytearray())
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            residues.split_primes(spec, MAX_CERT_PRIME + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residues._odd_sieve == bytearray() and peak < 64 * 1024
+    residues.split_primes(spec, MAX_CERT_PRIME)
+    assert len(residues._odd_sieve) == MAX_CERT_PRIME // 2 + 1
+    assert residues._odd_sieve.count(1) == 78497
+
+
+def test_has_order_matches_mult_order():
+    """Exhaustive over odd p <= 50, units u mod p^2 and divisors n of
+    p(p - 1); n not dividing p(p - 1) is a ValueError."""
+    for p in (q for q in range(3, 51, 2) if is_prime(q)):
+        p2, order = p * p, p * (p - 1)
+        divisors = [n for n in range(1, order + 1) if order % n == 0]
+        for u in range(1, p2):
+            if u % p:
+                true = mult_order(u, p2, order)
+                assert [has_order_mod_p2(u, p, n) for n in divisors] == [n == true for n in divisors]
+        with pytest.raises(ValueError):
+            has_order_mod_p2(2, p, p2)
+
+
+def test_has_order_factors_only_p_minus_one(entries, monkeypatch):
+    """The order test at p = 999959 factors no number above p - 1, for the
+    true order of each unit image and for p(p - 1) itself."""
+    import euclid4.residues as residues
+
+    p = 999959
+    spec = entries["K_7"].spec
+    eps = infinite_order_unit(spec)
+    images = [reduce_mod_p2(eps, P) for P in degree_one_primes_above(spec, p)]
+    orders = [mult_order(u, p * p, p * (p - 1)) for u in images]
+    seen = []
+
+    def factorize(n):
+        seen.append(n)
+        return real_factorize(n)
+
+    real_factorize = residues.factorize
+    monkeypatch.setattr(residues, "factorize", factorize)
+    for u, order in zip(images, orders):
+        for n in sorted({order, p * (p - 1), p - 1}):
+            assert has_order_mod_p2(u, p, n) == (n == order)
+    assert seen and max(seen) <= p - 1
