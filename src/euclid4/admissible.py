@@ -190,6 +190,11 @@ class PairAttempts:
             )
         return self._cond5[key]
 
+    def condition5_possible(self, p2: int) -> bool:
+        """Whether some torsion multiple has a conjugate above p2 passing
+        (5); when none does, attempt(p1, p2) is None for every p1."""
+        return any(self._cond5_conjugate(p2, t) is not None for t in range(self.units.g))
+
     def attempt(self, p1: int, p2: int) -> AdmissibleCertificate | None:
         g = self.units.g
         if (p1 * (p1 - 1)) % g != 0:
@@ -220,15 +225,41 @@ def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int) -> Admissibl
     eta^t * eps of the unit and the conjugates in index order, so repeated
     runs return byte-identical certificates.  The torsion sweep matters:
     condition (1) constrains the torsion component of the unit image, which
-    multiplying by eta adjusts.  A bound above MAX_CERT_PRIME is CapExceeded.
-    """
-    if prime_bound < 3:
-        raise SearchExhausted("prime bound below 3", {"split_primes": 0})
+    multiplying by eta adjusts.
 
-    primes = list(split_primes(spec, prime_bound))
+    A p2 at which no torsion multiple passes (5) can pair with no p1, so its
+    row is skipped unswept.  The split primes are drawn from split_primes
+    only as far as the sweep reaches, so the work done depends on where the
+    pair lies, not on the bound.  A bound above MAX_CERT_PRIME is
+    CapExceeded, raised before any prime is drawn.
+
+    On exhaustion the stats hold "split_primes", all split primes up to the
+    bound; "rows_without_condition5", the p2 rows skipped; and the
+    PairAttempts counters, to which skipped rows add nothing.
+    """
+    stream = split_primes(spec, prime_bound)
+    primes: list[int] = []
+
+    def drawn():
+        # the split primes in order, each drawn from the stream the first
+        # time a sweep reaches it
+        i = 0
+        while True:
+            if i == len(primes):
+                p = next(stream, None)
+                if p is None:
+                    return
+                primes.append(p)
+            yield primes[i]
+            i += 1
+
     attempts = PairAttempts(spec, units)
-    for p2 in primes:
-        for p1 in primes:
+    skipped = 0
+    for p2 in drawn():
+        if not attempts.condition5_possible(p2):
+            skipped += 1
+            continue
+        for p1 in drawn():
             if p1 == p2:
                 continue
             cert = attempts.attempt(p1, p2)
@@ -236,7 +267,7 @@ def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int) -> Admissibl
                 return cert
     raise SearchExhausted(
         f"no admissible pair for {spec.name()} below {prime_bound}",
-        {"split_primes": len(primes), **attempts.stats},
+        {"split_primes": len(primes), "rows_without_condition5": skipped, **attempts.stats},
     )
 
 

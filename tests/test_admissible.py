@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from euclid4 import admissible
+from euclid4 import admissible, residues
 from euclid4.admissible import (
     MAX_CERT_PRIME,
     MAX_COORD_BOUND,
@@ -40,6 +40,7 @@ from euclid4.intmath import is_prime
 from euclid4.residues import (
     degree_one_primes_above,
     reduce_mod_p2,
+    split_primes,
     splits_completely,
     unit_order_mod_p2,
 )
@@ -121,6 +122,28 @@ def test_search_exhausted(entries):
     with pytest.raises(SearchExhausted) as exc:
         search_pair(spec, unit_data(spec), 3)
     assert exc.value.stats["split_primes"] == 0
+
+
+def test_search_exhaustion_counts_screened_rows(entries):
+    """K_33's answer is (151, 83).  Below 100 and below 150 the search
+    exhausts; the rows p2 = 47 and 71, where no torsion multiple passes (5),
+    are skipped unswept, and below 150 so is the row of the fourth split
+    prime.  The stats carry the key set of the bound-3 search."""
+    spec = entries["K_33"].spec
+    units = unit_data(spec)
+    with pytest.raises(SearchExhausted) as empty:
+        search_pair(spec, units, 3)
+    attempts = admissible.PairAttempts(spec, units)
+    assert not attempts.condition5_possible(47) and not attempts.condition5_possible(71)
+    assert attempts.condition5_possible(83)
+    for bound, count, skipped in ((100, 3, 2), (150, 4, 3)):
+        with pytest.raises(SearchExhausted) as exc:
+            search_pair(spec, units, bound)
+        stats = exc.value.stats
+        assert stats.keys() == empty.value.stats.keys()
+        assert stats["split_primes"] == count
+        assert stats["rows_without_condition5"] == skipped
+        assert stats["pairs_checked"] == 0
 
 
 def test_search_bound_above_certificate_cap(entries):
@@ -217,6 +240,64 @@ def test_search_matches_expected_certificates(entries):
         got = [list(cert.pair), [cert.P1.conjugate_index, cert.P2.conjugate_index], digest]
         exp = expected[label]
         assert got == [exp["pair"], exp["conjugates"], exp["certificate"]], label
+
+
+def eager_search(spec, units, bound):
+    """The sweep before the row screen and the lazily drawn list: every
+    split prime listed up front, p2 outer and p1 inner over
+    PairAttempts.attempt.  (pair, t, conjugate indices), or None."""
+    primes = list(split_primes(spec, bound))
+    attempts = admissible.PairAttempts(spec, units)
+    for p2 in primes:
+        for p1 in primes:
+            if p1 == p2:
+                continue
+            cert = attempts.attempt(p1, p2)
+            if cert is not None:
+                return (cert.pair, attempts.variants.index(cert.units),
+                        cert.P1.conjugate_index, cert.P2.conjugate_index)
+    return None
+
+
+def test_search_matches_eager_sweep(entries):
+    """On all 40 fields and at four bounds, search_pair returns the pair,
+    torsion multiple and conjugates of the eager sweep, or exhausts with it."""
+    for label, entry in entries.items():
+        spec = entry.spec
+        units = unit_data(spec)
+        variants = admissible.PairAttempts(spec, units).variants
+        for bound in (100, 150, 1000, 10 ** 4):
+            want = eager_search(spec, units, bound)
+            try:
+                cert = search_pair(spec, units, bound)
+            except SearchExhausted as exc:
+                assert want is None, (label, bound)
+                assert exc.stats["split_primes"] == len(list(split_primes(spec, bound)))
+                continue
+            got = (cert.pair, variants.index(cert.units),
+                   cert.P1.conjugate_index, cert.P2.conjugate_index)
+            assert got == want, (label, bound)
+
+
+def test_search_at_cap_tests_no_prime_past_the_pair(entries, monkeypatch):
+    """At the cap every field still gets its frozen search certificate, and
+    no prime above the larger prime of the pair is tested for splitting."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "data" / "expected.json"
+    expected = json.loads(path.read_text())["search"]
+    tested = []
+
+    def counted(spec, p):
+        tested.append(p)
+        return splits_completely(spec, p)
+
+    monkeypatch.setattr(residues, "splits_completely", counted)
+    for label, entry in entries.items():
+        units = unit_data(entry.spec)
+        tested.clear()
+        cert = search_pair(entry.spec, units, MAX_CERT_PRIME)
+        digest = hashlib.sha256(certificate_to_json(cert, label).encode()).hexdigest()
+        assert digest == expected[label]["certificate"], label
+        assert tested and max(tested) <= max(cert.pair), label
 
 
 def test_surjectivity_trivial_and_cap(entries):

@@ -43,6 +43,13 @@ def test_search_exhausted_exit_code(capsys):
     assert "search exhausted" in capsys.readouterr().err
 
 
+def test_search_exhausted_reports_screened_rows(capsys):
+    assert main(["search", "K_33", "--bound", "150"]) == 1
+    err = capsys.readouterr().err
+    assert "search exhausted" in err
+    assert "rows_without_condition5: 3" in err
+
+
 def test_search_bound_above_certificate_cap(capsys):
     assert main(["search", "K_1", "--bound", str(10 ** 6 + 1)]) == 2
     assert "certificate cap" in capsys.readouterr().err
