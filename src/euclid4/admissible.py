@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .elements import NFElement, norm
 from .errors import (
@@ -460,13 +460,9 @@ _WORD = 1 << 64
 
 
 def _tower_constants(spec: FieldSpec):
-    """((d, e, Be, Ce, d Ce), e^2 D^4, adj(S)) for the tower of spec.
-
-    e is the least common denominator of B and C in y^2 = B + C x, so
-    e y^2 = Be + Ce x with integers Be, Ce (see FieldSpec.tower)."""
-    d, b, c, det, adj = spec.tower
-    e = lcm(b.denominator, c.denominator)
-    be, ce = b.numerator * (e // b.denominator), c.numerator * (e // c.denominator)
+    """((d, e, Be, Ce, d Ce), e^2 D^4, adj(S)) for the tower
+    e y^2 = Be + Ce x of spec (see FieldSpec.tower)."""
+    d, e, be, ce, det, adj = spec.tower
     return (d, e, be, ce, d * ce), e * e * det ** 4, adj
 
 

@@ -17,6 +17,12 @@ basis for conductor 16) is already maximal.  The generators are reduced to a
 Hermite normal form, and maximality is certified, not assumed: the basis
 must be closed under multiplication and its discriminant det(B)^2 disc(f)
 must equal the conductor-discriminant product over the quadratic subfields.
+
+Construction is integer arithmetic.  A rational vector is carried as
+(nums, den), integer numerators over one positive denominator, from the
+ambient generators through their power coordinates to the Hermite normal
+form; Fraction appears only in the stored integral basis, which the field
+descriptor renders.
 """
 
 from __future__ import annotations
@@ -86,15 +92,17 @@ def _poly_mul_mod(u, v, red):
 def _scaled(rows):
     """(d, d * rows) with d the least common denominator of the entries."""
     d = lcm(*(x.denominator for row in rows for x in row))
-    return d, [[int(x * d) for x in row] for row in rows]
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 def _canonical_basis(generators):
-    """HNF-canonical basis of the Z-span of generators (power coordinates):
-    b0 = 1, pivots on ascending powers, positive."""
-    d, mat = _scaled(generators)
+    """HNF-canonical basis of the Z-span of generators, given as (nums, den)
+    power-coordinate vectors: b0 = 1, pivots on ascending powers, positive.
+    All are scaled once to the common denominator."""
+    d = lcm(*(den for _, den in generators))
+    mat = [[x * (d // den) for x in nums] for nums, den in generators]
     out = tuple(tuple(Fraction(x, d) for x in row) for row in hnf_rows(mat))
-    assert out[0] == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    assert out[0] == (1, 0, 0, 0)
     return out
 
 
@@ -129,10 +137,11 @@ class FieldSpec:
     inverse basis matrix is D adj(M) / det(M), so every change of
     coordinates is integer arithmetic ending in one exact division.
     sqrt_power pairs each embedded squarefree radicand d with the power-basis
-    coordinates of an element squaring to d, and sqrt_map gives the integer
-    coordinates of that element over the integral basis.  tower_y holds the
-    power coordinates of an integral y with K = Q(x, y), where
-    x = sqrt(real_subfield_d) and y^2 lies in Q(x) (see tower).
+    coordinates (nums, den) of an element squaring to d, and sqrt_map gives
+    the integer coordinates of that element over the integral basis.
+    tower_y holds the power coordinates (nums, den) of an integral y with
+    K = Q(x, y), where x = sqrt(real_subfield_d) and y^2 lies in Q(x) (see
+    tower).
     """
 
     kind: str  # "biquadratic" | "cyclic"
@@ -160,8 +169,10 @@ class FieldSpec:
     def _coords(self, vec, den):
         """Basis coordinates of the power-coordinate vector vec / den, with vec
         integral: D vec adj(M) / (den det(M)).  Raises ValueError when they are
-        not all integers."""
+        not all integers or the basis is singular."""
         d, _, adj, det = self._basis_matrix
+        if det == 0:
+            raise ValueError("basis matrix is singular")
         q = den * det
         nums = [d * sum(v * adj[t][k] for t, v in enumerate(vec) if v) for k in range(4)]
         if any(x % q for x in nums):
@@ -172,14 +183,17 @@ class FieldSpec:
     def mult_table(self):
         """table[i][j] holds the coordinates of b_i * b_j, from the products
         M_i M_j of integer basis rows reduced modulo the defining polynomial.
+        The product commutes, so the ten with i <= j are computed and mirrored.
 
         Raises ValueError when the basis is not closed under multiplication.
         """
         d, mat, _, _ = self._basis_matrix
-        return [
-            [self._coords(_poly_mul_mod(mat[i], mat[j], self._red), d * d) for j in range(4)]
-            for i in range(4)
-        ]
+        table = [[None] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                table[i][j] = table[j][i] = self._coords(
+                    _poly_mul_mod(mat[i], mat[j], self._red), d * d)
+        return table
 
     @cached_property
     def theta_coords(self):
@@ -187,36 +201,40 @@ class FieldSpec:
 
     @cached_property
     def sqrt_map(self):
-        return {d: self.coords_from_power(vec) for d, vec in self.sqrt_power}
+        return {d: self._coords(*vec) for d, vec in self.sqrt_power}
 
     @cached_property
     def tower(self):
-        """(d, B, C, D, adj(S)) presenting K as the tower Q(x, y).
+        """(d, e, Be, Ce, D, adj(S)) presenting K as the tower Q(x, y).
 
-        x^2 = d and y^2 = B + C x with B, C rational.  The rows of S are the
+        x^2 = d and e y^2 = Be + Ce x with integers e > 0, Be, Ce, where e is
+        the least one that clears the denominators.  The rows of S are the
         integral-basis coordinates of 1, x, y, xy and D = det S, so the basis
-        is adj(S) (1, x, y, xy) / D.  Every odd prime dividing D is certified
-        to be ramified or not to split completely, so D is a unit modulo
-        every odd completely split prime.
+        is adj(S) (1, x, y, xy) / D.  Every odd prime dividing e D is
+        certified to be ramified or not to split completely, so e and D are
+        units modulo every odd completely split prime.
         """
         from .residues import splits_completely
 
         table = self.mult_table
         d = self.real_subfield_d
         x = self.sqrt_map[d]
-        y = self.coords_from_power(self.tower_y)
+        y = self._coords(*self.tower_y)
         y2 = basis_mul(table, y, y)
         j = next(i for i in (1, 2, 3) if x[i])
-        c = Fraction(y2[j], x[j])
-        b = y2[0] - c * x[0]
-        assert [b * (i == 0) + c * xi for i, xi in enumerate(x)] == y2, "y^2 is not in Q(x)"
+        # C = y2[j] / x[j] = ce / e in lowest terms, and B = y2[0] - C x[0]
+        g = gcd(y2[j], x[j]) if x[j] > 0 else -gcd(y2[j], x[j])
+        e, ce = x[j] // g, y2[j] // g
+        be = e * y2[0] - ce * x[0]
+        assert [be * (i == 0) + ce * xi for i, xi in enumerate(x)] == [e * v for v in y2], \
+            "y^2 is not in Q(x)"
         rows = [[1, 0, 0, 0], list(x), list(y), basis_mul(table, x, y)]
         det = det_int(rows)
-        rest = abs(det)
+        rest = abs(e * det)
         while (g := gcd(rest, 2 * self.discriminant)) > 1:
             rest //= g
         assert not any(splits_completely(self, q) for q in factorize(rest)), det
-        return d, b, c, det, adjugate_int(rows)
+        return d, e, be, ce, det, adjugate_int(rows)
 
     def coords_from_power(self, power_vec):
         """Integral-basis coordinates of an element given in power coordinates.
@@ -235,30 +253,32 @@ class FieldSpec:
         return f"FieldSpec({self.name()})"
 
 
-def integral_basis_closure_check(spec: FieldSpec) -> bool:
+def integral_basis_closure_check(spec: FieldSpec, poly_disc: int | None = None) -> bool:
     """True iff the stored basis spans the claimed maximal order.
 
     All 16 pairwise products of basis elements must have integer coordinates
     over the basis, 1 must be an integral combination, and the module
     discriminant must equal the field discriminant (so a closed but
-    non-maximal order, such as a bare power basis, is rejected).
+    non-maximal order, such as a bare power basis, is rejected).  poly_disc
+    is disc(f) when the caller has it; otherwise it is computed here.
     """
     try:
         spec.mult_table
-        spec.coords_from_power((1, 0, 0, 0))
+        spec._coords((1, 0, 0, 0), 1)
     except ValueError:
         return False
+    if poly_disc is None:
+        poly_disc = poly_discriminant(spec.theta_minpoly)
     # det(B)^2 disc(f) with B = M / D
     d, _, _, det = spec._basis_matrix
-    return det ** 2 * poly_discriminant(spec.theta_minpoly) == spec.discriminant * d ** 8
+    return det ** 2 * poly_disc == spec.discriminant * d ** 8
 
 
-def _validate_spec(spec: FieldSpec):
+def _validate_spec(spec: FieldSpec, poly_disc: int):
     assert spec.theta_minpoly.degree == 4 and spec.theta_minpoly.coeffs[4] == 1
     assert count_real_roots(spec.theta_minpoly) == 0, "field is not totally imaginary"
-    poly_d = poly_discriminant(spec.theta_minpoly)
-    assert poly_d == spec.discriminant * spec.index ** 2
-    assert integral_basis_closure_check(spec)
+    assert poly_disc == spec.discriminant * spec.index ** 2
+    assert integral_basis_closure_check(spec, poly_disc)
     # each stored square root squares to d * 1
     for d, coords in spec.sqrt_map.items():
         assert basis_mul(spec.mult_table, coords, coords) == [d, 0, 0, 0]
@@ -272,11 +292,14 @@ def _power_basis(one, theta, mul):
     """Minimal polynomial of theta and the map to power coordinates, from
     theta^0..theta^4 computed in an ambient Q-algebra with product mul.
 
-    The columns of T are theta^0..theta^3 in ambient coordinates (T is
-    square for the biquadratic algebra, tall for the cyclotomic one), and
-    the power coordinates of v are x = adj(G) T^t v / det(G) with the integer
-    Gram matrix G = T^t T, inverted once.  to_power raises ValueError when
-    T x = v fails, that is when v is not in the span of the theta powers.
+    Rational vectors are (nums, den): integer numerators over one positive
+    denominator.  The columns of T are theta^0..theta^3 in ambient
+    coordinates (T is square for the biquadratic algebra, tall for the
+    cyclotomic one), and the power coordinates of v are
+    x = adj(G) T^t v / det(G) with the integer Gram matrix G = T^t T,
+    inverted once, so to_power(ints, den) returns (adj(G) T^t ints,
+    den det(G)).  It raises ValueError when T x = v fails, that is when v is
+    not in the span of the theta powers.
     """
     powers = [one]
     for _ in range(4):
@@ -285,24 +308,26 @@ def _power_basis(one, theta, mul):
     gram = [[sum(a * b for a, b in zip(u, w)) for w in cols] for u in cols]
     adj, det = adjugate_int(gram), det_int(gram)
 
-    def to_power(vec):
-        den, (ints,) = _scaled([vec])
+    def to_power(ints, den=1):
         tv = [sum(a * b for a, b in zip(u, ints)) for u in cols]
-        nums = [sum(a * b for a, b in zip(row, tv)) for row in adj]
+        nums = tuple(sum(a * b for a, b in zip(row, tv)) for row in adj)
         # T x = v, with x = nums / (den det) and v = ints / den
         if any(sum(n * col[i] for n, col in zip(nums, cols)) != det * v
                for i, v in enumerate(ints)):
             raise ValueError("vector is not in the span of the theta powers")
-        return tuple(Fraction(n, den * det) for n in nums)
+        return nums, den * det
 
-    minpoly = IntPoly(tuple(int(-c) for c in to_power(powers[4])) + (1,))
+    nums, den = to_power(powers[4])
+    assert not any(c % den for c in nums), "theta is not integral"
+    minpoly = IntPoly(tuple(-c // den for c in nums) + (1,))
 
     return minpoly, to_power
 
 
 def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_power, tower_y):
     """Canonical basis, index and validation, shared by both families;
-    generators, sqrt_power and tower_y are in power coordinates."""
+    generators, sqrt_power and tower_y are (nums, den) power coordinates."""
+    poly_disc = poly_discriminant(minpoly)
     spec = FieldSpec(
         kind=kind,
         m=m,
@@ -311,12 +336,12 @@ def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_pow
         theta_minpoly=minpoly,
         integral_basis=_canonical_basis(generators),
         discriminant=target,
-        index=isqrt(poly_discriminant(minpoly) // target),
+        index=isqrt(poly_disc // target),
         real_subfield_d=real_d,
         sqrt_power=tuple(sorted(sqrt_power)),
-        tower_y=tuple(tower_y),
+        tower_y=tower_y,
     )
-    _validate_spec(spec)
+    _validate_spec(spec, poly_disc)
     return spec
 
 
@@ -359,24 +384,26 @@ def build_biquadratic(m: int, n: int) -> FieldSpec:
     minpoly, to_power = _power_basis(one, (0, 1, 1, 0), mul)
     assert minpoly.coeffs == ((m - n) ** 2, 0, -2 * (m + n), 0, 1)
 
-    sqrt_amb = {m: (0, 1, 0, 0), n: (0, 0, 1, 0), k: (0, 0, 0, Fraction(1, h))}
-    generators = [one]
+    # ambient vectors as (vec, den): sqrt(k) = AB / h
+    sqrt_amb = {m: ((0, 1, 0, 0), 1), n: ((0, 0, 1, 0), 1), k: ((0, 0, 0, 1), h)}
+    generators = [(one, 1)]
     for r in radicands:
-        w = sqrt_amb[r]
-        if r % 4 == 1:
-            w = [Fraction(o + x, 2) for o, x in zip(one, w)]
-        generators += [mul(g, w) for g in generators]
+        v, dv = sqrt_amb[r]
+        if r % 4 == 1:  # (1 + sqrt(r)) / 2
+            v, dv = [dv * o + x for o, x in zip(one, v)], 2 * dv
+        generators += [(mul(g, v), dg * dv) for g, dg in generators]
     even = [r for r in radicands if r % 4 == 2]
-    if len(even) == 2:
-        generators.append([Fraction(x + y, 2) for x, y in zip(*(sqrt_amb[r] for r in even))])
+    if len(even) == 2:  # (sqrt(a) + sqrt(b)) / 2
+        (u, du), (v, dv) = (sqrt_amb[r] for r in even)
+        generators.append(([a * dv + b * du for a, b in zip(u, v)], 2 * du * dv))
 
     return _finish(
         "biquadratic", m, n, None, minpoly,
-        [to_power(g) for g in generators],
+        [to_power(*g) for g in generators],
         target=quadratic_discriminant(m) * quadratic_discriminant(n) * quadratic_discriminant(k),
         real_d=next(r for r in radicands if r > 0),
-        sqrt_power=[(d, to_power(vec)) for d, vec in sqrt_amb.items()],
-        tower_y=to_power(sqrt_amb[min(radicands)]),
+        sqrt_power=[(d, to_power(*vec)) for d, vec in sqrt_amb.items()],
+        tower_y=to_power(*sqrt_amb[min(radicands)]),
     )
 
 
@@ -447,7 +474,7 @@ def build_cyclic_quartic(f: int) -> FieldSpec:
 
     # y = theta for conductor 16 (theta^2 = sqrt(2) - 2), else eta_0 - eta_2
     if f == 16:
-        generators = [[Fraction(1 if t == i else 0) for t in range(4)] for i in range(4)]
+        generators = [(tuple(int(t == i) for t in range(4)), 1) for i in range(4)]
         real_d = 2
         sqrt_vec = _cyclo_reduce(
             [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], 16
@@ -457,7 +484,9 @@ def build_cyclic_quartic(f: int) -> FieldSpec:
         generators = [to_power(p) for p in periods]
         real_d = f
         sqrt_vec = _cyclo_reduce([0] + [legendre(a, f) for a in range(1, f)], f)
-        tower_y = [a - b for a, b in zip(generators[0], generators[2])]
+        # the periods share the denominator det(G)
+        (eta0, den), (eta2, _) = generators[0], generators[2]
+        tower_y = (tuple(a - b for a, b in zip(eta0, eta2)), den)
 
     return _finish(
         "cyclic", None, None, f, minpoly, generators,

@@ -1,13 +1,12 @@
 """Integer, residue and polynomial primitives.
 
-Everything is exact: arbitrary-precision integers, `fractions.Fraction`, and
-deterministic algorithms only.  No floating point anywhere.
+Everything is exact: arbitrary-precision integers and deterministic
+algorithms only.  No floating point and no rational arithmetic anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import CapExceeded, NonSimpleRoot, NotCoprime
@@ -295,23 +294,34 @@ def poly_discriminant(f: IntPoly) -> int:
 
 
 def count_real_roots(f: IntPoly) -> int:
-    """Number of distinct real roots of f, by a Sturm chain over Q."""
+    """Number of distinct real roots of f, by an integer Sturm chain.
 
-    def fdiv_rem(a, b):
+    Each remainder is a pseudo-remainder, taken of |lc|^k times the dividend
+    so that no division occurs, and then divided by its content (Cohen, A
+    Course in Computational Algebraic Number Theory, 3.3).  Both scalings are
+    positive, so every entry of the chain is a positive multiple of the
+    rational Sturm chain entry and the sign changes are the same.
+    """
+
+    def pseudo_rem(a, b):
         a = list(a)
         db = len(b) - 1
+        lead = abs(b[-1])
+        sign = 1 if b[-1] > 0 else -1
         while len(a) - 1 >= db and any(a):
             if a[-1] == 0:
                 a.pop()
                 continue
-            q = a[-1] / b[-1]
+            q = sign * a[-1]
             shift = len(a) - 1 - db
+            a = [lead * x for x in a]
             for i, c in enumerate(b):
                 a[shift + i] -= q * c
             a.pop()
         while len(a) > 1 and a[-1] == 0:
             a.pop()
-        return a if a else [Fraction(0)]
+        content = gcd(*a)
+        return [x // content for x in a] if content else [0]
 
     def sign_changes_at_inf(chain, positive):
         signs = []
@@ -323,14 +333,13 @@ def count_real_roots(f: IntPoly) -> int:
                 signs.append(1 if s > 0 else -1)
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    p0 = [Fraction(c) for c in f.coeffs]
+    p0 = list(f.coeffs)
     if len(p0) == 1:
         return 0
-    p1 = [Fraction(c) for c in f.derivative().coeffs]
-    chain = [p0, p1]
+    chain = [p0, list(f.derivative().coeffs)]
     while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        rem = fdiv_rem(chain[-2], chain[-1])
-        if len(rem) == 1 and rem[0] == 0:
+        rem = pseudo_rem(chain[-2], chain[-1])
+        if rem == [0]:
             break
         chain.append([-c for c in rem])
     return sign_changes_at_inf(chain, False) - sign_changes_at_inf(chain, True)

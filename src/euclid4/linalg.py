@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers.
 
-Integer matrices only: a determinant, the 4x4 adjugate that serves as the
-package's one matrix inverse (A^-1 = adj(A) / det(A), with the division left
-to the caller as an exact-divisibility test or a modular inverse), and a
-Hermite normal form.  Everything is dense and tiny; clarity over asymptotics.
+Integer matrices only: a determinant, the 4x4 adjugate in closed form that
+serves as the package's one matrix inverse (A^-1 = adj(A) / det(A), with the
+division left to the caller as an exact-divisibility test or a modular
+inverse), and a Hermite normal form.  Everything is dense and tiny; clarity over asymptotics.
 """
 
 from __future__ import annotations
@@ -33,15 +33,27 @@ def det_int(mat):
 
 
 def adjugate_int(mat):
-    """Adjugate of a 4x4 integer matrix: adj(A) A = det(A) I."""
+    """Adjugate of a 4x4 integer matrix: adj(A) A = det(A) I.
 
-    def cofactor(i, j):
-        (a, b, c), (d, e, f), (g, h, k) = (
-            [x for col, x in enumerate(row) if col != j] for r, row in enumerate(mat) if r != i
-        )
-        return (-1) ** (i + j) * (a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g))
-
-    return [[cofactor(j, i) for j in range(4)] for i in range(4)]
+    Laplace expansion along the top and bottom row pairs: every cofactor is
+    a combination of the six 2x2 minors s of rows 0, 1 and the six minors c
+    of rows 2, 3 (minor index ab names the columns a < b).
+    """
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = mat
+    s01, s02, s03 = a00 * a11 - a10 * a01, a00 * a12 - a10 * a02, a00 * a13 - a10 * a03
+    s12, s13, s23 = a01 * a12 - a11 * a02, a01 * a13 - a11 * a03, a02 * a13 - a12 * a03
+    c01, c02, c03 = a20 * a31 - a30 * a21, a20 * a32 - a30 * a22, a20 * a33 - a30 * a23
+    c12, c13, c23 = a21 * a32 - a31 * a22, a21 * a33 - a31 * a23, a22 * a33 - a32 * a23
+    return [
+        [a11 * c23 - a12 * c13 + a13 * c12, -a01 * c23 + a02 * c13 - a03 * c12,
+         a31 * s23 - a32 * s13 + a33 * s12, -a21 * s23 + a22 * s13 - a23 * s12],
+        [-a10 * c23 + a12 * c03 - a13 * c02, a00 * c23 - a02 * c03 + a03 * c02,
+         -a30 * s23 + a32 * s03 - a33 * s02, a20 * s23 - a22 * s03 + a23 * s02],
+        [a10 * c13 - a11 * c03 + a13 * c01, -a00 * c13 + a01 * c03 - a03 * c01,
+         a30 * s13 - a31 * s03 + a33 * s01, -a20 * s13 + a21 * s03 - a23 * s01],
+        [-a10 * c12 + a11 * c02 - a12 * c01, a00 * c12 - a01 * c02 + a02 * c01,
+         -a30 * s12 + a31 * s02 - a32 * s01, a20 * s12 - a21 * s02 + a22 * s01],
+    ]
 
 
 def hnf_rows(rows):

@@ -3,13 +3,14 @@
 For an unramified prime p of residue degree one, reduction modulo the square
 of a prime ideal above p is a ring map onto Z/p^2.  Every supported field is
 a tower of two square roots, K = Q(x, y) with x = sqrt(d) real and
-y^2 = B + C x (FieldSpec.tower), so at an odd prime that splits completely
-each map O -> Z/p^k is fixed by a square root s of d and a square root t of
-B + C s modulo p^k (Tonelli-Shanks and a Newton lift), two signs each.  The
-integral basis is adj(S) (1, x, y, xy) / D with D coprime to every such p,
-so the same two square roots serve whether or not p divides the index of
-theta.  `reduction_maps` is the one evaluator: degree-one primes use it at
-k = 2 and the unit square-root lifting at higher k.
+e y^2 = Be + Ce x (FieldSpec.tower), so at an odd prime that splits
+completely each map O -> Z/p^k is fixed by a square root s of d and a square
+root t of (Be + Ce s) / e modulo p^k (Tonelli-Shanks and a Newton lift), two
+signs each.  The integral basis is adj(S) (1, x, y, xy) / D with e and D
+coprime to every such p, so the same two square roots serve whether or not p
+divides the index of theta.  `reduction_maps` is the one evaluator:
+degree-one primes use it at k = 2 and the unit square-root lifting at
+higher k.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def reduction_maps(spec: FieldSpec, p: int, k: int) -> list[tuple[int, tuple[int
     completely, as (theta image, basis images); [] when p does not split.
 
     A map is fixed by the images s, t of x and y (see FieldSpec.tower):
-    s^2 = d and t^2 = B + C s, two signs each.  The basis images are
+    s^2 = d and e t^2 = Be + Ce s, two signs each.  The basis images are
     adj(S) (1, s, t, st) / D.  The maps are sorted by (theta image mod p,
     basis images), which is the ascending order of the roots of theta's
     minimal polynomial mod p whenever those are distinct.  Raises
@@ -107,14 +108,13 @@ def reduction_maps(spec: FieldSpec, p: int, k: int) -> list[tuple[int, tuple[int
         raise Ramified(f"{p} divides the field discriminant")
     if not splits_completely(spec, p):
         return []
-    d, b, c, det, adj = spec.tower
+    d, e, be, ce, det, adj = spec.tower
     pk = p ** k
-    inv_det = pow(det, -1, pk)
+    inv_det, inv_e = pow(det, -1, pk), pow(e, -1, pk)
     s0 = sqrt_mod_prime_power(d, p, k)
     out = []
     for s in (s0, pk - s0):
-        rad = b + c * s
-        t0 = sqrt_mod_prime_power(rad.numerator * pow(rad.denominator, -1, pk), p, k)
+        t0 = sqrt_mod_prime_power((be + ce * s) * inv_e, p, k)
         for t in (t0, pk - t0):
             vec = (1, s, t, s * t)
             images = tuple(sum(a * v for a, v in zip(row, vec)) * inv_det % pk for row in adj)

@@ -2,8 +2,7 @@
 
 Every module of the package is parsed and searched for the ways a float can
 enter: a float literal, a call to float, a name from math other than the
-integer functions, and true division.  The one true division allowed is the
-Fraction Sturm chain of intmath.count_real_roots.
+integer functions, and true division.  No true division is allowed anywhere.
 """
 
 import ast
@@ -13,14 +12,13 @@ import euclid4
 
 PACKAGE = Path(euclid4.__file__).parent
 INTEGER_MATH = {"gcd", "isqrt", "lcm"}
-DIVISION_ALLOWED = {("intmath.py", "count_real_roots")}
 
 
 def float_uses(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
 
-    def visit(node, functions):
+    def visit(node):
         here = f"{path.name}:{getattr(node, 'lineno', '?')}"
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"{here} float literal {node.value!r}")
@@ -33,14 +31,11 @@ def float_uses(path):
             if extra:
                 found.append(f"{here} math import {sorted(extra)}")
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-            if not any((path.name, f) in DIVISION_ALLOWED for f in functions):
-                found.append(f"{here} true division")
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions = functions + (node.name,)
+            found.append(f"{here} true division")
         for child in ast.iter_child_nodes(node):
-            visit(child, functions)
+            visit(child)
 
-    visit(tree, ())
+    visit(tree)
     return found
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -131,6 +133,47 @@ def test_power_basis_alone_fails_closure_check(gaussian_sqrt11):
     assert not integral_basis_closure_check(fake)
 
 
+def test_singular_basis_fails_closure_check(gaussian_sqrt11):
+    rows = list(gaussian_sqrt11.integral_basis)
+    rows[3] = tuple(2 * x for x in rows[2])
+    fake = replace(gaussian_sqrt11, integral_basis=tuple(rows))
+    with pytest.raises(ValueError):
+        fake.coords_from_power((1, 0, 0, 0))
+    assert not integral_basis_closure_check(fake)
+
+
+def rational_json(nums, den=1):
+    return [str(Fraction(x, den)) for x in nums]
+
+
+def construction_json(spec):
+    """Everything construction stores or derives, rationals as reduced a/b."""
+    d, e, be, ce, det, adj = spec.tower
+    return {
+        "descriptor": field_descriptor(spec),
+        "sqrt_power": [[r, rational_json(*vec)] for r, vec in spec.sqrt_power],
+        "tower_y": rational_json(*spec.tower_y),
+        "mult_table": [[list(c) for c in row] for row in spec.mult_table],
+        "tower": [d, str(Fraction(be, e)), str(Fraction(ce, e)), det, [list(r) for r in adj]],
+        "index": spec.index,
+    }
+
+
+# SHA-256 of the construction data of the 40 registry fields and the 234
+# biquadratic pairs with |m|, |n| <= 20, as built by the Fraction-based
+# construction that the integer build path replaced.
+CONSTRUCTION_DIGEST = "615a73838ea6fabe45983886e224f5533e9d744363a19504a0fb192a0aab4a07"
+
+
+def test_construction_matches_frozen_digest(entries):
+    radicands = [r for r in range(-20, 21) if r not in (0, 1) and is_squarefree(r)]
+    pairs = [(m, n) for m in radicands for n in radicands if m < n and min(m, n) < 0]
+    specs = [e.spec for e in entries.values()] + [build_biquadratic(m, n) for m, n in pairs]
+    assert len(specs) == 274
+    blob = json.dumps([construction_json(s) for s in specs], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == CONSTRUCTION_DIGEST
+
+
 def test_cyclotomic_power_basis_is_maximal():
     # Z[zeta_5] is the maximal order: the conductor-5 basis is the power basis
     k5 = build_cyclic_quartic(5)
@@ -207,6 +250,7 @@ def test_power_coordinates_reject_vector_outside_theta_span():
 
     theta = ambient(1, 3, 9)
     _, to_power = _power_basis(ambient(0), theta, lambda u, v: _cyclo_mul(u, v, f))
-    assert to_power(theta) == (0, 1, 0, 0)
+    nums, den = to_power(theta)
+    assert nums == (0, den, 0, 0)
     with pytest.raises(ValueError):
         to_power(ambient(1))

@@ -220,13 +220,13 @@ def test_tower_determinant():
     part is that of gcd(d, r) for the radicands d of x and r of y."""
     for f in SUPPORTED_CONDUCTORS:
         spec = build_cyclic_quartic(f)
-        assert spec.tower[3] == {16: -1, 37: -48, 61: -48}.get(f, -16), f
+        assert spec.tower[4] == {16: -1, 37: -48, 61: -48}.get(f, -16), f
     radicands = [r for r in range(-20, 21) if r not in (0, 1) and is_squarefree(r)]
     pairs = [(m, n) for m in radicands for n in radicands if m < n and min(m, n) < 0]
     assert len(pairs) == 234
     for m, n in pairs:
-        d, b, c, det, _ = build_biquadratic(m, n).tower
-        assert c == 0 and odd_part(det) == odd_part(math.gcd(d, int(b))), (m, n)
+        d, e, be, ce, det, _ = build_biquadratic(m, n).tower
+        assert ce == 0 and e == 1 and odd_part(det) == odd_part(math.gcd(d, be)), (m, n)
 
 
 def test_conductor29_index_prime(entries):
