@@ -147,6 +147,8 @@ def parse_certificate(doc: dict) -> tuple[AdmissibleCertificate, str | None]:
 
     P1 = _load_prime(_require(doc, "P1"), spec, "P1")
     P2 = _load_prime(_require(doc, "P2"), spec, "P2")
+    if P1.p == P2.p:
+        raise SchemaError(f"P1 and P2 both lie above p = {P1.p}")
 
     result = check_conditions(spec, units, P1, P2)
 

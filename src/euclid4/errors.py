@@ -14,7 +14,9 @@ class NotCoprime(Euclid4Error):
 
 
 class DegenerateField(Euclid4Error):
-    """The requested compositum does not have degree 4."""
+    """The requested compositum does not have degree 4, or the data built for
+    a field fails one of the checks that certify it (closure, discriminant,
+    index, square roots, tower)."""
 
 
 class NotImaginary(Euclid4Error):

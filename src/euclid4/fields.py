@@ -15,8 +15,13 @@ otherwise, and (sqrt(a) + sqrt(b))/2 when two radicands a, b are 2 (mod 4).
 For the supported cyclic conductors the span of the Gauss periods (the power
 basis for conductor 16) is already maximal.  The generators are reduced to a
 Hermite normal form, and maximality is certified, not assumed: the basis
-must be closed under multiplication and its discriminant det(B)^2 disc(f)
-must equal the conductor-discriminant product over the quadratic subfields.
+must be closed under multiplication and its discriminant, the determinant of
+the trace form Tr(b_i b_j) read off the multiplication table (Cohen, A Course
+in Computational Algebraic Number Theory, ch. 4), must equal the
+conductor-discriminant product over the quadratic subfields.  The field is
+certified totally imaginary from its tower Q(x, y): y^2 is negative at both
+real values of x = sqrt(d).  Every check raises a typed error, so none is
+lost under python -O.
 
 Construction is integer arithmetic.  A rational vector is carried as
 (nums, den), integer numerators over one positive denominator, from the
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import (
     CapExceeded,
@@ -39,7 +44,7 @@ from .errors import (
     UnknownLabel,
     UnsupportedConductor,
 )
-from .intmath import IntPoly, count_real_roots, factorize, is_squarefree, legendre, poly_discriminant
+from .intmath import IntPoly, factorize, is_squarefree, legendre
 from .linalg import adjugate_int, det_int, hnf_rows
 
 # Radicands are tested for squarefreeness by trial division, which takes
@@ -60,7 +65,6 @@ def quadratic_discriminant(r: int) -> int:
 def _reduction_rows(minpoly: IntPoly):
     """Power-basis coordinates of theta^4, theta^5, theta^6."""
     c = minpoly.coeffs
-    assert len(c) == 5 and c[4] == 1
     t4 = [-c[k] for k in range(4)]
     rows = [t4]
     for _ in range(2):
@@ -102,7 +106,8 @@ def _canonical_basis(generators):
     d = lcm(*(den for _, den in generators))
     mat = [[x * (d // den) for x in nums] for nums, den in generators]
     out = tuple(tuple(Fraction(x, d) for x in row) for row in hnf_rows(mat))
-    assert out[0] == (1, 0, 0, 0)
+    if out[0] != (1, 0, 0, 0):
+        raise DegenerateField("the canonical basis does not start with 1")
     return out
 
 
@@ -151,7 +156,6 @@ class FieldSpec:
     theta_minpoly: IntPoly
     integral_basis: tuple
     discriminant: int
-    index: int
     real_subfield_d: int
     sqrt_power: tuple
     tower_y: tuple
@@ -165,6 +169,16 @@ class FieldSpec:
         """(D, M, adj(M), det(M)) with M = D * integral_basis integral."""
         d, mat = _scaled(self.integral_basis)
         return d, mat, adjugate_int(mat), det_int(mat)
+
+    @cached_property
+    def index(self):
+        """[O : Z[theta]] = 1 / |det B| = D^4 / |det M|.  Raises
+        DegenerateField unless it is an integer, that is unless the powers
+        of theta lie in the span of the basis."""
+        d, _, _, det = self._basis_matrix
+        if det == 0 or d ** 4 % det:
+            raise DegenerateField(f"{self.name()}: Z[theta] is not inside the basis span")
+        return d ** 4 // abs(det)
 
     def _coords(self, vec, den):
         """Basis coordinates of the power-coordinate vector vec / den, with vec
@@ -212,7 +226,8 @@ class FieldSpec:
         integral-basis coordinates of 1, x, y, xy and D = det S, so the basis
         is adj(S) (1, x, y, xy) / D.  Every odd prime dividing e D is
         certified to be ramified or not to split completely, so e and D are
-        units modulo every odd completely split prime.
+        units modulo every odd completely split prime.  Raises DegenerateField
+        when y^2 is not in Q(x), when D = 0, or when that certificate fails.
         """
         from .residues import splits_completely
 
@@ -226,14 +241,18 @@ class FieldSpec:
         g = gcd(y2[j], x[j]) if x[j] > 0 else -gcd(y2[j], x[j])
         e, ce = x[j] // g, y2[j] // g
         be = e * y2[0] - ce * x[0]
-        assert [be * (i == 0) + ce * xi for i, xi in enumerate(x)] == [e * v for v in y2], \
-            "y^2 is not in Q(x)"
+        if [be * (i == 0) + ce * xi for i, xi in enumerate(x)] != [e * v for v in y2]:
+            raise DegenerateField(f"{self.name()}: y^2 is not in Q(sqrt({d}))")
         rows = [[1, 0, 0, 0], list(x), list(y), basis_mul(table, x, y)]
         det = det_int(rows)
+        if det == 0:
+            raise DegenerateField(f"{self.name()}: 1, x, y, xy are linearly dependent")
         rest = abs(e * det)
         while (g := gcd(rest, 2 * self.discriminant)) > 1:
             rest //= g
-        assert not any(splits_completely(self, q) for q in factorize(rest)), det
+        if any(splits_completely(self, q) for q in factorize(rest)):
+            raise DegenerateField(f"{self.name()}: e det(S) = {e * det} is divisible "
+                                  "by a completely split prime")
         return d, e, be, ce, det, adjugate_int(rows)
 
     def coords_from_power(self, power_vec):
@@ -253,35 +272,43 @@ class FieldSpec:
         return f"FieldSpec({self.name()})"
 
 
-def integral_basis_closure_check(spec: FieldSpec, poly_disc: int | None = None) -> bool:
+def integral_basis_closure_check(spec: FieldSpec) -> bool:
     """True iff the stored basis spans the claimed maximal order.
 
     All 16 pairwise products of basis elements must have integer coordinates
     over the basis, 1 must be an integral combination, and the module
-    discriminant must equal the field discriminant (so a closed but
-    non-maximal order, such as a bare power basis, is rejected).  poly_disc
-    is disc(f) when the caller has it; otherwise it is computed here.
+    discriminant det(Tr(b_i b_j)) must equal the field discriminant (so a
+    closed but non-maximal order, such as a bare power basis, is rejected).
+    Tr(b_k) is the trace of multiplication by b_k, the sum over i of the
+    b_i-coordinate of b_k b_i.
     """
     try:
-        spec.mult_table
+        table = spec.mult_table
         spec._coords((1, 0, 0, 0), 1)
     except ValueError:
         return False
-    if poly_disc is None:
-        poly_disc = poly_discriminant(spec.theta_minpoly)
-    # det(B)^2 disc(f) with B = M / D
-    d, _, _, det = spec._basis_matrix
-    return det ** 2 * poly_disc == spec.discriminant * d ** 8
+    traces = [sum(table[k][i][i] for i in range(4)) for k in range(4)]
+    gram = [[sum(c * t for c, t in zip(table[i][j], traces)) for j in range(4)]
+            for i in range(4)]
+    return det_int(gram) == spec.discriminant
 
 
-def _validate_spec(spec: FieldSpec, poly_disc: int):
-    assert spec.theta_minpoly.degree == 4 and spec.theta_minpoly.coeffs[4] == 1
-    assert count_real_roots(spec.theta_minpoly) == 0, "field is not totally imaginary"
-    assert poly_disc == spec.discriminant * spec.index ** 2
-    assert integral_basis_closure_check(spec, poly_disc)
-    # each stored square root squares to d * 1
+def _validate_spec(spec: FieldSpec):
+    """Certify spec, raising DegenerateField or NotImaginary on a failed check."""
+    c = spec.theta_minpoly.coeffs
+    if len(c) != 5 or c[4] != 1:
+        raise DegenerateField(f"{spec.name()}: the defining polynomial is not a monic quartic")
+    if not integral_basis_closure_check(spec):
+        raise DegenerateField(f"{spec.name()}: the basis does not span the maximal order")
+    spec.index  # raises DegenerateField unless D^4 / |det M| is an integer
     for d, coords in spec.sqrt_map.items():
-        assert basis_mul(spec.mult_table, coords, coords) == [d, 0, 0, 0]
+        if basis_mul(spec.mult_table, coords, coords) != [d, 0, 0, 0]:
+            raise DegenerateField(f"{spec.name()}: the stored sqrt({d}) does not square to {d}")
+    # K = Q(x, y) with e y^2 = Be + Ce x is totally imaginary iff x is real
+    # and Be +- Ce sqrt(d) < 0 for both signs
+    d, _, be, ce, _, _ = spec.tower
+    if not (d > 0 and be < 0 and be * be > ce * ce * d):
+        raise NotImaginary(f"{spec.name()} has a real embedding")
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +345,16 @@ def _power_basis(one, theta, mul):
         return nums, den * det
 
     nums, den = to_power(powers[4])
-    assert not any(c % den for c in nums), "theta is not integral"
+    if any(c % den for c in nums):
+        raise DegenerateField("theta is not integral")
     minpoly = IntPoly(tuple(-c // den for c in nums) + (1,))
 
     return minpoly, to_power
 
 
 def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_power, tower_y):
-    """Canonical basis, index and validation, shared by both families;
-    generators, sqrt_power and tower_y are (nums, den) power coordinates."""
-    poly_disc = poly_discriminant(minpoly)
+    """Canonical basis and validation, shared by both families; generators,
+    sqrt_power and tower_y are (nums, den) power coordinates."""
     spec = FieldSpec(
         kind=kind,
         m=m,
@@ -336,12 +363,11 @@ def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_pow
         theta_minpoly=minpoly,
         integral_basis=_canonical_basis(generators),
         discriminant=target,
-        index=isqrt(poly_disc // target),
         real_subfield_d=real_d,
         sqrt_power=tuple(sorted(sqrt_power)),
         tower_y=tower_y,
     )
-    _validate_spec(spec, poly_disc)
+    _validate_spec(spec)
     return spec
 
 
@@ -382,7 +408,8 @@ def build_biquadratic(m: int, n: int) -> FieldSpec:
 
     one = (1, 0, 0, 0)
     minpoly, to_power = _power_basis(one, (0, 1, 1, 0), mul)
-    assert minpoly.coeffs == ((m - n) ** 2, 0, -2 * (m + n), 0, 1)
+    if minpoly.coeffs != ((m - n) ** 2, 0, -2 * (m + n), 0, 1):
+        raise DegenerateField(f"({m}, {n}): theta has the wrong minimal polynomial")
 
     # ambient vectors as (vec, den): sqrt(k) = AB / h
     sqrt_amb = {m: ((0, 1, 0, 0), 1), n: ((0, 0, 1, 0), 1), k: ((0, 0, 0, 1), h)}
@@ -459,7 +486,6 @@ def build_cyclic_quartic(f: int) -> FieldSpec:
         g0 = _primitive_root(f)
         subgroup = sorted(pow(g0, 4 * k, f) for k in range((f - 1) // 4))
         gamma = g0
-    assert (f - 1) % f not in subgroup  # -1 gives the imaginary choice
 
     def period(j):
         vec = [0] * f

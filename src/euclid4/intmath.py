@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import CapExceeded, NonSimpleRoot, NotCoprime
-from .linalg import det_int
 
 # Witness set proven sufficient for deterministic Miller-Rabin below 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -145,9 +144,6 @@ class IntPoly:
             return 0
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
     def eval_mod(self, x: int, m: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -262,84 +258,3 @@ def continued_fraction_fundamental_unit(d: int) -> tuple[int, int, int]:
         return (g - b) // 2, b, val // 4
     g, b, val = _cf_unit_search(d, 0, 1, (1, -1))
     return g, b, val
-
-
-def poly_resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant of two integer polynomials via the Sylvester determinant."""
-    n, m = f.degree, g.degree
-    if f.is_zero() or g.is_zero():
-        return 0
-    size = n + m
-    mat = [[0] * size for _ in range(size)]
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(m):
-        for j, c in enumerate(fc):
-            mat[i][i + j] = c
-    for i in range(n):
-        for j, c in enumerate(gc):
-            mat[m + i][i + j] = c
-    return det_int(mat)
-
-
-def poly_discriminant(f: IntPoly) -> int:
-    """Discriminant of f (monic leading coefficient assumed for our use)."""
-    n = f.degree
-    res = poly_resultant(f, f.derivative())
-    lead = f.coeffs[-1]
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    val = sign * res
-    assert val % lead == 0
-    return val // lead
-
-
-def count_real_roots(f: IntPoly) -> int:
-    """Number of distinct real roots of f, by an integer Sturm chain.
-
-    Each remainder is a pseudo-remainder, taken of |lc|^k times the dividend
-    so that no division occurs, and then divided by its content (Cohen, A
-    Course in Computational Algebraic Number Theory, 3.3).  Both scalings are
-    positive, so every entry of the chain is a positive multiple of the
-    rational Sturm chain entry and the sign changes are the same.
-    """
-
-    def pseudo_rem(a, b):
-        a = list(a)
-        db = len(b) - 1
-        lead = abs(b[-1])
-        sign = 1 if b[-1] > 0 else -1
-        while len(a) - 1 >= db and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            q = sign * a[-1]
-            shift = len(a) - 1 - db
-            a = [lead * x for x in a]
-            for i, c in enumerate(b):
-                a[shift + i] -= q * c
-            a.pop()
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        content = gcd(*a)
-        return [x // content for x in a] if content else [0]
-
-    def sign_changes_at_inf(chain, positive):
-        signs = []
-        for poly in chain:
-            lead = poly[-1]
-            deg = len(poly) - 1
-            s = lead if positive or deg % 2 == 0 else -lead
-            if s != 0:
-                signs.append(1 if s > 0 else -1)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    p0 = list(f.coeffs)
-    if len(p0) == 1:
-        return 0
-    chain = [p0, list(f.derivative().coeffs)]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        rem = pseudo_rem(chain[-2], chain[-1])
-        if rem == [0]:
-            break
-        chain.append([-c for c in rem])
-    return sign_changes_at_inf(chain, False) - sign_changes_at_inf(chain, True)

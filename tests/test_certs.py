@@ -110,6 +110,13 @@ def test_verify_without_oracle(k8_cert):
 FROZEN_CERTS = Path(__file__).resolve().parent.parent / "benchmark" / "data" / "certs"
 
 
+def test_repeated_prime_is_schema_error():
+    doc = json.loads((FROZEN_CERTS / "K_1.json").read_text())
+    doc["P2"] = doc["P1"]
+    with pytest.raises(SchemaError):
+        parse_certificate(doc)
+
+
 def test_verify_with_oracle_on_frozen_certificates():
     """verify --oracle on all forty frozen certificates: the enumeration
     confirms the 28 whose group is under the oracle cap and skips the 12

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,16 @@ def test_search_verify_roundtrip(tmp_path, capsys):
     doc["orders"]["ord_eps_P2"] = str(int(doc["orders"]["ord_eps_P2"]) * 2)
     cert.write_text(json.dumps(doc))
     assert main(["verify", str(cert)]) == 1
+
+
+def test_verify_repeated_prime_fails_cleanly(tmp_path, capsys):
+    frozen = Path(__file__).resolve().parent.parent / "benchmark" / "data" / "certs" / "K_1.json"
+    doc = json.loads(frozen.read_text())
+    doc["P2"] = doc["P1"]
+    cert = tmp_path / "k1.json"
+    cert.write_text(json.dumps(doc))
+    assert main(["verify", str(cert)]) == 1
+    assert capsys.readouterr().err.startswith("verification failed")
 
 
 def test_search_exhausted_exit_code(capsys):

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import euclid4
 from euclid4.elements import NFElement, trace
 from euclid4.errors import (
     CapExceeded,
@@ -14,9 +18,12 @@ from euclid4.errors import (
     UnsupportedConductor,
 )
 from euclid4.fields import (
+    _bi_mul,
     _cyclo_mul,
     _cyclo_reduce,
+    _finish,
     _power_basis,
+    _validate_spec,
     build_biquadratic,
     build_cyclic_quartic,
     field_descriptor,
@@ -25,7 +32,7 @@ from euclid4.fields import (
     registry,
     registry_entry,
 )
-from euclid4.intmath import count_real_roots, is_squarefree, poly_discriminant, squarefree_part
+from euclid4.intmath import is_squarefree, squarefree_part
 from euclid4.linalg import det_int
 
 
@@ -88,6 +95,7 @@ def test_registry_shape():
 
 
 def test_discriminant_formulas(entries):
+    sympy = pytest.importorskip("sympy")
     for entry in entries.values():
         spec = entry.spec
         if spec.kind == "biquadratic":
@@ -102,9 +110,11 @@ def test_discriminant_formulas(entries):
             assert spec.discriminant == spec.conductor ** 2 * quadratic_discriminant(
                 spec.real_subfield_d
             )
-        # index relation against an independent resultant computation
-        assert poly_discriminant(spec.theta_minpoly) == spec.discriminant * spec.index ** 2
-        # and the trace form of the basis, which construction does not use
+        # index relation against sympy's discriminant of the defining polynomial
+        f = sympy.Poly(list(reversed(spec.theta_minpoly.coeffs)), sympy.Symbol("x"))
+        assert sympy.discriminant(f) == spec.discriminant * spec.index ** 2
+        # and the trace form of the basis through NFElement arithmetic;
+        # construction checks the same determinant from the table directly
         basis = [NFElement(spec, tuple(int(i == j) for j in range(4))) for i in range(4)]
         gram = [[trace(x * y) for y in basis] for x in basis]
         assert det_int(gram) == spec.discriminant, entry.label
@@ -126,11 +136,17 @@ def test_closed_form_bases_beyond_registry():
 
 
 def test_power_basis_alone_fails_closure_check(gaussian_sqrt11):
+    # Z[theta] is closed, so only the trace form tells it from the maximal
+    # order: its determinant is disc(f) = 1936 * 192^2, not 1936
     ident = tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(4)) for i in range(4)
     )
     fake = replace(gaussian_sqrt11, integral_basis=ident)
+    basis = [NFElement(fake, tuple(int(i == j) for j in range(4))) for i in range(4)]
+    assert det_int([[trace(x * y) for y in basis] for x in basis]) == 71368704
     assert not integral_basis_closure_check(fake)
+    with pytest.raises(DegenerateField):
+        _validate_spec(fake)
 
 
 def test_singular_basis_fails_closure_check(gaussian_sqrt11):
@@ -140,6 +156,51 @@ def test_singular_basis_fails_closure_check(gaussian_sqrt11):
     with pytest.raises(ValueError):
         fake.coords_from_power((1, 0, 0, 0))
     assert not integral_basis_closure_check(fake)
+    with pytest.raises(DegenerateField):
+        _validate_spec(fake)
+
+
+def test_real_field_is_rejected_by_the_tower():
+    # Q(sqrt 2, sqrt 3) with its maximal order 1, sqrt 2, sqrt 3,
+    # (sqrt 2 + sqrt 6)/2, through the shared build path that
+    # build_biquadratic refuses to enter for two positive radicands
+    one = (1, 0, 0, 0)
+    minpoly, to_power = _power_basis(one, (0, 1, 1, 0), lambda u, v: _bi_mul(u, v, 2, 3))
+    sqrt2, sqrt3 = to_power((0, 1, 0, 0)), to_power((0, 0, 1, 0))
+    generators = [to_power(one), sqrt2, sqrt3, to_power((0, 0, 0, 1)), to_power((0, 1, 0, 1), 2)]
+    with pytest.raises(NotImaginary):
+        _finish("biquadratic", 2, 3, None, minpoly, generators, target=8 * 12 * 24, real_d=2,
+                sqrt_power=[(2, sqrt2), (3, sqrt3)], tower_y=sqrt3)
+
+
+def test_complex_x_is_rejected_by_the_tower(gaussian_sqrt11):
+    # y = sqrt(-11) has y^2 < 0, but x = sqrt(-1) is not real
+    with pytest.raises(NotImaginary):
+        _validate_spec(replace(gaussian_sqrt11, real_subfield_d=-1))
+
+
+def test_tower_checks_survive_optimized_python():
+    code = (
+        "from dataclasses import replace\n"
+        "from euclid4.errors import NotImaginary\n"
+        "from euclid4.fields import _validate_spec, build_biquadratic\n"
+        "try:\n"
+        "    _validate_spec(replace(build_biquadratic(-1, 11), real_subfield_d=-1))\n"
+        "except NotImaginary:\n"
+        "    print('rejected')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(euclid4.__file__))}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "rejected\n"
+
+
+def test_tower_with_dependent_y_is_degenerate(gaussian_sqrt11):
+    # y = sqrt(11) = x makes det S = 0
+    fake = replace(gaussian_sqrt11, tower_y=dict(gaussian_sqrt11.sqrt_power)[11])
+    with pytest.raises(DegenerateField):
+        fake.tower
 
 
 def rational_json(nums, den=1):
@@ -216,8 +277,10 @@ def test_sqrt_embeddings_square_correctly(entries):
 
 
 def test_fields_totally_imaginary(entries):
+    sympy = pytest.importorskip("sympy")
     for entry in entries.values():
-        assert count_real_roots(entry.spec.theta_minpoly) == 0
+        f = sympy.Poly(list(reversed(entry.spec.theta_minpoly.coeffs)), sympy.Symbol("x"))
+        assert f.count_roots() == 0, entry.label
 
 
 def test_descriptor_roundtrip(gaussian_sqrt11):

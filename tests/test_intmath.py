@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +8,11 @@ from euclid4.errors import CapExceeded, NonSimpleRoot, NotCoprime
 from euclid4.intmath import (
     IntPoly,
     continued_fraction_fundamental_unit,
-    count_real_roots,
     factorize,
     hensel_lift,
     is_prime,
     is_squarefree,
     mult_order,
-    poly_discriminant,
     poly_roots_mod_p,
     sqrt_mod_prime_power,
     squarefree_part,
@@ -192,82 +189,6 @@ def test_fundamental_unit_is_a_unit():
             assert big_x * big_x - d * big_y * big_y == 4 * sign
         else:
             assert x * x - d * y * y == sign
-
-
-def test_poly_discriminant():
-    assert poly_discriminant(IntPoly((144, 0, -20, 0, 1))) == 71368704
-    assert poly_discriminant(IntPoly((1, 1, 1, 1, 1))) == 125
-    assert poly_discriminant(IntPoly((2, 0, 4, 0, 1))) == 2048
-
-
-def test_count_real_roots():
-    assert count_real_roots(IntPoly((-2, 0, 1))) == 2
-    assert count_real_roots(IntPoly((1, 0, 1))) == 0
-    assert count_real_roots(IntPoly((144, 0, -20, 0, 1))) == 0
-    assert count_real_roots(IntPoly((-4, 0, 3, 0, 1))) == 2
-
-
-def fraction_sturm_count(coeffs):
-    """Distinct real roots by the Sturm chain over Q, remainders in Fraction."""
-
-    def rem(a, b):
-        a = list(a)
-        while len(a) >= len(b) and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            q = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] -= q * c
-            a.pop()
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        return a or [Fraction(0)]
-
-    def changes(chain, positive):
-        signs = []
-        for poly in chain:
-            s = poly[-1] if positive or (len(poly) - 1) % 2 == 0 else -poly[-1]
-            if s:
-                signs.append(s > 0)
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    f = [Fraction(c) for c in coeffs]
-    if len(f) == 1:
-        return 0
-    chain = [f, [i * c for i, c in enumerate(f)][1:]]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        r = rem(chain[-2], chain[-1])
-        if r == [0]:
-            break
-        chain.append([-c for c in r])
-    return changes(chain, False) - changes(chain, True)
-
-
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def test_integer_sturm_matches_fraction_chain():
-    """10,000 seeded integer polynomials of degree 0 to 6, leading coefficient
-    anything, and one in three a square times a cofactor (repeated roots)."""
-    rng = random.Random(13)
-    for trial in range(10_000):
-        if trial % 3 == 0:
-            g = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))] + [rng.choice((-3, -1, 1, 2))]
-            h = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6 - 2 * (len(g) - 1)))] + [rng.randint(1, 5)]
-            coeffs = poly_mul(poly_mul(g, g), h)
-        else:
-            coeffs = [rng.randint(-30, 30) for _ in range(rng.randint(0, 6))] + [rng.randint(-7, 7) or 1]
-        f = IntPoly(tuple(coeffs))
-        assert count_real_roots(f) == fraction_sturm_count(f.coeffs), f.coeffs
-    # (x^2 - 2)^2 (x - 1): two distinct real roots of multiplicity 2 and one simple
-    assert count_real_roots(IntPoly(tuple(poly_mul([4, 0, -4, 0, 1], [-1, 1])))) == 3
 
 
 def test_residue_arguments_are_normalized():
