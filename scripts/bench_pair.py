@@ -27,6 +27,17 @@ verdict against the metric's bound in ``BENCHMARK.json``:
 Each workload also reports the operations attempted and failed on each side,
 and ``failed_share`` is ``regression`` when the change fails a larger share
 of its operations than the base, else ``within_bound``.
+
+The output also records the interpreter facts that move cold start-up:
+``sys.version``, ``os.cpu_count()`` and ``sys.flags.dont_write_bytecode``.
+The last is set by ``PYTHONDONTWRITEBYTECODE``, which every child run
+inherits; with it set, each cold ``reproduce`` child compiles all of
+``src/euclid4`` again (about half of ``import euclid4.cli``), so
+``reproduce`` numbers taken with and without a bytecode cache are not
+comparable.
+
+``--base HEAD`` on a clean working tree compares the code with itself: an
+A/A pass that shows the side bias and the host drift of the method.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -161,6 +173,8 @@ def main(argv=None) -> int:
         "base_commit": base_commit,
         "change": "working tree",
         "run_seconds": seconds,
+        "interpreter": {"version": sys.version, "cpu_count": os.cpu_count(),
+                        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
         "summary": summary,
         "runs": runs,
     }

@@ -26,6 +26,8 @@ from .errors import (
     BoundExceeded,
     CapExceeded,
     ConditionFailed,
+    DegenerateField,
+    FieldMismatch,
     MissingAssumption,
     NotGenerator,
     SamePrime,
@@ -83,8 +85,10 @@ def check_conditions(spec: FieldSpec, units: UnitData, P1: DegreeOnePrime,
     failing condition raises ConditionFailed."""
     if P1.p == P2.p:
         raise SamePrime(f"p1 = p2 = {P1.p}")
-    assert P1.field == spec and P2.field == spec
-    assert units.eta.field == spec and units.epsilon.field == spec
+    if P1.field != spec or P2.field != spec:
+        raise FieldMismatch("a prime of the pair lies in another field")
+    if units.eta.field != spec or units.epsilon.field != spec:
+        raise FieldMismatch("the units lie in another field")
 
     g = units.g
     p1, p2 = P1.p, P2.p
@@ -451,9 +455,7 @@ def conclude_euclidean(cert: AdmissibleCertificate,
         raise ValueError("certificate is not an admissible-pair certificate")
     if cert.P1.p == cert.P2.p:
         raise SamePrime("admissible set must contain two non-associate primes")
-    rank, s = 1, 2
-    assert rank + s >= 3
-    return replace(cert, conclusion=Conclusion.EUCLIDEAN, unit_rank=rank, prime_count=s)
+    return replace(cert, conclusion=Conclusion.EUCLIDEAN, unit_rank=1, prime_count=2)
 
 
 _WORD = 1 << 64
@@ -466,19 +468,83 @@ def _tower_constants(spec: FieldSpec):
     return (d, e, be, ce, d * ce), e * e * det ** 4, adj
 
 
+def _forms(consts, t0, t1, t2, t3):
+    """(U, V) with e (a^2 - b^2 y^2) = U + V x for a = t0 + t1 x and
+    b = t2 + t3 x: two quadratic forms in t; consts is the first entry of
+    _tower_constants."""
+    d, e, be, ce, dce = consts
+    b0 = t2 * t2 + d * (t3 * t3)
+    b1 = 2 * t2 * t3
+    return (e * (t0 * t0 + d * (t1 * t1)) - be * b0 - dce * b1,
+            e * (2 * t0 * t1) - ce * b0 - be * b1)
+
+
 def _tower_norm(consts, t0, t1, t2, t3):
     """U^2 - d V^2 = e^2 D^4 N(alpha) for alpha = (a + b y) / D with
     a = t0 + t1 x and b = t2 + t3 x, where e (a^2 - b^2 y^2) = U + V x.
 
     consts is the first entry of _tower_constants.  On exact integers the
     value is exact; on uint64 arrays, with the constants reduced mod 2^64,
-    it is the same polynomial identity mod 2^64."""
-    d, e, be, ce, dce = consts
-    b0 = t2 * t2 + d * (t3 * t3)
-    b1 = 2 * t2 * t3
-    u = e * (t0 * t0 + d * (t1 * t1)) - be * b0 - dce * b1
-    v = e * (2 * t0 * t1) - ce * b0 - be * b1
-    return u * u - d * (v * v)
+    it is the same polynomial identity mod 2^64.  _box_hits evaluates it as
+    a quartic in c0 (_c0_quartic); the tests check that quartic against
+    this direct form."""
+    u, v = _forms(consts, t0, t1, t2, t3)
+    return u * u - consts[0] * (v * v)
+
+
+def _coordinate_forms(consts, adj):
+    """The forms U and V of _forms as quadratic forms in the coordinates c
+    of T = c adj: a pair of 4 x 4 integer matrices G with
+    q(c adj) = sum over i <= j of G[i][j] c_i c_j, so G[i][i] = q(adj[i])
+    and G[i][j] = q(adj[i] + adj[j]) - q(adj[i]) - q(adj[j]) for i < j."""
+    q = [_forms(consts, *row) for row in adj]
+    gram = ([[0] * 4 for _ in range(4)], [[0] * 4 for _ in range(4)])
+    for i in range(4):
+        for j in range(i, 4):
+            both = q[i] if i == j else _forms(consts, *(a + b for a, b in zip(adj[i], adj[j])))
+            for g, qij, qi, qj in zip(gram, both, q[i], q[j]):
+                g[i][j] = qij if i == j else qij - qi - qj
+    return gram
+
+
+def _c0_grid(gram, c2, c3):
+    """For each form, the parts of its value on the lines of fixed
+    (c1, c2, c3) that depend on (c2, c3) alone: (quad, lin1, lin0) with
+    quad the (c2, c3) terms, lin1 the coefficient of c1 and lin0 that of c0
+    without their c1 terms.  Exact on integers; mod 2^64 on uint64 arrays,
+    with gram reduced mod 2^64."""
+    c22, c23, c33 = c2 * c2, c2 * c3, c3 * c3
+    quad = tuple(g[2][2] * c22 + g[2][3] * c23 + g[3][3] * c33 for g in gram)
+    lin1 = tuple(g[1][2] * c2 + g[1][3] * c3 for g in gram)
+    lin0 = tuple(g[0][2] * c2 + g[0][3] * c3 for g in gram)
+    return quad, lin1, lin0
+
+
+def _c0_quartic(d, gram, grid, c1):
+    """(N4, n3, n2, n1, n0) with _tower_norm(c adj) = N4 c0^4 + ... + n0 on
+    the lines of fixed (c1, c2, c3) (see _c0_grid).
+
+    Each form is quadratic in c0: q = q0 c0^2 + a1 c0 + a0, with
+    q0 = G[0][0], a1 = lin0 + G[0][1] c1 and a0 = quad + lin1 c1 + G[1][1] c1^2.
+    So U^2 - d V^2 is a quartic whose coefficients are sums of
+    m(x, y) = x_U y_U - d x_V y_V.  N4 depends on gram alone and is returned
+    unreduced; every other product has an array factor when c1 or grid is
+    one."""
+    quad, lin1, lin0 = grid
+    q0 = tuple(g[0][0] for g in gram)
+    a0 = tuple(t + c1 * b + c1 * (c1 * g[1][1]) for t, b, g in zip(quad, lin1, gram))
+    a1 = tuple(b + c1 * g[0][1] for b, g in zip(lin0, gram))
+
+    def m(x, y):
+        return x[0] * y[0] - d * (x[1] * y[1])
+
+    return m(q0, q0), 2 * m(q0, a1), m(a1, a1) + 2 * m(q0, a0), 2 * m(a1, a0), m(a0, a0)
+
+
+# Entries per Horner pass of _box_hits: the lines of consecutive c1 share one
+# pass while their (c2, c3) grids together stay within this, so a small box
+# takes few numpy calls and a large one holds one grid per array.
+_PASS_ENTRIES = 1 << 14
 
 
 def _box_hits(prime: DegreeOnePrime, bound: int) -> list[tuple[int, int, int, int]]:
@@ -488,53 +554,72 @@ def _box_hits(prime: DegreeOnePrime, bound: int) -> list[tuple[int, int, int, in
 
     Half the box is swept (c1 > 0, or c1 = 0 and (c2, c3) > (0, 0) in lex
     order) and each hit c brings -c: N(-c) = N(c), and N(c0, 0, 0, 0) = c0^4.
-    Each c maps to tower coordinates T = c adj(S), and the tower norm of T
-    is evaluated in uint64, that is mod 2^64.  Reduction mod 2^64 is a ring
-    map, so overflow never drops a true hit; every candidate matching
-    +-p e^2 D^4 mod 2^64 is confirmed in exact integers, its residue and
-    its norm, before it counts.
+    Each c maps to tower coordinates T = c adj(S), where the forms U and V
+    of _tower_norm are quadratic forms in c (_coordinate_forms), so on each
+    line of fixed (c1, c2, c3) the scaled norm e^2 D^4 N(c) = U^2 - d V^2 is
+    a quartic in c0.  Its coefficients come from arrays the box shares
+    (_c0_grid) by a few updates per c1 (_c0_quartic), and each step of c0 by
+    p costs one Horner evaluation over all (c2, c3).  All of it runs in
+    uint64, that is mod 2^64, a ring map, so overflow never drops a true
+    hit; every candidate matching +-p e^2 D^4 mod 2^64 is confirmed in exact
+    integers, its residue and its norm, before it counts.
     """
     import numpy as np
 
     spec, p = prime.field, prime.p
     r = [im % p for im in prime.basis_images]
-    assert r[0] == 1  # first basis element is 1
+    if r[0] != 1:
+        raise DegenerateField("the first integral basis element is not 1")
     consts, scale, adj = _tower_constants(spec)
-    wconsts = tuple(k % _WORD for k in consts)
-    wadj = [[a % _WORD for a in row] for row in adj]
+    gram = [[[k % _WORD for k in row] for row in g] for g in _coordinate_forms(consts, adj)]
+    d = consts[0] % _WORD
     targets = (p * scale % _WORD, -p * scale % _WORD)
 
+    # the (c2, c3) grid as a column and a row, so only products fill it
     side = np.arange(-bound, bound + 1, dtype=np.int64)
-    c2, c3 = (a.ravel() for a in np.meshgrid(side, side, indexing="ij"))
+    c2, c3 = side[:, None], side[None, :]
     rest = c2 * r[2] + c3 * r[3]
-    # T_j = sum_i c_i adj[i][j] mod 2^64; the (c2, c3) part is shared
-    u2, u3 = c2.view(np.uint64), c3.view(np.uint64)
-    t23 = [u2 * wadj[2][j] + u3 * wadj[3][j] for j in range(4)]
-    hits = []
-    for c1 in range(bound + 1):
-        c1_part = [c1 * a % _WORD for a in adj[1]]
+    grid = _c0_grid(gram, c2.view(np.uint64), c3.view(np.uint64))
+
+    def candidates(first, lines):
+        """The c on the lines c1 = first, ..., first + lines - 1 of the box
+        whose scaled norm matches a target mod 2^64; one pass, whose arrays
+        are freed before the next pass makes its own."""
+        c1 = np.arange(first, first + lines, dtype=np.int64)[:, None, None]
+        n4, n3, n2, n1, n0 = _c0_quartic(d, gram, grid, c1.view(np.uint64))
+        n4 %= _WORD
         c0_first = -bound + (-(c1 * r[1] + rest) + bound) % p
-        if c1 == 0:  # keep (c2, c3) > (0, 0): push the other half past the box
-            c0_first[:c2.size // 2 + 1] = bound + 1
+        z0 = c0_first.view(np.uint64)
         for c0_shift in range(0, 2 * bound + 1, p):
-            idx = np.flatnonzero(c0_first <= bound - c0_shift)
-            if not idx.size:
-                break
-            c0 = c0_first[idx] + c0_shift
-            u0 = c0.view(np.uint64)
-            t = [t23[j][idx] + u0 * wadj[0][j] + c1_part[j] for j in range(4)]
-            n = _tower_norm(wconsts, *t)
-            for i in np.flatnonzero((n == targets[0]) | (n == targets[1])):
-                c = (int(c0[i]), c1, int(c2[idx[i]]), int(c3[idx[i]]))
-                in_ideal = sum(v * w for v, w in zip(c, r)) % p == 0
-                if in_ideal and abs(norm(NFElement(spec, c))) == p:
-                    hits += [c, tuple(-v for v in c)]
+            z = z0 + c0_shift
+            n = n4 * z  # Horner, in place
+            for k in (n3, n2, n1):
+                n += k
+                n *= z
+            n += n0
+            match = (n == targets[0]) | (n == targets[1])
+            if c0_shift + p > 2 * bound + 1:  # the last row leaves the box
+                match &= c0_first <= bound - c0_shift
+            for line, i2, i3 in np.argwhere(match):
+                yield (int(c0_first[line, i2, i3]) + c0_shift, first + int(line),
+                       int(i2) - bound, int(i3) - bound)
+
+    step = max(1, _PASS_ENTRIES // rest.size)
+    hits = []
+    for first in range(0, bound + 1, step):
+        for c in candidates(first, min(step, bound + 1 - first)):
+            if c[1] == 0 and c[2:] <= (0, 0):  # outside the half; found as -c
+                continue
+            in_ideal = sum(v * w for v, w in zip(c, r)) % p == 0
+            if in_ideal and abs(norm(NFElement(spec, c))) == p:
+                hits += [c, tuple(-v for v in c)]
     return sorted(hits, key=lambda c: (max(abs(v) for v in c), c))
 
 
-# Largest coord_bound of find_prime_element: a sweep at bound b tests about
-# (2b + 1)^4 / 2p candidates in arrays of (2b + 1)^2 int64 entries; at b = 64
-# and p = 3 (K_8) that is about 3 s and 3 MB, and b = 100 takes about 15 s.
+# Largest coord_bound of find_prime_element: a sweep at bound b evaluates
+# about (2b + 1)^4 / 2p candidates, one Horner step each, in arrays of
+# (2b + 1)^2 uint64 entries; at b = 64 and p = 3 (K_8) that is about 0.3 s
+# and 2.2 MB, and b = 100 takes about 2 s and 5 MB (2-core Xeon, Python 3.11).
 MAX_COORD_BOUND = 64
 
 
@@ -545,7 +630,8 @@ def find_prime_element(prime: DegreeOnePrime, coord_bound: int) -> NFElement:
     elements reducing to 0 mod p and returns the one with |norm| = p that
     comes first by increasing sup-norm, lexicographic within a shell, in
     boxes of coordinate bound 4, 16, 64, ... capped at coord_bound.  The sweep filters
-    candidates by the tower norm mod 2^64 and confirms them with exact
+    candidates by the tower norm, a quartic in c0 on each line of fixed
+    (c1, c2, c3) evaluated by Horner mod 2^64, and confirms them with exact
     integer arithmetic (_box_hits).  A prime above MAX_CERT_PRIME or a
     coord_bound above MAX_COORD_BOUND is CapExceeded.
     """

@@ -21,7 +21,8 @@ class NFElement:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        assert len(self.coords) == 4
+        if len(self.coords) != 4:
+            raise FieldMismatch(f"{len(self.coords)} coordinates for a quartic field")
 
     def _check(self, other: "NFElement"):
         if self.field != other.field:
@@ -113,5 +114,6 @@ def inverse_unit(x: NFElement) -> NFElement:
     if n not in (1, -1):
         raise NotAUnit(f"norm {n} is not +-1")
     y = NFElement(x.field, tuple(n * c for c in adjugate_int(x.mult_matrix())[0]))
-    assert (x * y).coords == (1, 0, 0, 0)
+    if (x * y).coords != (1, 0, 0, 0):
+        raise NotAUnit("the adjugate row is not an inverse")
     return y

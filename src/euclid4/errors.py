@@ -28,7 +28,8 @@ class UnsupportedConductor(Euclid4Error):
 
 
 class FieldMismatch(Euclid4Error):
-    """Operands belong to different fields."""
+    """Operands belong to different fields, or coordinates do not fit the
+    field's degree."""
 
 
 class NotAUnit(Euclid4Error):
@@ -83,7 +84,8 @@ class ConditionFailed(Euclid4Error):
 
 
 class OracleMismatch(Euclid4Error):
-    """Surjectivity enumeration contradicts the certificate."""
+    """Surjectivity enumeration contradicts the certificate, or an oracle's
+    own arithmetic contradicts itself."""
 
 
 class UnknownLabel(Euclid4Error):

@@ -446,7 +446,7 @@ def _primitive_root(f: int) -> int:
     for g in range(2, f):
         if all(pow(g, phi // q, f) != 1 for q in qs):
             return g
-    raise AssertionError
+    raise UnsupportedConductor(f"{f} has no primitive root")
 
 
 def _cyclo_reduce(vec, f):

@@ -123,7 +123,7 @@ def _cf_unit_search(d: int, p0: int, q0: int, targets: tuple[int, ...]):
         a = (p + root) // q
         h, h_prev = a * h + h_prev, h
         b, b_prev = a * b + b_prev, b
-    raise AssertionError("continued fraction failed to close")
+    raise CapExceeded("continued fraction failed to close within 10^7 steps")
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,8 @@ def hensel_lift(f: IntPoly, c: int, p: int) -> int:
         raise NonSimpleRoot(f"f'({c}) = 0 mod {p}")
     p2 = p * p
     lifted = (c - f.eval_mod(c, p2) * pow(d, -1, p2)) % p2
-    assert f.eval_mod(lifted, p2) == 0 and lifted % p == c
+    if f.eval_mod(lifted, p2) != 0 or lifted % p != c:
+        raise NonSimpleRoot(f"the lift of {c} is not a root mod {p}^2")
     return lifted
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .errors import OracleMismatch
 from .fields import FieldSpec
 
 
@@ -62,7 +63,8 @@ def oracle_splitting(spec: FieldSpec, p: int) -> list[int]:
                 acc = (acc * c + coef) % p
             if acc == 0:
                 f, rem = _poly_divmod_mod_p(f, [-c % p, 1], p)
-                assert rem == [0]
+                if rem != [0]:
+                    raise OracleMismatch(f"x - {c} does not divide f mod {p}")
                 degrees.append(1)
                 changed = True
                 break

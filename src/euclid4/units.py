@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .elements import NFElement, norm, one, sqrt_radicand, theta
+from .errors import DegenerateField, NotAUnit
 from .fields import FieldSpec
 from .intmath import continued_fraction_fundamental_unit, factorize, legendre, sqrt_mod_prime_power
 from .linalg import adjugate_int, det_int
@@ -80,7 +81,8 @@ def torsion(spec: FieldSpec) -> tuple[int, NFElement]:
         else:
             eta = -one(spec)
             g = 2
-    assert _element_order_is(eta, g)
+    if not _element_order_is(eta, g):
+        raise DegenerateField(f"the torsion generator does not have order {g}")
     return g, eta
 
 
@@ -100,7 +102,8 @@ def infinite_order_unit(spec: FieldSpec) -> NFElement:
     else:
         omega = s
     eps = x * one(spec) + y * omega
-    assert norm(eps) in (1, -1)
+    if norm(eps) not in (1, -1):
+        raise NotAUnit(f"the subfield unit has norm {norm(eps)}")
     return eps
 
 
@@ -189,7 +192,10 @@ def unit_data(spec: FieldSpec) -> UnitData:
         if eps.coords == eps0.coords
         else Provenance.SUPPLIED
     )
-    assert norm(eps) in (1, -1) and has_infinite_order(eps, g, eta)
+    if norm(eps) not in (1, -1):
+        raise NotAUnit(f"the unit has norm {norm(eps)}")
+    if not has_infinite_order(eps, g, eta):
+        raise DegenerateField("the unit is a torsion unit")
     return UnitData(g, eta, eps, prov)
 
 

@@ -16,6 +16,9 @@ from euclid4.admissible import (
     AdmissibleCertificate,
     Conclusion,
     _box_hits,
+    _c0_grid,
+    _c0_quartic,
+    _coordinate_forms,
     _dlog,
     _tower_constants,
     _tower_norm,
@@ -36,6 +39,7 @@ from euclid4.errors import (
     SamePrime,
     SearchExhausted,
 )
+from euclid4.fields import build_from_descriptor
 from euclid4.intmath import is_prime
 from euclid4.residues import (
     degree_one_primes_above,
@@ -481,6 +485,49 @@ def test_tower_norm_identity(entries):
             c = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(4))
             t = [sum(ci * adj[i][j] for i, ci in enumerate(c)) for j in range(4)]
             assert _tower_norm(consts, *t) == scale * norm(NFElement(spec, c)), entry.label
+
+
+def test_c0_quartic_identity(entries):
+    """The quartic in c0 that _box_hits evaluates, with its coefficients
+    built as the sweep builds them (_coordinate_forms and _c0_grid once,
+    _c0_quartic per c1), equals _tower_norm in exact integers on every
+    registry field, for seeded (c1, c2, c3) far past int64 and five values
+    of c0."""
+    rng = random.Random(15)
+    for entry in entries.values():
+        consts, _, adj = _tower_constants(entry.spec)
+        gram = _coordinate_forms(consts, adj)
+        c1, c2, c3 = (rng.randint(-10 ** 9, 10 ** 9) for _ in range(3))
+        coeffs = _c0_quartic(consts[0], gram, _c0_grid(gram, c2, c3), c1)
+        for _ in range(5):
+            c = (rng.randint(-10 ** 9, 10 ** 9), c1, c2, c3)
+            t = [sum(ci * adj[i][j] for i, ci in enumerate(c)) for j in range(4)]
+            horner = 0
+            for k in coeffs:
+                horner = horner * c[0] + k
+            assert horner == _tower_norm(consts, *t), entry.label
+
+
+def test_prime_elements_match_expected():
+    """find_prime_element at bound 50 gives, for P1 and P2 of the 17
+    audited certificates, the generators (or BoundExceeded) recorded for
+    the audit benchmark."""
+    data = Path(__file__).resolve().parent.parent / "benchmark" / "data"
+    expected = json.loads((data / "expected.json").read_text())["audit"]
+    assert len(expected) == 17
+    got = {}
+    for label in expected:
+        doc = json.loads((data / "certs" / f"{label}.json").read_text())
+        spec = build_from_descriptor(doc["field"])
+        got[label] = []
+        for key in ("P1", "P2"):
+            prime = degree_one_primes_above(spec, int(doc[key]["p"]))[int(doc[key]["conjugate_index"])]
+            try:
+                got[label].append([str(c) for c in find_prime_element(prime, 50).coords])
+            except BoundExceeded:
+                got[label].append("BoundExceeded")
+    assert sum(found.count("BoundExceeded") for found in got.values()) == 2
+    assert got == {label: exp["prime_elements"] for label, exp in expected.items()}
 
 
 def test_reference_pair_errata(entries):

@@ -4,11 +4,14 @@ Every module of the package is parsed and searched for the ways a float can
 enter: a float literal, a call to float, a name from math other than the
 integer functions, and true division.  No true division is allowed anywhere.
 
-fields.py certifies every field it builds, and python -O strips assert
-statements, so it holds none: its checks raise typed errors instead.
+python -O strips assert statements, so the package holds none: its checks
+raise typed errors instead, and keep them under every interpreter flag.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import euclid4
@@ -76,11 +79,37 @@ def assert_lines(path):
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
-def test_no_assert_in_field_construction():
-    assert assert_lines(PACKAGE / "fields.py") == []
+def test_no_assert_in_package():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    found = [f"{path.name}:{line}" for path in modules for line in assert_lines(path)]
+    assert found == []
 
 
 def test_assert_scan_sees_assert(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text("x = 1\nassert x, 'x'\nif x:\n    assert x == 1\n")
     assert assert_lines(sample) == [2, 4]
+
+
+def test_foreign_prime_is_rejected_under_optimized_python():
+    """check_conditions on K_1 with P1 from K_2 raises FieldMismatch under
+    python -O too."""
+    code = (
+        "from euclid4.admissible import check_conditions\n"
+        "from euclid4.errors import FieldMismatch\n"
+        "from euclid4.fields import registry_entry\n"
+        "from euclid4.residues import degree_one_primes_above\n"
+        "from euclid4.units import unit_data\n"
+        "k1, k2 = registry_entry('K_1').spec, registry_entry('K_2').spec\n"
+        "try:\n"
+        "    check_conditions(k1, unit_data(k1), degree_one_primes_above(k2, 5)[0],\n"
+        "                     degree_one_primes_above(k1, 17)[0])\n"
+        "except FieldMismatch:\n"
+        "    print('rejected')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "rejected\n"
