@@ -1,5 +1,7 @@
 """Admissible prime pairs: the five-condition checker, the deterministic
-search, the brute-force surjectivity oracle, and the constructive witness.
+search, the brute-force surjectivity oracle, and the constructive witness;
+and the generators of norm +-p of a degree-one prime (find_prime_element),
+found by one lattice reduction and a walk along the unit group.
 
 A pair of degree-one primes P1 (above p1) and P2 (above p2) is certified by
 five exact facts about the unit images modulo the squared primes:
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 
-from .elements import NFElement, norm
+from .elements import NFElement, inverse_unit, one
 from .errors import (
     BoundExceeded,
     CapExceeded,
@@ -34,6 +38,8 @@ from .errors import (
     SearchExhausted,
 )
 from .fields import FieldSpec
+from .intmath import _cf_unit_search, continued_fraction_fundamental_unit
+from .linalg import box_vectors, lll_reduce
 from .residues import (
     MAX_CERT_PRIME,
     DegreeOnePrime,
@@ -43,7 +49,7 @@ from .residues import (
     split_primes,
     unit_order_mod_p2,
 )
-from .units import Provenance, UnitData
+from .units import Provenance, UnitData, unit_data
 
 
 class Conclusion(enum.Enum):
@@ -458,196 +464,228 @@ def conclude_euclidean(cert: AdmissibleCertificate,
     return replace(cert, conclusion=Conclusion.EUCLIDEAN, unit_rank=1, prime_count=2)
 
 
-_WORD = 1 << 64
-
-
-def _tower_constants(spec: FieldSpec):
-    """((d, e, Be, Ce, d Ce), e^2 D^4, adj(S)) for the tower
-    e y^2 = Be + Ce x of spec (see FieldSpec.tower)."""
-    d, e, be, ce, det, adj = spec.tower
-    return (d, e, be, ce, d * ce), e * e * det ** 4, adj
-
-
-def _forms(consts, t0, t1, t2, t3):
+def _forms(tower, t0, t1, t2, t3):
     """(U, V) with e (a^2 - b^2 y^2) = U + V x for a = t0 + t1 x and
-    b = t2 + t3 x: two quadratic forms in t; consts is the first entry of
-    _tower_constants."""
-    d, e, be, ce, dce = consts
+    b = t2 + t3 x, two quadratic forms in t; tower is FieldSpec.tower.
+
+    Complex conjugation fixes x and sends y to -y, so for alpha =
+    (a + b y) / D the real element alpha conj(alpha) is (U + V x) / (e D^2).
+    Hence U^2 - d V^2 = e^2 D^4 N(alpha), and U, e D^2 / 4 times the sum
+    of |alpha|^2 over the four embeddings, is positive definite."""
+    d, e, be, ce, _, _ = tower
     b0 = t2 * t2 + d * (t3 * t3)
     b1 = 2 * t2 * t3
-    return (e * (t0 * t0 + d * (t1 * t1)) - be * b0 - dce * b1,
+    return (e * (t0 * t0 + d * (t1 * t1)) - be * b0 - d * ce * b1,
             e * (2 * t0 * t1) - ce * b0 - be * b1)
 
 
-def _tower_norm(consts, t0, t1, t2, t3):
-    """U^2 - d V^2 = e^2 D^4 N(alpha) for alpha = (a + b y) / D with
-    a = t0 + t1 x and b = t2 + t3 x, where e (a^2 - b^2 y^2) = U + V x.
-
-    consts is the first entry of _tower_constants.  On exact integers the
-    value is exact; on uint64 arrays, with the constants reduced mod 2^64,
-    it is the same polynomial identity mod 2^64.  _box_hits evaluates it as
-    a quartic in c0 (_c0_quartic); the tests check that quartic against
-    this direct form."""
-    u, v = _forms(consts, t0, t1, t2, t3)
-    return u * u - consts[0] * (v * v)
-
-
-def _coordinate_forms(consts, adj):
-    """The forms U and V of _forms as quadratic forms in the coordinates c
-    of T = c adj: a pair of 4 x 4 integer matrices G with
-    q(c adj) = sum over i <= j of G[i][j] c_i c_j, so G[i][i] = q(adj[i])
-    and G[i][j] = q(adj[i] + adj[j]) - q(adj[i]) - q(adj[j]) for i < j."""
-    q = [_forms(consts, *row) for row in adj]
+def _coordinate_forms(tower):
+    """The forms U and V of _forms in the coordinates c of T = c adj(S), as
+    a pair of symmetric 4 x 4 integer matrices G with c G c^T = 2 q(c adj):
+    G[i][j] = q(adj[i] + adj[j]) - q(adj[i]) - q(adj[j]), which is
+    2 q(adj[i]) on the diagonal."""
+    adj = tower[5]
+    q = [_forms(tower, *row) for row in adj]
     gram = ([[0] * 4 for _ in range(4)], [[0] * 4 for _ in range(4)])
     for i in range(4):
         for j in range(i, 4):
-            both = q[i] if i == j else _forms(consts, *(a + b for a, b in zip(adj[i], adj[j])))
+            both = _forms(tower, *(a + b for a, b in zip(adj[i], adj[j])))
             for g, qij, qi, qj in zip(gram, both, q[i], q[j]):
-                g[i][j] = qij if i == j else qij - qi - qj
+                g[i][j] = g[j][i] = qij - qi - qj
     return gram
 
 
-def _c0_grid(gram, c2, c3):
-    """For each form, the parts of its value on the lines of fixed
-    (c1, c2, c3) that depend on (c2, c3) alone: (quad, lin1, lin0) with
-    quad the (c2, c3) terms, lin1 the coefficient of c1 and lin0 that of c0
-    without their c1 terms.  Exact on integers; mod 2^64 on uint64 arrays,
-    with gram reduced mod 2^64."""
-    c22, c23, c33 = c2 * c2, c2 * c3, c3 * c3
-    quad = tuple(g[2][2] * c22 + g[2][3] * c23 + g[3][3] * c33 for g in gram)
-    lin1 = tuple(g[1][2] * c2 + g[1][3] * c3 for g in gram)
-    lin0 = tuple(g[0][2] * c2 + g[0][3] * c3 for g in gram)
-    return quad, lin1, lin0
+def _value(gram, c):
+    """c gram c^T."""
+    return sum(a * sum(map(mul, row, c)) for a, row in zip(c, gram))
 
 
-def _c0_quartic(d, gram, grid, c1):
-    """(N4, n3, n2, n1, n0) with _tower_norm(c adj) = N4 c0^4 + ... + n0 on
-    the lines of fixed (c1, c2, c3) (see _c0_grid).
-
-    Each form is quadratic in c0: q = q0 c0^2 + a1 c0 + a0, with
-    q0 = G[0][0], a1 = lin0 + G[0][1] c1 and a0 = quad + lin1 c1 + G[1][1] c1^2.
-    So U^2 - d V^2 is a quartic whose coefficients are sums of
-    m(x, y) = x_U y_U - d x_V y_V.  N4 depends on gram alone and is returned
-    unreduced; every other product has an array factor when c1 or grid is
-    one."""
-    quad, lin1, lin0 = grid
-    q0 = tuple(g[0][0] for g in gram)
-    a0 = tuple(t + c1 * b + c1 * (c1 * g[1][1]) for t, b, g in zip(quad, lin1, gram))
-    a1 = tuple(b + c1 * g[0][1] for b, g in zip(lin0, gram))
-
-    def m(x, y):
-        return x[0] * y[0] - d * (x[1] * y[1])
-
-    return m(q0, q0), 2 * m(q0, a1), m(a1, a1) + 2 * m(q0, a0), 2 * m(a1, a0), m(a0, a0)
+def _times(rows, basis):
+    """The vectors whose coordinates over the basis rows are the rows:
+    rows basis, as tuples."""
+    cols = list(zip(*basis))
+    return [tuple(sum(map(mul, row, col)) for col in cols) for row in rows]
 
 
-# Entries per Horner pass of _box_hits: the lines of consecutive c1 share one
-# pass while their (c2, c3) grids together stay within this, so a small box
-# takes few numpy calls and a large one holds one grid per array.
-_PASS_ENTRIES = 1 << 14
+def _congruent(gram, rows):
+    """rows gram rows^T: the Gram matrix of the rows under gram."""
+    return [[sum(map(mul, a, b)) for b in rows] for a in _times(rows, gram)]
 
 
-def _box_hits(prime: DegreeOnePrime, bound: int) -> list[tuple[int, int, int, int]]:
+@dataclass(frozen=True)
+class _FieldGenerators:
+    """The constants of _box_hits for one field (_field_generators).
+
+    u and v are the matrices of 2U and 2V (_coordinate_forms), and a box
+    |c_i| <= b bounds c u c^T by b^2 u_sum; scale is e D^2.  The
+    fundamental unit of Q(sqrt(d)) is (eps0[0] + eps0[1] sqrt(d)) / h, with
+    h = 2 when d = 1 mod 4 and 1 otherwise, and sqrt_d holds the
+    coordinates of sqrt(d).  torsion holds the multiplication matrices
+    (NFElement.mult_matrix) of eta^t for t < g, and steps those of the unit
+    eps of unit_data and of its inverse.
+    """
+
+    u: list
+    v: list
+    u_sum: int
+    scale: int
+    h: int
+    eps0: tuple[int, int]
+    sqrt_d: tuple
+    torsion: tuple
+    steps: tuple
+
+
+@lru_cache(maxsize=128)
+def _field_generators(spec: FieldSpec) -> _FieldGenerators:
+    d, e, _, _, det, _ = spec.tower
+    u, v = _coordinate_forms(spec.tower)
+    x, y, _ = continued_fraction_fundamental_unit(d)
+    h = 2 if d % 4 == 1 else 1
+    units = unit_data(spec)
+    torsion = [one(spec)]
+    for _ in range(1, units.g):
+        torsion.append(torsion[-1] * units.eta)
+    return _FieldGenerators(
+        u=u, v=v, u_sum=sum(abs(a) for row in u for a in row), scale=e * det * det, h=h,
+        eps0=(2 * x + y, y) if h == 2 else (x, y),  # x + y (1 + sqrt d)/2 when h = 2
+        sqrt_d=spec.sqrt_map[d], torsion=tuple(z.mult_matrix() for z in torsion),
+        steps=(units.epsilon.mult_matrix(), inverse_unit(units.epsilon).mult_matrix()),
+    )
+
+
+def _prime_below(d: int, s: int, p: int) -> tuple[int, int] | None:
+    """(A, B) with (A + B sqrt(d)) / h generating the prime of Q(sqrt(d))
+    above p at which sqrt(d) = s mod p, where h = 2 when d = 1 mod 4 and 1
+    otherwise; None when that prime is not principal.
+
+    The continued fraction of (p0 + sqrt(d)) / (h p), with p0 = s mod p and
+    p0 odd when h = 2, walks the reduced ideals equivalent to the prime
+    (p, (p0 + sqrt(d)) / h); it meets norm +-p h^2 exactly when the prime
+    is principal, and stops once its state repeats (_cf_unit_search).  The
+    element found generates p or its conjugate; B's sign picks p.
+    """
+    if d % 4 == 1:
+        p0 = s if s % 2 else s + p
+        found = _cf_unit_search(d, p0, 2 * p, (4 * p, -4 * p))
+    else:
+        found = _cf_unit_search(d, s, p, (p, -p))
+    if found is None:
+        return None
+    a, b, _ = found
+    return (a, b) if (a + b * s) % p == 0 else (a, -b)
+
+
+def _least_generators(prime: DegreeOnePrime, data: _FieldGenerators) -> list[tuple[int, ...]]:
+    """The generators x of the prime P with x conj(x) = alpha, as
+    coordinate tuples, for the first totally positive alpha among +-alpha0
+    and +-alpha0 eps0 for which there are any (alpha0 generates P's prime p
+    of Q(sqrt(d)), eps0 is the unit of Q(sqrt(d))); [] when P is not
+    principal.
+
+    A generator pi of P gives the totally positive generator pi conj(pi)
+    of p; the other generators of P change it by the norms u conj(u) of
+    units, among them eps0^2, so it is one of the four up to those.
+
+    For alpha = (A + B sqrt(d)) / h, with conjugate alpha' over Q, the form
+    Q(x) = A U - B d V = (h e D^2 / 2) Tr(alpha' x conj(x)) satisfies
+    Q(x) >= h e D^2 sqrt(p N(x)) >= h e D^2 p for nonzero x in P, by AM-GM
+    over the two real embeddings, with equality exactly when
+    x conj(x) = alpha.  So the generators sought are the vectors of P of
+    least value under Q: LLL reduction of P's basis (p, 0, 0, 0),
+    (-r1, 1, 0, 0), (-r2, 0, 1, 0), (-r3, 0, 0, 1) under 2Q, then the box of
+    every y with 2Q(y) <= 2 h e D^2 p.  The first alpha tried is alpha
+    whenever the unit index [E : W E+] is 2 or N(eps0) = -1; otherwise
+    alpha0 and alpha0 eps0 may both be totally positive with one of them
+    a norm, so each totally positive candidate is tried in turn.
+    """
+    spec, p = prime.field, prime.p
+    r = [im % p for im in prime.basis_images]
+    d = spec.real_subfield_d
+    below = _prime_below(d, sum(a * b for a, b in zip(data.sqrt_d, r)) % p, p)
+    if below is None:
+        return []
+    a0, b0 = below
+    e0, f0 = data.eps0
+    a1, b1 = (a0 * e0 + d * b0 * f0) // data.h, (a0 * f0 + b0 * e0) // data.h
+    lattice = [[p, 0, 0, 0], [-r[1], 1, 0, 0], [-r[2], 0, 1, 0], [-r[3], 0, 0, 1]]
+    target = 2 * data.h * data.scale * p
+    for a, b in ((a0, b0), (-a0, -b0), (a1, b1), (-a1, -b1)):
+        if a <= 0 or a * a <= d * b * b:  # not totally positive
+            continue
+        form = [[a * gu - b * d * gv for gu, gv in zip(ru, rv)] for ru, rv in zip(data.u, data.v)]
+        basis = _times(lll_reduce(_congruent(form, lattice)), lattice)
+        # every nonzero vector of value at most target has value target
+        found = _times([y for y in box_vectors(_congruent(form, basis), target) if any(y)], basis)
+        if found:
+            return found
+    return []
+
+
+def _box_hits(prime: DegreeOnePrime, bound: int) -> list[tuple[int, ...]]:
     """Coordinate vectors c with |c_i| <= bound, c0 + c1 r1 + c2 r2 + c3 r3
     = 0 mod p (r the basis images mod p) and |N(c)| = p, ordered by
     sup-norm and then lexicographically.
 
-    Half the box is swept (c1 > 0, or c1 = 0 and (c2, c3) > (0, 0) in lex
-    order) and each hit c brings -c: N(-c) = N(c), and N(c0, 0, 0, 0) = c0^4.
-    Each c maps to tower coordinates T = c adj(S), where the forms U and V
-    of _tower_norm are quadratic forms in c (_coordinate_forms), so on each
-    line of fixed (c1, c2, c3) the scaled norm e^2 D^4 N(c) = U^2 - d V^2 is
-    a quartic in c0.  Its coefficients come from arrays the box shares
-    (_c0_grid) by a few updates per c1 (_c0_quartic), and each step of c0 by
-    p costs one Horner evaluation over all (c2, c3).  All of it runs in
-    uint64, that is mod 2^64, a ring map, so overflow never drops a true
-    hit; every candidate matching +-p e^2 D^4 mod 2^64 is confirmed in exact
-    integers, its residue and its norm, before it counts.
+    These are the generators of P in the box.  Every generator is
+    zeta pi eps^k for a torsion unit zeta and k in Z, given one generator pi
+    (_least_generators) and provided that eta and eps generate the unit
+    group.  U(pi eps^k), the same for every zeta, is a convex function of k
+    (a lambda^k + b lambda^-k), and the box bounds it (u_sum); so the walk
+    from k = 0 goes up, and then down, while U is within that bound or
+    still falling.
     """
-    import numpy as np
-
     spec, p = prime.field, prime.p
-    r = [im % p for im in prime.basis_images]
-    if r[0] != 1:
+    if prime.basis_images[0] % p != 1:
         raise DegenerateField("the first integral basis element is not 1")
-    consts, scale, adj = _tower_constants(spec)
-    gram = [[[k % _WORD for k in row] for row in g] for g in _coordinate_forms(consts, adj)]
-    d = consts[0] % _WORD
-    targets = (p * scale % _WORD, -p * scale % _WORD)
-
-    # the (c2, c3) grid as a column and a row, so only products fill it
-    side = np.arange(-bound, bound + 1, dtype=np.int64)
-    c2, c3 = side[:, None], side[None, :]
-    rest = c2 * r[2] + c3 * r[3]
-    grid = _c0_grid(gram, c2.view(np.uint64), c3.view(np.uint64))
-
-    def candidates(first, lines):
-        """The c on the lines c1 = first, ..., first + lines - 1 of the box
-        whose scaled norm matches a target mod 2^64; one pass, whose arrays
-        are freed before the next pass makes its own."""
-        c1 = np.arange(first, first + lines, dtype=np.int64)[:, None, None]
-        n4, n3, n2, n1, n0 = _c0_quartic(d, gram, grid, c1.view(np.uint64))
-        n4 %= _WORD
-        c0_first = -bound + (-(c1 * r[1] + rest) + bound) % p
-        z0 = c0_first.view(np.uint64)
-        for c0_shift in range(0, 2 * bound + 1, p):
-            z = z0 + c0_shift
-            n = n4 * z  # Horner, in place
-            for k in (n3, n2, n1):
-                n += k
-                n *= z
-            n += n0
-            match = (n == targets[0]) | (n == targets[1])
-            if c0_shift + p > 2 * bound + 1:  # the last row leaves the box
-                match &= c0_first <= bound - c0_shift
-            for line, i2, i3 in np.argwhere(match):
-                yield (int(c0_first[line, i2, i3]) + c0_shift, first + int(line),
-                       int(i2) - bound, int(i3) - bound)
-
-    step = max(1, _PASS_ENTRIES // rest.size)
-    hits = []
-    for first in range(0, bound + 1, step):
-        for c in candidates(first, min(step, bound + 1 - first)):
-            if c[1] == 0 and c[2:] <= (0, 0):  # outside the half; found as -c
-                continue
-            in_ideal = sum(v * w for v, w in zip(c, r)) % p == 0
-            if in_ideal and abs(norm(NFElement(spec, c))) == p:
-                hits += [c, tuple(-v for v in c)]
-    return sorted(hits, key=lambda c: (max(abs(v) for v in c), c))
+    data = _field_generators(spec)
+    least = _least_generators(prime, data)
+    if not least:
+        return []
+    limit = bound * bound * data.u_sum
+    pi = least[0]
+    walked = [pi] if _value(data.u, pi) <= limit else []
+    for step in data.steps:
+        x, last = pi, _value(data.u, pi)
+        while True:
+            (x,) = _times([x], step)
+            value = _value(data.u, x)
+            if value > limit and value >= last:
+                break
+            if value <= limit:
+                walked.append(x)
+            last = value
+    hits = [c for z in data.torsion for c in _times(walked, z) if max(map(abs, c)) <= bound]
+    return sorted(hits, key=lambda c: (max(map(abs, c)), c))
 
 
-# Largest coord_bound of find_prime_element: a sweep at bound b evaluates
-# about (2b + 1)^4 / 2p candidates, one Horner step each, in arrays of
-# (2b + 1)^2 uint64 entries; at b = 64 and p = 3 (K_8) that is about 0.3 s
-# and 2.2 MB, and b = 100 takes about 2 s and 5 MB (2-core Xeon, Python 3.11).
+# Largest coord_bound of find_prime_element.  The walk visits about log(b)
+# units, so the cap no longer guards the time: at b = 64 a call takes
+# 0.41 ms at the median and 1.9 ms at most over the 488 conjugates of the
+# split primes below 60 and the reference primes of the 40 fields (2-core
+# Xeon, Python 3.11), against about 0.3 s for the box sweep that it
+# replaced at b = 64 and p = 3.
 MAX_COORD_BOUND = 64
 
 
 def find_prime_element(prime: DegreeOnePrime, coord_bound: int) -> NFElement:
     """An element of norm +-p generating the given conjugate prime ideal.
 
-    Searches integral-basis coordinate vectors over the sublattice of
-    elements reducing to 0 mod p and returns the one with |norm| = p that
-    comes first by increasing sup-norm, lexicographic within a shell, in
-    boxes of coordinate bound 4, 16, 64, ... capped at coord_bound.  The sweep filters
-    candidates by the tower norm, a quartic in c0 on each line of fixed
-    (c1, c2, c3) evaluated by Horner mod 2^64, and confirms them with exact
-    integer arithmetic (_box_hits).  A prime above MAX_CERT_PRIME or a
-    coord_bound above MAX_COORD_BOUND is CapExceeded.
+    Returns the generator whose integral-basis coordinates come first by
+    increasing sup-norm, lexicographic within a shell, among those bounded
+    by coord_bound, and raises BoundExceeded when there is none.  The
+    generators in the box come from one generator found by lattice
+    reduction and the walk of its unit orbit (_box_hits), so BoundExceeded
+    rests on eta and eps generating the unit group.  A prime above
+    MAX_CERT_PRIME or a coord_bound above MAX_COORD_BOUND is CapExceeded.
     """
     if prime.p > MAX_CERT_PRIME:
         raise CapExceeded(f"prime {prime.p} exceeds the certificate cap {MAX_CERT_PRIME}")
     if coord_bound > MAX_COORD_BOUND:
         raise CapExceeded(f"coordinate bound {coord_bound} exceeds the cap {MAX_COORD_BOUND}")
-    bound = 4
-    while True:
-        bound = min(bound, coord_bound)
-        hits = _box_hits(prime, bound)
-        if hits:
-            return NFElement(prime.field, hits[0])
-        if bound == coord_bound:
-            break
-        bound *= 4
-    raise BoundExceeded(
-        f"no element of norm +-{prime.p} with coordinates bounded by {coord_bound}"
-    )
+    hits = _box_hits(prime, coord_bound)
+    if not hits:
+        raise BoundExceeded(
+            f"no element of norm +-{prime.p} with coordinates bounded by {coord_bound}"
+        )
+    return NFElement(prime.field, hits[0])

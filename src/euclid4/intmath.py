@@ -104,23 +104,33 @@ def legendre(a: int, p: int) -> int:
 def _cf_unit_search(d: int, p0: int, q0: int, targets: tuple[int, ...]):
     """Continued fraction of (p0 + sqrt(d))/q0 with exact integer state.
 
-    Walks the convergents h_k/b_k and returns the first (G, B, value) with
-    G = q0*h - p0*b and G^2 - d B^2 = value in targets.  One period always
-    contains such a step for the unit equations used below.
+    q0 must divide d - p0^2.  Walks the convergents h_k/b_k and returns the
+    first (G, B, value) with G = q0*h - p0*b and G^2 - d B^2 = value in
+    targets, or None once the state (p, q) of the complete quotient
+    (p + sqrt(d))/q repeats: the expansion is then periodic and no later
+    step brings a new value.  The repeat is caught against a state saved at
+    every power-of-two step (Brent), so the walk ends within about twice
+    the pre-period and period.  The unit equations used below always have
+    a solution within the first period.
     """
     root = isqrt(d)
     p, q = p0, q0
     a = (p + root) // q
     h_prev, h = 1, a
     b_prev, b = 0, 1
-    for _ in range(10 ** 7):
+    saved, next_save = None, 1
+    for step in range(1, 10 ** 7):
         g = q0 * h - p0 * b
         val = g * g - d * b * b
         if val in targets:
             return g, b, val
         p = a * q - p
         q = (d - p * p) // q
-        a = (p + root) // q
+        if (p, q) == saved:
+            return None
+        if step == next_save:
+            saved, next_save = (p, q), 2 * next_save
+        a = (p + root + (q < 0)) // q  # floor((p + sqrt(d))/q), either sign of q
         h, h_prev = a * h + h_prev, h
         b, b_prev = a * b + b_prev, b
     raise CapExceeded("continued fraction failed to close within 10^7 steps")

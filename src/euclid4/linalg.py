@@ -3,10 +3,15 @@
 Integer matrices only: a determinant, the 4x4 adjugate in closed form that
 serves as the package's one matrix inverse (A^-1 = adj(A) / det(A), with the
 division left to the caller as an exact-divisibility test or a modular
-inverse), and a Hermite normal form.  Everything is dense and tiny; clarity over asymptotics.
+inverse), a Hermite normal form, and integral LLL reduction of a Gram matrix
+with the enumeration of its short vectors.  Everything is dense and tiny;
+clarity over asymptotics.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from math import isqrt
 
 
 def det_int(mat):
@@ -103,3 +108,85 @@ def hnf_rows(rows):
             if q:
                 result[j] = [x - q * y for x, y in zip(result[j], result[i])]
     return result
+
+
+def lll_reduce(gram):
+    """Integral LLL reduction (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7, delta = 3/4) of the lattice whose basis has
+    the positive definite integer Gram matrix gram.
+
+    Returns the unimodular integer matrix H whose rows write the reduced
+    basis in the input basis, so H gram H^T is its Gram matrix.  All state
+    is integral: d[i] is the Gram determinant of the first i vectors and
+    lam[k][j] = d[j] mu[k][j]; every division is exact.  Indices follow
+    Cohen, from 1.
+    """
+    n = len(gram)
+    h = [None] + [[int(i == j) for j in range(n)] for i in range(n)]
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+    d = [1] * (n + 1)
+    d[1] = gram[0][0]
+
+    def dot(i, j):
+        return sum(a * gram[s][t] * b for s, a in enumerate(h[i]) if a
+                   for t, b in enumerate(h[j]) if b)
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])  # nearest to lam / d
+            h[k] = [a - q * b for a, b in zip(h[k], h[l])]
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        h[k], h[k - 1] = h[k - 1], h[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        b = (d[k - 2] * d[k] + m * m) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - m * t) // d[k - 1]
+            lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k]
+        d[k - 1] = b
+
+    k, kmax = 2, 1
+    while k <= n:
+        if k > kmax:  # incremental Gram-Schmidt
+            kmax = k
+            for j in range(1, k + 1):
+                u = dot(k, j)
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ValueError("the Gram matrix is not positive definite")
+                else:
+                    d[k] = u
+        red(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                red(k, l)
+            k += 1
+    return h[1:]
+
+
+def box_vectors(gram, bound):
+    """Every integer vector y with y gram y^T <= bound, in lexicographic
+    order, for a positive definite 4x4 integer Gram matrix.
+
+    Such y lie in the box y_i^2 <= bound (gram^-1)_ii = bound adj_ii / det
+    (Cauchy-Schwarz), which is enumerated in full: it is small when gram is
+    LLL-reduced and bound is near its minimum.
+    """
+    adj, det = adjugate_int(gram), det_int(gram)
+    if det <= 0 or bound < 0:
+        raise ValueError("the Gram matrix must be positive definite and the bound >= 0")
+    radii = [isqrt(bound * adj[i][i] // det) for i in range(len(gram))]
+    return [y for y in product(*(range(-r, r + 1) for r in radii))
+            if sum(a * sum(g * b for g, b in zip(row, y)) for a, row in zip(y, gram)) <= bound]

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .elements import NFElement, norm, one, sqrt_radicand, theta
-from .errors import DegenerateField, NotAUnit
+from .errors import CapExceeded, DegenerateField, NotAUnit
 from .fields import FieldSpec
 from .intmath import continued_fraction_fundamental_unit, factorize, legendre, sqrt_mod_prime_power
 from .linalg import adjugate_int, det_int
@@ -108,20 +108,23 @@ def infinite_order_unit(spec: FieldSpec) -> NFElement:
 
 
 def sqrt_in_ring(spec: FieldSpec, v: NFElement) -> NFElement | None:
-    """An exact w with w*w = v, or None.
+    """An exact w with w*w = v, or None when v is proven not to be a square.
 
-    Quadratic-residue characters at split primes rule squares out quickly;
-    candidate roots are Hensel-lifted componentwise modulo a split prime
-    power, pulled back through the inverse adj(H) / det(H) of the matrix H of
-    basis images (det(H) is a unit there), and verified exactly, so a
-    returned value is always correct.
+    The proof is a quadratic character: v is a non-residue modulo one of
+    the primes above one of the first three split primes.  Otherwise
+    candidate roots are Hensel-lifted componentwise modulo a power of the
+    first of them, pulled back through the inverse adj(H) / det(H) of the
+    matrix H of basis images (det(H) is a unit there), and verified exactly,
+    so a returned value is always correct.  When four lifts of doubling
+    precision find no root, or fewer than three split primes lie below
+    20000, nothing is proven either way, and the call raises CapExceeded.
     """
     # reduction_maps also serves primes dividing the index, but the filter
     # stays: it fixes q, hence the root pinned by roots[0] and the sign of
     # the w returned, and so the unit data every certificate carries.
     qs = list(islice((q for q in split_primes(spec, 20000) if spec.index % q), 3))
     if len(qs) < 3:
-        return None
+        raise CapExceeded(f"fewer than 3 split primes below 20000 for {spec.name()}")
     for q in qs:
         for _, images in reduction_maps(spec, q, 1):
             val = sum(c * im for c, im in zip(v.coords, images)) % q
@@ -147,7 +150,7 @@ def sqrt_in_ring(spec: FieldSpec, v: NFElement) -> NFElement | None:
             if (w * w).coords == v.coords:
                 return w
         prec *= 2
-    return None
+    raise CapExceeded("no square root found in four lifts, and no character rules one out")
 
 
 def strongest_unit(spec: FieldSpec, g: int, eta: NFElement,

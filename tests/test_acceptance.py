@@ -4,7 +4,8 @@ Run with `pytest tests/test_acceptance.py -s` to see every line.  Two
 criteria are expected to fail on genuinely unattainable targets: several
 registry reference pairs are provably not admissible (exact enumeration),
 and several reference primes have no generator within the coordinate bound
-(exhaustive sweep); see the assertion messages for the precise counts.
+(the unit orbit of one generator); see the assertion messages for the
+precise counts.
 """
 
 import random
@@ -204,8 +205,9 @@ def test_criterion_8_prime_elements(entries):
         8,
         ok,
         f"{len(found)}/{len(found) + len(exhausted)} reference primes yield a "
-        f"bounded generator; exhaustive sweep proves none exists within "
-        f"coordinate bound 50 for {exhausted} (large fundamental units) "
+        f"bounded generator; the unit orbit of a generator found by lattice "
+        f"reduction has none within coordinate bound 50 for {exhausted} "
+        f"(large fundamental units; assumes <eta, eps> is the unit group) "
         f"({elapsed:.1f}s)",
     )
     assert ok, line

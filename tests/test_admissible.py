@@ -16,12 +16,11 @@ from euclid4.admissible import (
     AdmissibleCertificate,
     Conclusion,
     _box_hits,
-    _c0_grid,
-    _c0_quartic,
-    _coordinate_forms,
     _dlog,
-    _tower_constants,
-    _tower_norm,
+    _field_generators,
+    _forms,
+    _least_generators,
+    _prime_below,
     brute_force_surjectivity,
     check_conditions,
     conclude_euclidean,
@@ -39,7 +38,7 @@ from euclid4.errors import (
     SamePrime,
     SearchExhausted,
 )
-from euclid4.fields import build_from_descriptor
+from euclid4.fields import build_biquadratic, build_from_descriptor
 from euclid4.intmath import is_prime
 from euclid4.residues import (
     degree_one_primes_above,
@@ -407,7 +406,7 @@ def test_conclude_euclidean(reproduction):
 
 @pytest.mark.filterwarnings("error")
 def test_find_prime_element_examples(gaussian_sqrt11):
-    """Known generators; the mod 2^64 sweep raises no numpy overflow warning."""
+    """Known generators; the search raises no warning."""
     k = gaussian_sqrt11
     P5 = degree_one_primes_above(k, 5)[0]
     el = find_prime_element(P5, 50)
@@ -429,8 +428,8 @@ def test_find_prime_element_examples(gaussian_sqrt11):
 
 
 def test_find_prime_element_caps(entries, gaussian_sqrt11):
-    """A prime above MAX_CERT_PRIME (int64 residues in the sweep) or a
-    bound above MAX_COORD_BOUND is refused before the sweep starts."""
+    """A prime above MAX_CERT_PRIME or a bound above MAX_COORD_BOUND is
+    refused before the search starts."""
     big = degree_one_primes_above(entries["K_1"].spec, 100000000000000013)[0]
     with pytest.raises(CapExceeded, match="certificate cap"):
         find_prime_element(big, 4)
@@ -456,9 +455,9 @@ def test_find_prime_element_other_conjugate(gaussian_sqrt11):
     ("K_8", 3, 0, 0), ("K_2", 5, 0, 0),  # p below the box width: c0 shifts
 ], ids=["K_1-29", "K_8-59", "13-29", "29-7", "K_19-37-1", "K_8-3", "K_2-5"])
 def test_box_sweep_matches_exact_enumeration(entries, label, p, conj, c1_zero):
-    """The mod 2^64 half-box sweep finds the same hits, in the same order,
-    as a plain exact enumeration of the whole box at bound 6; c1_zero of
-    them lie on the edge c1 = 0 of the swept half."""
+    """The unit-orbit walk finds the same hits, in the same order, as a
+    plain exact enumeration of the whole box at bound 6; c1_zero of them
+    lie on the plane c1 = 0."""
     spec = entries[label].spec
     prime = degree_one_primes_above(spec, p)[conj]
     r = [im % p for im in prime.basis_images]
@@ -475,59 +474,152 @@ def test_box_sweep_matches_exact_enumeration(entries, label, p, conj, c1_zero):
 
 
 def test_tower_norm_identity(entries):
-    """U^2 - d V^2 = e^2 D^4 N(c) in exact integers on every registry field,
-    for seeded coordinates far past int64 in the products."""
+    """U^2 - d V^2 = e^2 D^4 N(c) for the forms of _forms, in exact integers
+    on every registry field, for seeded coordinates far past int64 in the
+    products."""
     rng = random.Random(9)
     for entry in entries.values():
         spec = entry.spec
-        consts, scale, adj = _tower_constants(spec)
+        d, e, _, _, det, adj = spec.tower
         for _ in range(5):
             c = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(4))
             t = [sum(ci * adj[i][j] for i, ci in enumerate(c)) for j in range(4)]
-            assert _tower_norm(consts, *t) == scale * norm(NFElement(spec, c)), entry.label
+            u, v = _forms(spec.tower, *t)
+            assert u * u - d * v * v == e * e * det ** 4 * norm(NFElement(spec, c)), entry.label
 
 
-def test_c0_quartic_identity(entries):
-    """The quartic in c0 that _box_hits evaluates, with its coefficients
-    built as the sweep builds them (_coordinate_forms and _c0_grid once,
-    _c0_quartic per c1), equals _tower_norm in exact integers on every
-    registry field, for seeded (c1, c2, c3) far past int64 and five values
-    of c0."""
-    rng = random.Random(15)
-    for entry in entries.values():
-        consts, _, adj = _tower_constants(entry.spec)
-        gram = _coordinate_forms(consts, adj)
-        c1, c2, c3 = (rng.randint(-10 ** 9, 10 ** 9) for _ in range(3))
-        coeffs = _c0_quartic(consts[0], gram, _c0_grid(gram, c2, c3), c1)
-        for _ in range(5):
-            c = (rng.randint(-10 ** 9, 10 ** 9), c1, c2, c3)
-            t = [sum(ci * adj[i][j] for i, ci in enumerate(c)) for j in range(4)]
-            horner = 0
-            for k in coeffs:
-                horner = horner * c[0] + k
-            assert horner == _tower_norm(consts, *t), entry.label
+def audit_primes():
+    """(label, P1 or P2) of the 17 certificates of the audit benchmark, with
+    the generators (or BoundExceeded) recorded for them."""
+    data = Path(__file__).resolve().parent.parent / "benchmark" / "data"
+    expected = json.loads((data / "expected.json").read_text())["audit"]
+    assert len(expected) == 17
+    for label, exp in expected.items():
+        doc = json.loads((data / "certs" / f"{label}.json").read_text())
+        spec = build_from_descriptor(doc["field"])
+        for key, found in zip(("P1", "P2"), exp["prime_elements"]):
+            prime = degree_one_primes_above(spec, int(doc[key]["p"]))[int(doc[key]["conjugate_index"])]
+            yield label, prime, found
 
 
 def test_prime_elements_match_expected():
     """find_prime_element at bound 50 gives, for P1 and P2 of the 17
     audited certificates, the generators (or BoundExceeded) recorded for
     the audit benchmark."""
-    data = Path(__file__).resolve().parent.parent / "benchmark" / "data"
-    expected = json.loads((data / "expected.json").read_text())["audit"]
-    assert len(expected) == 17
-    got = {}
-    for label in expected:
-        doc = json.loads((data / "certs" / f"{label}.json").read_text())
-        spec = build_from_descriptor(doc["field"])
-        got[label] = []
-        for key in ("P1", "P2"):
-            prime = degree_one_primes_above(spec, int(doc[key]["p"]))[int(doc[key]["conjugate_index"])]
-            try:
-                got[label].append([str(c) for c in find_prime_element(prime, 50).coords])
-            except BoundExceeded:
-                got[label].append("BoundExceeded")
-    assert sum(found.count("BoundExceeded") for found in got.values()) == 2
-    assert got == {label: exp["prime_elements"] for label, exp in expected.items()}
+    got, expected = [], []
+    for label, prime, found in audit_primes():
+        expected.append((label, found))
+        try:
+            got.append((label, [str(c) for c in find_prime_element(prime, 50).coords]))
+        except BoundExceeded:
+            got.append((label, "BoundExceeded"))
+    assert len(got) == 34
+    assert sum(found == "BoundExceeded" for _, found in got) == 2
+    assert got == expected
+
+
+# SHA-256 of find_prime_element(P, 50), as coordinate strings or
+# "BoundExceeded", over every conjugate P of every registry reference prime
+# p <= 200, in registry order; recorded from the exhaustive box sweep that
+# the unit-orbit walk replaced.
+PRIME_ELEMENT_DIGEST = "51e5dbac7075ce444bd81a39a9d1918dcb66b7747ea68667e75ecb01a3297e50"
+
+
+def test_find_prime_element_matches_frozen_digest(entries):
+    rows = []
+    for entry in entries.values():
+        for p in entry.expected_p1_p2:
+            if p > 200:
+                continue
+            for prime in degree_one_primes_above(entry.spec, p):
+                try:
+                    found = [str(c) for c in find_prime_element(prime, 50).coords]
+                except BoundExceeded:
+                    found = "BoundExceeded"
+                rows.append([entry.label, p, prime.conjugate_index, found])
+    assert len(rows) == 312
+    assert sum(row[3] == "BoundExceeded" for row in rows) == 41
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PRIME_ELEMENT_DIGEST
+
+
+def test_least_generators_attain_the_bound():
+    """On every audited prime P above p, each generator pi that lattice
+    reduction finds has norm p and lies in P, and alpha = pi conj(pi),
+    read off _forms as (U + V sqrt(d)) / (e D^2) = (A + B sqrt(d)) / h, is
+    totally positive and one of +-alpha0, +-alpha0 eps0; the twisted form
+    Q_alpha = A U - B d V takes the value h e D^2 p at pi.  The g torsion
+    multiples of pi are found, and seeded vectors of P off that orbit lie
+    strictly above h e D^2 p, as AM-GM says."""
+    rng = random.Random(16)
+    for label, prime, _ in audit_primes():
+        spec, p = prime.field, prime.p
+        d, e, _, _, det, adj = spec.tower
+        data = _field_generators(spec)
+        scale, h = e * det * det, data.h
+        r = [im % p for im in prime.basis_images]
+        s = sum(x * y for x, y in zip(spec.sqrt_map[d], r)) % p
+        a0, b0 = _prime_below(d, s, p)
+        e0, f0 = data.eps0
+        a1, b1 = (a0 * e0 + d * b0 * f0) // h, (a0 * f0 + b0 * e0) // h
+        found = _least_generators(prime, data)
+        assert len(found) == unit_data(spec).g, label
+
+        def forms(c):
+            return _forms(spec.tower, *(sum(ci * adj[i][j] for i, ci in enumerate(c))
+                                        for j in range(4)))
+
+        u, v = forms(found[0])
+        assert (h * u) % scale == 0 and (h * v) % scale == 0, label
+        a, b = h * u // scale, h * v // scale
+        assert (a, b) in {(a0, b0), (-a0, -b0), (a1, b1), (-a1, -b1)}, label
+        assert a > 0 and a * a - d * b * b == p * h * h, label
+        for c in found:
+            assert forms(c) == (u, v), label
+            assert a * u - b * d * v == h * scale * p, label
+            assert norm(NFElement(spec, c)) == p and sum(x * y for x, y in zip(c, r)) % p == 0
+        for _ in range(20):
+            k = [rng.randint(-3, 3) for _ in range(4)]
+            c = (p * k[0] - sum(x * y for x, y in zip(k[1:], r[1:])), *k[1:])
+            if any(c) and c not in found:
+                u, v = forms(c)
+                assert a * u - b * d * v > h * scale * p, (label, c)
+
+
+@pytest.mark.parametrize("shift", [-6, 6])
+def test_orbit_walk_is_independent_of_its_start(monkeypatch, entries, shift):
+    """Started from the generator that lattice reduction finds times
+    eps^shift, the walk first crosses orbit points above the box's bound
+    of U where U still falls, and finds the same hits as from the
+    generator itself."""
+    primes = [degree_one_primes_above(entries[label].spec, p)[0]
+              for label, p in (("K_1", 29), ("13", 29), ("K_19", 37), ("5", 11))]
+    expected = [_box_hits(prime, 4) for prime in primes]
+    least = admissible._least_generators
+
+    def shifted(prime, data):
+        found = least(prime, data)
+        for _ in range(abs(shift)):
+            found = admissible._times(found, data.steps[shift < 0])
+        return found
+
+    monkeypatch.setattr(admissible, "_least_generators", shifted)
+    assert all(expected)
+    assert [_box_hits(prime, 4) for prime in primes] == expected
+
+
+def test_non_principal_prime_raises_bound_exceeded():
+    """In Q(sqrt(-1), sqrt(10)) no element has norm 13: the prime of
+    Q(sqrt(10)) below each prime above 13 is not principal, as
+    x^2 - 10 y^2 = +-13 has no solution mod 5.  The continued fraction that
+    looks for its generator stops at its first repeated state, so each of
+    the four conjugates raises BoundExceeded at once."""
+    spec = build_biquadratic(-1, 10)
+    primes = degree_one_primes_above(spec, 13)
+    assert len(primes) == 4
+    for prime in primes:
+        assert _least_generators(prime, _field_generators(spec)) == []
+        with pytest.raises(BoundExceeded):
+            find_prime_element(prime, MAX_COORD_BOUND)
 
 
 def test_reference_pair_errata(entries):

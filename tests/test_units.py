@@ -1,5 +1,6 @@
 import pytest
 
+from euclid4.errors import CapExceeded
 from euclid4.elements import NFElement, inverse_unit, norm, one, sqrt_radicand
 from euclid4.fields import build_biquadratic, build_cyclic_quartic
 from euclid4.units import (
@@ -124,6 +125,14 @@ def test_sqrt_in_ring_negative_case(gaussian_sqrt11):
     assert sqrt_in_ring(gaussian_sqrt11, 2 * one(gaussian_sqrt11)) is None
     got = sqrt_in_ring(gaussian_sqrt11, 4 * one(gaussian_sqrt11))
     assert got is not None and (got * got).coords == (4, 0, 0, 0)
+
+
+def test_sqrt_in_ring_refuses_an_unproven_verdict(gaussian_sqrt11):
+    """46 is not a square here, but no quadratic character at the first
+    three split primes shows it, so the four lifts find no root and prove
+    nothing: the call raises CapExceeded instead of answering None."""
+    with pytest.raises(CapExceeded):
+        sqrt_in_ring(gaussian_sqrt11, 46 * one(gaussian_sqrt11))
 
 
 def test_paper_style_unit_relation(gaussian_sqrt11):
