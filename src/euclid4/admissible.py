@@ -23,9 +23,8 @@ import enum
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import mul
 
-from .elements import NFElement, inverse_unit, one
+from .elements import NFElement, _times, _value, inverse_unit, norm_solutions
 from .errors import (
     BoundExceeded,
     CapExceeded,
@@ -39,7 +38,6 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .intmath import _cf_unit_search, continued_fraction_fundamental_unit
-from .linalg import box_vectors, lll_reduce
 from .residues import (
     MAX_CERT_PRIME,
     DegreeOnePrime,
@@ -49,7 +47,7 @@ from .residues import (
     split_primes,
     unit_order_mod_p2,
 )
-from .units import Provenance, UnitData, unit_data
+from .units import Provenance, UnitData, torsion_units, unit_data
 
 
 class Conclusion(enum.Enum):
@@ -145,10 +143,10 @@ class PairAttempts:
     def __init__(self, spec: FieldSpec, units: UnitData):
         self.spec = spec
         self.units = units
-        self.variants = [units]
-        for _ in range(1, units.g):
-            eps_t = units.eta * self.variants[-1].epsilon
-            self.variants.append(UnitData(units.g, units.eta, eps_t, Provenance.SUPPLIED))
+        self.variants = [units] + [
+            UnitData(units.g, units.eta, z * units.epsilon, Provenance.SUPPLIED)
+            for z in torsion_units(units.g, units.eta)[1:]
+        ]
         self.stats = {
             "no_condition5": 0,
             "g_nondivisible": 0,
@@ -464,71 +462,20 @@ def conclude_euclidean(cert: AdmissibleCertificate,
     return replace(cert, conclusion=Conclusion.EUCLIDEAN, unit_rank=1, prime_count=2)
 
 
-def _forms(tower, t0, t1, t2, t3):
-    """(U, V) with e (a^2 - b^2 y^2) = U + V x for a = t0 + t1 x and
-    b = t2 + t3 x, two quadratic forms in t; tower is FieldSpec.tower.
-
-    Complex conjugation fixes x and sends y to -y, so for alpha =
-    (a + b y) / D the real element alpha conj(alpha) is (U + V x) / (e D^2).
-    Hence U^2 - d V^2 = e^2 D^4 N(alpha), and U, e D^2 / 4 times the sum
-    of |alpha|^2 over the four embeddings, is positive definite."""
-    d, e, be, ce, _, _ = tower
-    b0 = t2 * t2 + d * (t3 * t3)
-    b1 = 2 * t2 * t3
-    return (e * (t0 * t0 + d * (t1 * t1)) - be * b0 - d * ce * b1,
-            e * (2 * t0 * t1) - ce * b0 - be * b1)
-
-
-def _coordinate_forms(tower):
-    """The forms U and V of _forms in the coordinates c of T = c adj(S), as
-    a pair of symmetric 4 x 4 integer matrices G with c G c^T = 2 q(c adj):
-    G[i][j] = q(adj[i] + adj[j]) - q(adj[i]) - q(adj[j]), which is
-    2 q(adj[i]) on the diagonal."""
-    adj = tower[5]
-    q = [_forms(tower, *row) for row in adj]
-    gram = ([[0] * 4 for _ in range(4)], [[0] * 4 for _ in range(4)])
-    for i in range(4):
-        for j in range(i, 4):
-            both = _forms(tower, *(a + b for a, b in zip(adj[i], adj[j])))
-            for g, qij, qi, qj in zip(gram, both, q[i], q[j]):
-                g[i][j] = g[j][i] = qij - qi - qj
-    return gram
-
-
-def _value(gram, c):
-    """c gram c^T."""
-    return sum(a * sum(map(mul, row, c)) for a, row in zip(c, gram))
-
-
-def _times(rows, basis):
-    """The vectors whose coordinates over the basis rows are the rows:
-    rows basis, as tuples."""
-    cols = list(zip(*basis))
-    return [tuple(sum(map(mul, row, col)) for col in cols) for row in rows]
-
-
-def _congruent(gram, rows):
-    """rows gram rows^T: the Gram matrix of the rows under gram."""
-    return [[sum(map(mul, a, b)) for b in rows] for a in _times(rows, gram)]
-
-
 @dataclass(frozen=True)
 class _FieldGenerators:
     """The constants of _box_hits for one field (_field_generators).
 
-    u and v are the matrices of 2U and 2V (_coordinate_forms), and a box
-    |c_i| <= b bounds c u c^T by b^2 u_sum; scale is e D^2.  The
-    fundamental unit of Q(sqrt(d)) is (eps0[0] + eps0[1] sqrt(d)) / h, with
-    h = 2 when d = 1 mod 4 and 1 otherwise, and sqrt_d holds the
-    coordinates of sqrt(d).  torsion holds the multiplication matrices
-    (NFElement.mult_matrix) of eta^t for t < g, and steps those of the unit
-    eps of unit_data and of its inverse.
+    u is the matrix of 2U (FieldSpec.norm_forms), and a box |c_i| <= b
+    bounds c u c^T by b^2 u_sum.  The fundamental unit of Q(sqrt(d)) is
+    (eps0[0] + eps0[1] sqrt(d)) / h, with h = 2 when d = 1 mod 4 and 1
+    otherwise, and sqrt_d holds the coordinates of sqrt(d).  torsion holds
+    the multiplication matrices (NFElement.mult_matrix) of eta^t for t < g,
+    and steps those of the unit eps of unit_data and of its inverse.
     """
 
     u: list
-    v: list
     u_sum: int
-    scale: int
     h: int
     eps0: tuple[int, int]
     sqrt_d: tuple
@@ -538,18 +485,16 @@ class _FieldGenerators:
 
 @lru_cache(maxsize=128)
 def _field_generators(spec: FieldSpec) -> _FieldGenerators:
-    d, e, _, _, det, _ = spec.tower
-    u, v = _coordinate_forms(spec.tower)
+    d = spec.real_subfield_d
+    u = spec.norm_forms[0]
     x, y, _ = continued_fraction_fundamental_unit(d)
     h = 2 if d % 4 == 1 else 1
     units = unit_data(spec)
-    torsion = [one(spec)]
-    for _ in range(1, units.g):
-        torsion.append(torsion[-1] * units.eta)
     return _FieldGenerators(
-        u=u, v=v, u_sum=sum(abs(a) for row in u for a in row), scale=e * det * det, h=h,
+        u=u, u_sum=sum(abs(a) for row in u for a in row), h=h,
         eps0=(2 * x + y, y) if h == 2 else (x, y),  # x + y (1 + sqrt d)/2 when h = 2
-        sqrt_d=spec.sqrt_map[d], torsion=tuple(z.mult_matrix() for z in torsion),
+        sqrt_d=spec.sqrt_map[d],
+        torsion=tuple(z.mult_matrix() for z in torsion_units(units.g, units.eta)),
         steps=(units.epsilon.mult_matrix(), inverse_unit(units.epsilon).mult_matrix()),
     )
 
@@ -585,19 +530,12 @@ def _least_generators(prime: DegreeOnePrime, data: _FieldGenerators) -> list[tup
 
     A generator pi of P gives the totally positive generator pi conj(pi)
     of p; the other generators of P change it by the norms u conj(u) of
-    units, among them eps0^2, so it is one of the four up to those.
-
-    For alpha = (A + B sqrt(d)) / h, with conjugate alpha' over Q, the form
-    Q(x) = A U - B d V = (h e D^2 / 2) Tr(alpha' x conj(x)) satisfies
-    Q(x) >= h e D^2 sqrt(p N(x)) >= h e D^2 p for nonzero x in P, by AM-GM
-    over the two real embeddings, with equality exactly when
-    x conj(x) = alpha.  So the generators sought are the vectors of P of
-    least value under Q: LLL reduction of P's basis (p, 0, 0, 0),
-    (-r1, 1, 0, 0), (-r2, 0, 1, 0), (-r3, 0, 0, 1) under 2Q, then the box of
-    every y with 2Q(y) <= 2 h e D^2 p.  The first alpha tried is alpha
-    whenever the unit index [E : W E+] is 2 or N(eps0) = -1; otherwise
-    alpha0 and alpha0 eps0 may both be totally positive with one of them
-    a norm, so each totally positive candidate is tried in turn.
+    units, among them eps0^2, so it is one of the four up to those.  They
+    are the solutions of norm_solutions in P's basis (p, 0, 0, 0),
+    (-r1, 1, 0, 0), (-r2, 0, 1, 0), (-r3, 0, 0, 1).  The first alpha tried
+    is alpha whenever the unit index [E : W E+] is 2 or N(eps0) = -1;
+    otherwise alpha0 and alpha0 eps0 may both be totally positive with one
+    of them a norm, so each candidate is tried in turn.
     """
     spec, p = prime.field, prime.p
     r = [im % p for im in prime.basis_images]
@@ -609,14 +547,8 @@ def _least_generators(prime: DegreeOnePrime, data: _FieldGenerators) -> list[tup
     e0, f0 = data.eps0
     a1, b1 = (a0 * e0 + d * b0 * f0) // data.h, (a0 * f0 + b0 * e0) // data.h
     lattice = [[p, 0, 0, 0], [-r[1], 1, 0, 0], [-r[2], 0, 1, 0], [-r[3], 0, 0, 1]]
-    target = 2 * data.h * data.scale * p
     for a, b in ((a0, b0), (-a0, -b0), (a1, b1), (-a1, -b1)):
-        if a <= 0 or a * a <= d * b * b:  # not totally positive
-            continue
-        form = [[a * gu - b * d * gv for gu, gv in zip(ru, rv)] for ru, rv in zip(data.u, data.v)]
-        basis = _times(lll_reduce(_congruent(form, lattice)), lattice)
-        # every nonzero vector of value at most target has value target
-        found = _times([y for y in box_vectors(_congruent(form, basis), target) if any(y)], basis)
+        found = norm_solutions(spec, lattice, a, b)
         if found:
             return found
     return []

@@ -36,16 +36,21 @@ def _prime_dict(P: DegreeOnePrime) -> dict:
     }
 
 
+def units_to_dict(units: UnitData) -> dict:
+    """The units block of a certificate, which `euclid4 field info` prints too."""
+    return {
+        "g": str(units.g),
+        "eta_coords": [str(c) for c in units.eta.coords],
+        "epsilon_coords": [str(c) for c in units.epsilon.coords],
+        "provenance": units.provenance.value,
+    }
+
+
 def certificate_to_dict(cert: AdmissibleCertificate, label: str | None = None) -> dict:
     doc = {
         "version": SCHEMA_VERSION,
         "field": field_descriptor(cert.spec),
-        "units": {
-            "g": str(cert.units.g),
-            "eta_coords": [str(c) for c in cert.units.eta.coords],
-            "epsilon_coords": [str(c) for c in cert.units.epsilon.coords],
-            "provenance": cert.units.provenance.value,
-        },
+        "units": units_to_dict(cert.units),
         "P1": _prime_dict(cert.P1),
         "P2": _prime_dict(cert.P2),
         "orders": {

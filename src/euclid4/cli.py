@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .admissible import PairAttempts, search_pair
-from .certs import certificate_to_json, verify_certificate_json
+from .certs import certificate_to_json, units_to_dict, verify_certificate_json
 from .errors import (
     CapExceeded,
     ConditionFailed,
@@ -100,18 +100,12 @@ def cmd_field(args) -> int:
             )
         return 0
     entry = registry_entry(args.label)
-    ud = unit_data(entry.spec)
     doc = {
         "label": entry.label,
         "field": field_descriptor(entry.spec),
         "expected_g": str(entry.expected_g),
         "expected_p1_p2": [str(p) for p in entry.expected_p1_p2],
-        "units": {
-            "g": str(ud.g),
-            "eta_coords": [str(c) for c in ud.eta.coords],
-            "epsilon_coords": [str(c) for c in ud.epsilon.coords],
-            "provenance": ud.provenance.value,
-        },
+        "units": units_to_dict(unit_data(entry.spec)),
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0

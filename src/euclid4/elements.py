@@ -2,16 +2,18 @@
 
 An element is an integer coordinate vector; integrality is therefore a
 representation invariant, which keeps every residue computation
-denominator-free.
+denominator-free.  norm_solutions solves x conj(x) = alpha in a lattice of
+the ring, for the prime generators and the unit square roots alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import FieldMismatch, NotAUnit
 from .fields import FieldSpec, basis_mul
-from .linalg import adjugate_int, det_int
+from .linalg import adjugate_int, box_vectors, det_int, lll_reduce
 
 
 @dataclass(frozen=True)
@@ -117,3 +119,50 @@ def inverse_unit(x: NFElement) -> NFElement:
     if (x * y).coords != (1, 0, 0, 0):
         raise NotAUnit("the adjugate row is not an inverse")
     return y
+
+
+def _value(gram, c):
+    """c gram c^T."""
+    return sum(a * sum(map(mul, row, c)) for a, row in zip(c, gram))
+
+
+def _times(rows, basis):
+    """The vectors whose coordinates over the basis rows are the rows:
+    rows basis, as tuples."""
+    cols = list(zip(*basis))
+    return [tuple(sum(map(mul, row, col)) for col in cols) for row in rows]
+
+
+def _congruent(gram, rows):
+    """rows gram rows^T: the Gram matrix of the rows under gram."""
+    return [[sum(map(mul, a, b)) for b in rows] for a in _times(rows, gram)]
+
+
+def norm_solutions(spec: FieldSpec, lattice, a: int, b: int) -> list[tuple[int, ...]]:
+    """Every x of the lattice (rows: the coordinates of a basis) with
+    x conj(x) = alpha = (a + b sqrt(d)) / h, as coordinate tuples, where
+    d = real_subfield_d and h = 2 when d = 1 mod 4, else 1; [] unless alpha
+    is totally positive.
+
+    x conj(x) = (U + V sqrt(d)) / (e D^2) (FieldSpec.norm_forms), and the
+    form Q = a U - b d V = (h e D^2 / 2) Tr(alpha' x conj(x)) has
+    Q(x) >= h e D^2 sqrt(N(alpha) N(x)) by AM-GM over the two real
+    embeddings, with equality where x conj(x) = alpha.  So LLL reduction
+    under 2Q (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7) and the box 2Q(y) <= 2 h e D^2 N(alpha) find every
+    solution, each checked exactly; when |N(x)| >= N(alpha) on the lattice
+    (a prime of norm N(alpha), or the ring with alpha a unit), every
+    nonzero y of the box is one.
+    """
+    d, e, _, _, det, _ = spec.tower
+    h = 2 if d % 4 == 1 else 1
+    if a <= 0 or a * a <= d * b * b:
+        return []
+    gu, gv = spec.norm_forms
+    scale = e * det * det
+    form = [[a * x - b * d * y for x, y in zip(ru, rv)] for ru, rv in zip(gu, gv)]
+    basis = _times(lll_reduce(_congruent(form, lattice)), lattice)
+    bound = 2 * scale * (a * a - d * b * b) // h
+    found = _times([y for y in box_vectors(_congruent(form, basis), bound) if any(y)], basis)
+    return [x for x in found
+            if h * _value(gu, x) == 2 * scale * a and h * _value(gv, x) == 2 * scale * b]

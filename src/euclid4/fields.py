@@ -128,6 +128,21 @@ def basis_mul(table, x, y):
     return out
 
 
+def _forms(tower, t0, t1, t2, t3):
+    """(U, V) with e (a^2 - b^2 y^2) = U + V x for a = t0 + t1 x and
+    b = t2 + t3 x, two quadratic forms in t; tower is FieldSpec.tower.
+
+    Complex conjugation fixes x and sends y to -y, so for z =
+    (a + b y) / D the real element z conj(z) is (U + V x) / (e D^2).
+    Hence U^2 - d V^2 = e^2 D^4 N(z), and U, e D^2 / 4 times the sum
+    of |z|^2 over the four embeddings, is positive definite."""
+    d, e, be, ce, _, _ = tower
+    b0 = t2 * t2 + d * (t3 * t3)
+    b1 = 2 * t2 * t3
+    return (e * (t0 * t0 + d * (t1 * t1)) - be * b0 - d * ce * b1,
+            e * (2 * t0 * t1) - ce * b0 - be * b1)
+
+
 # ---------------------------------------------------------------------------
 # the field object
 
@@ -254,6 +269,32 @@ class FieldSpec:
             raise DegenerateField(f"{self.name()}: e det(S) = {e * det} is divisible "
                                   "by a completely split prime")
         return d, e, be, ce, det, adjugate_int(rows)
+
+    @cached_property
+    def norm_forms(self):
+        """The forms U and V of _forms in the integral-basis coordinates c
+        of an element, whose tower coordinates are T = c adj(S): a pair of
+        symmetric 4 x 4 integer matrices G with c G c^T = 2 q(c adj), by
+        polarization G[i][j] = q(adj[i] + adj[j]) - q(adj[i]) - q(adj[j]),
+        which is 2 q(adj[i]) on the diagonal."""
+        tower, adj = self.tower, self.tower[5]
+        q = [_forms(tower, *row) for row in adj]
+        gram = ([[0] * 4 for _ in range(4)], [[0] * 4 for _ in range(4)])
+        for i in range(4):
+            for j in range(i, 4):
+                both = _forms(tower, *(a + b for a, b in zip(adj[i], adj[j])))
+                for g, qij, qi, qj in zip(gram, both, q[i], q[j]):
+                    g[i][j] = g[j][i] = qij - qi - qj
+        return gram
+
+    @cached_property
+    def _hash(self):
+        # once per object, not per lru_cache lookup; ints and Fractions hash
+        # alike in every process, so a pickled copy stays valid
+        return hash((self.discriminant, self.integral_basis))
+
+    def __hash__(self):
+        return self._hash
 
     def coords_from_power(self, power_vec):
         """Integral-basis coordinates of an element given in power coordinates.

@@ -4,13 +4,12 @@ For an unramified prime p of residue degree one, reduction modulo the square
 of a prime ideal above p is a ring map onto Z/p^2.  Every supported field is
 a tower of two square roots, K = Q(x, y) with x = sqrt(d) real and
 e y^2 = Be + Ce x (FieldSpec.tower), so at an odd prime that splits
-completely each map O -> Z/p^k is fixed by a square root s of d and a square
-root t of (Be + Ce s) / e modulo p^k (Tonelli-Shanks and a Newton lift), two
+completely each map O -> Z/p^2 is fixed by a square root s of d and a square
+root t of (Be + Ce s) / e modulo p^2 (Tonelli-Shanks and a Newton lift), two
 signs each.  The integral basis is adj(S) (1, x, y, xy) / D with e and D
 coprime to every such p, so the same two square roots serve whether or not p
-divides the index of theta.  `reduction_maps` is the one evaluator:
-degree-one primes use it at k = 2 and the unit square-root lifting at
-higher k.
+divides the index of theta.  `reduction_maps` is the one evaluator, and
+degree_one_primes_above the one caller.
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ def split_primes(spec: FieldSpec, bound: int):
     return (p for p in odd if spec.discriminant % p and splits_completely(spec, p))
 
 
-def reduction_maps(spec: FieldSpec, p: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The four ring maps O -> Z/p^k at an odd prime p that splits
+def reduction_maps(spec: FieldSpec, p: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The four ring maps O -> Z/p^2 at an odd prime p that splits
     completely, as (theta image, basis images); [] when p does not split.
 
     A map is fixed by the images s, t of x and y (see FieldSpec.tower):
@@ -109,16 +108,16 @@ def reduction_maps(spec: FieldSpec, p: int, k: int) -> list[tuple[int, tuple[int
     if not splits_completely(spec, p):
         return []
     d, e, be, ce, det, adj = spec.tower
-    pk = p ** k
-    inv_det, inv_e = pow(det, -1, pk), pow(e, -1, pk)
-    s0 = sqrt_mod_prime_power(d, p, k)
+    p2 = p * p
+    inv_det, inv_e = pow(det, -1, p2), pow(e, -1, p2)
+    s0 = sqrt_mod_prime_power(d, p, 2)
     out = []
-    for s in (s0, pk - s0):
-        t0 = sqrt_mod_prime_power((be + ce * s) * inv_e, p, k)
-        for t in (t0, pk - t0):
+    for s in (s0, p2 - s0):
+        t0 = sqrt_mod_prime_power((be + ce * s) * inv_e, p, 2)
+        for t in (t0, p2 - t0):
             vec = (1, s, t, s * t)
-            images = tuple(sum(a * v for a, v in zip(row, vec)) * inv_det % pk for row in adj)
-            theta = sum(a * im for a, im in zip(spec.theta_coords, images)) % pk
+            images = tuple(sum(a * v for a, v in zip(row, vec)) * inv_det % p2 for row in adj)
+            theta = sum(a * im for a, im in zip(spec.theta_coords, images)) % p2
             out.append((theta, images))
     out.sort(key=lambda m: (m[0] % p, m[1]))
     return out
@@ -131,7 +130,7 @@ def degree_one_primes_above(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
     """
     return [
         DegreeOnePrime(spec, p, theta, idx, images)
-        for idx, (theta, images) in enumerate(reduction_maps(spec, p, 2))
+        for idx, (theta, images) in enumerate(reduction_maps(spec, p))
     ]
 
 

@@ -1,9 +1,10 @@
 """Unit-group data: torsion order g, a generator eta, an infinite-order unit.
 
-The infinite-order unit is the fundamental unit of the real quadratic
-subfield, embedded into the quartic field.  That is always a legitimate
-choice here (only its multiplicative orders modulo squared primes matter),
-and it avoids any unit-index computation in the quartic field itself.
+The infinite-order unit starts as the fundamental unit eps0 of the real
+quadratic subfield, embedded into the quartic field.  The unit index
+[E : W E+] is 1 or 2, and it is 2 exactly when eta eps0 is a square in the
+ring; then its square root, found exactly by the norm-equation search of
+norm_solutions, replaces eps0 (strongest_unit).
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from math import isqrt
 
-from .elements import NFElement, norm, one, sqrt_radicand, theta
+from .elements import NFElement, _value, norm, norm_solutions, one, sqrt_radicand, theta
 from .errors import CapExceeded, DegenerateField, NotAUnit
 from .fields import FieldSpec
-from .intmath import continued_fraction_fundamental_unit, factorize, legendre, sqrt_mod_prime_power
-from .linalg import adjugate_int, det_int
-from .residues import reduction_maps, split_primes
+from .intmath import continued_fraction_fundamental_unit, factorize
+from .residues import degree_one_primes_above, reduce_mod_p2, split_primes
 
 
 class Provenance(enum.Enum):
@@ -108,74 +108,56 @@ def infinite_order_unit(spec: FieldSpec) -> NFElement:
 
 
 def sqrt_in_ring(spec: FieldSpec, v: NFElement) -> NFElement | None:
-    """An exact w with w*w = v, or None when v is proven not to be a square.
+    """A w with w*w = v for a unit v, or None, a proof that there is none;
+    a non-unit raises NotAUnit.
 
-    The proof is a quadratic character: v is a non-residue modulo one of
-    the primes above one of the first three split primes.  Otherwise
-    candidate roots are Hensel-lifted componentwise modulo a power of the
-    first of them, pulled back through the inverse adj(H) / det(H) of the
-    matrix H of basis images (det(H) is a unit there), and verified exactly,
-    so a returned value is always correct.  When four lifts of doubling
-    precision find no root, or fewer than three split primes lie below
-    20000, nothing is proven either way, and the call raises CapExceeded.
+    v conj(v) = (U + V sqrt(d)) / s with s = e D^2 (FieldSpec.norm_forms),
+    and v is a unit exactly when U^2 - d V^2 = s^2.  A root has
+    w conj(w) = alpha = (a + b sqrt(d)) / h, the totally positive root of
+    v conj(v), with a^2 = h^2 (U + s) / (2 s), b^2 = h^2 (U - s) / (2 d s)
+    and b of the sign of V; the roots are the solutions x of
+    x conj(x) = alpha in the ring (norm_solutions) with x x = v.  Of +-w,
+    the one returned is in [0, (q-1)/2] modulo the first degree-one prime
+    above q, the least split prime prime to the index, which fixes the
+    unit data every certificate carries.
     """
-    # reduction_maps also serves primes dividing the index, but the filter
-    # stays: it fixes q, hence the root pinned by roots[0] and the sign of
-    # the w returned, and so the unit data every certificate carries.
-    qs = list(islice((q for q in split_primes(spec, 20000) if spec.index % q), 3))
-    if len(qs) < 3:
-        raise CapExceeded(f"fewer than 3 split primes below 20000 for {spec.name()}")
-    for q in qs:
-        for _, images in reduction_maps(spec, q, 1):
-            val = sum(c * im for c, im in zip(v.coords, images)) % q
-            if legendre(val, q) != 1:
-                return None
-    q = qs[0]
-    bits = max(abs(c) for c in v.coords).bit_length() + 4
-    prec = max(2, (bits // 2 + 40) // max(1, q.bit_length() - 1))
-    for _ in range(4):
-        qm = q ** prec
-        homs = [images for _, images in reduction_maps(spec, q, prec)]
-        vals = [sum(c * im for c, im in zip(v.coords, row)) % qm for row in homs]
-        roots = [sqrt_mod_prime_power(val, q, prec) for val in vals]
-        adj = adjugate_int(homs)
-        det_inv = pow(det_int(homs), -1, qm)
-        for signs in range(8):
-            svec = [roots[0]]
-            for i in range(1, 4):
-                svec.append(roots[i] if (signs >> (i - 1)) & 1 == 0 else (qm - roots[i]) % qm)
-            coords = [sum(a * s for a, s in zip(row, svec)) * det_inv % qm for row in adj]
-            lifted = tuple(c if c <= qm // 2 else c - qm for c in coords)
-            w = NFElement(spec, lifted)
-            if (w * w).coords == v.coords:
-                return w
-        prec *= 2
-    raise CapExceeded("no square root found in four lifts, and no character rules one out")
+    d, e, _, _, det, _ = spec.tower
+    gu, gv = spec.norm_forms
+    # 2U, 2V and 2s
+    u2, v2, s2 = _value(gu, v.coords), _value(gv, v.coords), 2 * e * det * det
+    if u2 * u2 - d * v2 * v2 != s2 * s2:
+        raise NotAUnit(f"{v} is not a unit")
+    h = 2 if d % 4 == 1 else 1
+    squares = ((h * h * (u2 + s2), 2 * s2), (h * h * (u2 - s2), 2 * d * s2))  # a^2, b^2
+    a, b = (isqrt(num // den) for num, den in squares)
+    if any(num != den * r * r for (num, den), r in zip(squares, (a, b))):
+        return None
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    roots = [x for x in norm_solutions(spec, identity, a, b if v2 >= 0 else -b)
+             if (NFElement(spec, x) * NFElement(spec, x)).coords == v.coords]
+    if not roots:
+        return None
+    q = next((q for q in split_primes(spec, 20000) if spec.index % q), None)
+    if q is None:
+        raise CapExceeded(f"no split prime below 20000 fixes the root's sign for {spec.name()}")
+    root = NFElement(spec, roots[0])
+    return root if reduce_mod_p2(root, degree_one_primes_above(spec, q)[0]) % q <= q // 2 else -root
 
 
-def strongest_unit(spec: FieldSpec, g: int, eta: NFElement,
-                   eps: NFElement) -> NFElement:
-    """A square root of the first torsion multiple eta^t eps (t < g) that
-    has one, or eps itself.
+def strongest_unit(spec: FieldSpec, eta: NFElement, eps: NFElement) -> NFElement:
+    """The square root of eta eps when it has one, else eps.
 
-    The embedded subfield unit can be the square of a unit of the quartic
-    field (times torsion); in that case its residue images generate only an
-    index-two subgroup and reference pairs cannot be certified.  Extracting
-    the root restores the full image.  One round suffices: K is CM, so the
-    unit index [E : W E+] is at most 2 (Washington, Introduction to
-    Cyclotomic Fields, Thm 4.12).  Hence some eta^t eps is a square exactly
-    when the index is 2, its root then generates E modulo torsion, and no
-    torsion multiple of that root is a square again.  The inverse
-    needs no pass of its own: zeta^t eps^-1 = w^2 gives
-    zeta^t eps = (w eps)^2.
+    K is CM, so the unit index [E : W E+] is at most 2 (Washington,
+    Introduction to Cyclotomic Fields, Thm 4.12), and it is 2 exactly when
+    some eta^t eps is a square; the root then generates E modulo torsion.
+    No even t has one: zeta^2 eps = w^2 gives x = w / zeta with x^2 = eps,
+    so x conj(x), totally positive with square eps^2, is eps = x^2 (eps > 1
+    in one embedding); then conj(x) = x is real and eps a square in the
+    real subfield, which a fundamental unit is not.  An odd t gives eta^t eps = eta eps
+    (eta^((t-1)/2))^2, so one call suffices.
     """
-    t_power = one(spec)
-    for _t in range(g):
-        w = sqrt_in_ring(spec, t_power * eps)
-        if w is not None and has_infinite_order(w, g, eta):
-            return w
-        t_power = t_power * eta
-    return eps
+    w = sqrt_in_ring(spec, eta * eps)
+    return eps if w is None else w
 
 
 @lru_cache(maxsize=128)
@@ -189,29 +171,26 @@ def unit_data(spec: FieldSpec) -> UnitData:
     """
     g, eta = torsion(spec)
     eps0 = infinite_order_unit(spec)
-    eps = strongest_unit(spec, g, eta, eps0)
-    prov = (
-        Provenance.REAL_QUADRATIC_SUBFIELD
-        if eps.coords == eps0.coords
-        else Provenance.SUPPLIED
-    )
-    if norm(eps) not in (1, -1):
-        raise NotAUnit(f"the unit has norm {norm(eps)}")
+    eps = strongest_unit(spec, eta, eps0)
+    prov = Provenance.REAL_QUADRATIC_SUBFIELD if eps == eps0 else Provenance.SUPPLIED
     if not has_infinite_order(eps, g, eta):
         raise DegenerateField("the unit is a torsion unit")
     return UnitData(g, eta, eps, prov)
 
 
+def torsion_units(g: int, eta: NFElement) -> list[NFElement]:
+    """eta^0, ..., eta^(g-1): the torsion units, when eta generates them."""
+    powers = [one(eta.field)]
+    for _ in range(1, g):
+        powers.append(powers[-1] * eta)
+    return powers
+
+
 def has_infinite_order(x: NFElement, g: int, eta: NFElement) -> bool:
-    """A unit x has infinite order when it is none of the torsion units
-    eta^0, ..., eta^(g-1) (eta generates them); comparing coordinates keeps
-    the cost independent of the size of x, which may come from a certificate."""
-    power = one(eta.field)
-    for _ in range(g):
-        if x.coords == power.coords:
-            return False
-        power = power * eta
-    return True
+    """A unit x has infinite order when it is none of the torsion units;
+    comparing coordinates keeps the cost independent of the size of x,
+    which may come from a certificate."""
+    return all(x.coords != z.coords for z in torsion_units(g, eta))
 
 
 def verify_unit_data(u: UnitData) -> bool:

@@ -18,7 +18,6 @@ from euclid4.admissible import (
     _box_hits,
     _dlog,
     _field_generators,
-    _forms,
     _least_generators,
     _prime_below,
     brute_force_surjectivity,
@@ -38,7 +37,7 @@ from euclid4.errors import (
     SamePrime,
     SearchExhausted,
 )
-from euclid4.fields import build_biquadratic, build_from_descriptor
+from euclid4.fields import _forms, build_biquadratic, build_from_descriptor
 from euclid4.intmath import is_prime
 from euclid4.residues import (
     degree_one_primes_above,

@@ -1,10 +1,15 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from euclid4.admissible import search_pair
+from euclid4.certs import certificate_to_dict
 from euclid4.cli import main
+from euclid4.fields import registry_entry
+from euclid4.units import unit_data
 
 
 def test_field_list(capsys):
@@ -19,6 +24,12 @@ def test_field_info(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["expected_p1_p2"] == ["29", "17"]
     assert doc["field"]["m"] == "-1" and doc["field"]["n"] == "13"
+    # the units block of a certificate carrying unit_data's own units (the
+    # searched certificate carries a torsion multiple of eps)
+    spec = registry_entry("K_1").spec
+    ud = unit_data(spec)
+    cert = replace(search_pair(spec, ud, 100), units=ud)
+    assert doc["units"] == certificate_to_dict(cert)["units"]
 
 
 def test_field_info_unknown(capsys):

@@ -300,6 +300,20 @@ def test_construction_is_deterministic():
     assert build_cyclic_quartic(29) == build_cyclic_quartic(29)
 
 
+def test_hash_is_cached_per_object():
+    """Two builds of one field are distinct objects that hash equal; the
+    hash is computed once per object, and a dataclasses.replace copy gets a
+    hash of its own instead of its source's."""
+    a, b = build_biquadratic(-1, 19), build_biquadratic(-1, 19)
+    assert a is not b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a.__dict__["_hash"] == hash(a)
+    same = replace(a)
+    assert "_hash" not in same.__dict__ and same == a and hash(same) == hash(a)
+    other = replace(a, discriminant=a.discriminant * 4)
+    assert other != a and hash(other) != hash(a)
+    assert hash(replace(b, integral_basis=other.integral_basis[::-1])) != hash(b)
+
+
 def test_power_coordinates_reject_vector_outside_theta_span():
     # in Q(zeta_13) the Gauss period theta = zeta + zeta^3 + zeta^9 spans the
     # quartic subfield, and zeta itself lies outside it

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
-from euclid4.errors import CapExceeded
+from euclid4.errors import NotAUnit
 from euclid4.elements import NFElement, inverse_unit, norm, one, sqrt_radicand
 from euclid4.fields import build_biquadratic, build_cyclic_quartic
+from euclid4.intmath import continued_fraction_fundamental_unit
 from euclid4.units import (
     Provenance,
     UnitData,
@@ -11,6 +14,7 @@ from euclid4.units import (
     infinite_order_unit,
     sqrt_in_ring,
     torsion,
+    torsion_units,
     unit_data,
     verify_unit_data,
 )
@@ -121,18 +125,66 @@ def test_sqrt_in_ring_finds_roots(entries):
 
 
 def test_sqrt_in_ring_negative_case(gaussian_sqrt11):
-    # 2 is not a square in this ring
-    assert sqrt_in_ring(gaussian_sqrt11, 2 * one(gaussian_sqrt11)) is None
-    got = sqrt_in_ring(gaussian_sqrt11, 4 * one(gaussian_sqrt11))
-    assert got is not None and (got * got).coords == (4, 0, 0, 0)
+    """In Q(sqrt(-1), sqrt(11)) (g = 4), -1 = i^2 has the roots +-i, while
+    eta = -i (a root would be a primitive 8th root of unity), eps0 (t = 0)
+    and eta^2 eps0 = -eps0 have none."""
+    k = gaussian_sqrt11
+    _, eta = torsion(k)
+    eps0 = infinite_order_unit(k)
+    i = sqrt_radicand(k, -1)
+    assert sqrt_in_ring(k, -one(k)).coords in {i.coords, (-i).coords}
+    for v in (eta, eps0, -eps0):
+        assert sqrt_in_ring(k, v) is None
+    w = sqrt_in_ring(k, eta * eps0)
+    assert (w * w).coords == (eta * eps0).coords
 
 
-def test_sqrt_in_ring_refuses_an_unproven_verdict(gaussian_sqrt11):
-    """46 is not a square here, but no quadratic character at the first
-    three split primes shows it, so the four lifts find no root and prove
-    nothing: the call raises CapExceeded instead of answering None."""
-    with pytest.raises(CapExceeded):
-        sqrt_in_ring(gaussian_sqrt11, 46 * one(gaussian_sqrt11))
+def test_sqrt_in_ring_rejects_non_units(gaussian_sqrt11):
+    """A non-unit raises NotAUnit, squares (4, 25 and (2 + i)^2) and
+    non-squares (2 and 46) alike."""
+    k = gaussian_sqrt11
+    two_plus_i = 2 * one(k) + sqrt_radicand(k, -1)
+    for v in (2 * one(k), 4 * one(k), 25 * one(k), 46 * one(k), two_plus_i * two_plus_i):
+        with pytest.raises(NotAUnit):
+            sqrt_in_ring(k, v)
+
+
+@pytest.mark.parametrize("label", ["K_1", "K_8", "5", "16"])
+def test_sqrt_in_ring_exact_on_seeded_units(entries, label):
+    """For seeded units u = eta^a eps^b, |b| <= 3, of fields with h = 2
+    (K_1 and 5, d = 13 and 5) and h = 1 (K_8 and 16, d = 22 and 2), the root
+    of u u is +-u, and u has none when b is odd (E = <eta> x <eps>)."""
+    spec = entries[label].spec
+    ud = unit_data(spec)
+    rng = random.Random(17)
+    powers = {0: one(spec), 1: ud.epsilon, -1: inverse_unit(ud.epsilon)}
+    for b in (2, 3):
+        powers[b], powers[-b] = powers[b - 1] * ud.epsilon, powers[1 - b] * powers[-1]
+    for _ in range(12):
+        a, b = rng.randrange(ud.g), rng.randint(-3, 3)
+        u = ud.eta ** a * powers[b]
+        root = sqrt_in_ring(spec, u * u)
+        assert root is not None and root.coords in {u.coords, (-u).coords}, (a, b)
+        if b % 2:
+            assert sqrt_in_ring(spec, u) is None, (a, b)
+
+
+def test_unit_index_from_the_norm_of_eps0(entries):
+    """Over the 40 fields no eta^t eps0 with even t has a root, and the odd
+    t have one exactly for the 24 fields whose unit is Supplied: those
+    whose eps0 has norm +1 in the real subfield.  The other 16 have
+    N(eps0) = -1, which rules out a root outright."""
+    supplied = 0
+    for entry in entries.values():
+        spec = entry.spec
+        ud = unit_data(spec)
+        eps0 = infinite_order_unit(spec)
+        positive = continued_fraction_fundamental_unit(spec.real_subfield_d)[2] == 1
+        assert positive == (ud.provenance == Provenance.SUPPLIED), entry.label
+        supplied += positive
+        for t, z in enumerate(torsion_units(ud.g, ud.eta)):
+            assert (sqrt_in_ring(spec, z * eps0) is not None) == (positive and t % 2 == 1), (entry.label, t)
+    assert supplied == 24
 
 
 def test_paper_style_unit_relation(gaussian_sqrt11):
