@@ -23,6 +23,13 @@ certified totally imaginary from its tower Q(x, y): y^2 is negative at both
 real values of x = sqrt(d).  Every check raises a typed error, so none is
 lost under python -O.
 
+Each field is built in a 4-dimensional ambient Q-algebra: the basis
+1, sqrt(m), sqrt(n), sqrt(m) sqrt(n) for Q(sqrt(m), sqrt(n)), the Gauss
+periods for a prime conductor, whose products are read off the group ring of
+Z[zeta_f] once per field, and the tower 1, x, y, xy for conductor 16, whose
+periods are dependent.  The square matrix of theta^0..theta^3 in that
+ambient is inverted once by its adjugate.
+
 Construction is integer arithmetic.  A rational vector is carried as
 (nums, den), integer numerators over one positive denominator, from the
 ambient generators through their power coordinates to the Hermite normal
@@ -44,7 +51,7 @@ from .errors import (
     UnknownLabel,
     UnsupportedConductor,
 )
-from .intmath import IntPoly, factorize, is_squarefree, legendre
+from .intmath import IntPoly, factorize, is_squarefree
 from .linalg import adjugate_int, det_int, hnf_rows
 
 # Radicands are tested for squarefreeness by trial division, which takes
@@ -203,7 +210,8 @@ class FieldSpec:
         if det == 0:
             raise ValueError("basis matrix is singular")
         q = den * det
-        nums = [d * sum(v * adj[t][k] for t, v in enumerate(vec) if v) for k in range(4)]
+        v0, v1, v2, v3 = vec
+        nums = [d * (v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3) for a0, a1, a2, a3 in zip(*adj)]
         if any(x % q for x in nums):
             raise ValueError("element is not integral")
         return tuple(x // q for x in nums)
@@ -358,32 +366,32 @@ def _validate_spec(spec: FieldSpec):
 
 def _power_basis(one, theta, mul):
     """Minimal polynomial of theta and the map to power coordinates, from
-    theta^0..theta^4 computed in an ambient Q-algebra with product mul.
+    theta^0..theta^4 computed in a 4-dimensional ambient Q-algebra with
+    product mul.
 
     Rational vectors are (nums, den): integer numerators over one positive
-    denominator.  The columns of T are theta^0..theta^3 in ambient
-    coordinates (T is square for the biquadratic algebra, tall for the
-    cyclotomic one), and the power coordinates of v are
-    x = adj(G) T^t v / det(G) with the integer Gram matrix G = T^t T,
-    inverted once, so to_power(ints, den) returns (adj(G) T^t ints,
-    den det(G)).  It raises ValueError when T x = v fails, that is when v is
-    not in the span of the theta powers.
+    denominator.  The columns of the square matrix T are theta^0..theta^3 in
+    ambient coordinates, inverted once: the power coordinates of v are
+    x = adj(T) v / det(T), so to_power(ints, den) returns
+    (adj(T) ints, den |det(T)|), the sign of det(T) moved into adj(T).
+    Raises DegenerateField when det(T) = 0, that is when theta does not
+    generate the ambient algebra.
     """
     powers = [one]
     for _ in range(4):
         powers.append(mul(powers[-1], theta))
-    cols = powers[:4]
-    gram = [[sum(a * b for a, b in zip(u, w)) for w in cols] for u in cols]
-    adj, det = adjugate_int(gram), det_int(gram)
+    rows = list(zip(*powers[:4]))
+    adj = adjugate_int(rows)
+    # adj(T) T = det(T) I, read at the top-left entry
+    det = sum(a * r[0] for a, r in zip(adj[0], rows))
+    if det == 0:
+        raise DegenerateField("theta does not generate the ambient algebra")
+    if det < 0:
+        adj, det = [[-a for a in row] for row in adj], -det
 
     def to_power(ints, den=1):
-        tv = [sum(a * b for a, b in zip(u, ints)) for u in cols]
-        nums = tuple(sum(a * b for a, b in zip(row, tv)) for row in adj)
-        # T x = v, with x = nums / (den det) and v = ints / den
-        if any(sum(n * col[i] for n, col in zip(nums, cols)) != det * v
-               for i, v in enumerate(ints)):
-            raise ValueError("vector is not in the span of the theta powers")
-        return nums, den * det
+        v0, v1, v2, v3 = ints
+        return tuple(a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3 for a0, a1, a2, a3 in adj), den * det
 
     nums, den = to_power(powers[4])
     if any(c % den for c in nums):
@@ -490,77 +498,84 @@ def _primitive_root(f: int) -> int:
     raise UnsupportedConductor(f"{f} has no primitive root")
 
 
-def _cyclo_reduce(vec, f):
-    """Canonical representative modulo the f-th cyclotomic polynomial."""
-    v = list(vec)
-    if f == 16:
-        return [v[j] - v[8 + j] for j in range(8)] + [0] * 8
-    c = v[f - 1]
-    return [x - c for x in v[: f - 1]] + [0]
+def _period_table(f: int):
+    """Structure constants of the Gauss periods eta_t = sum over h in H of
+    zeta^(g^t h), t = 0..3, for a prime conductor f, primitive root g and
+    the index-4 subgroup H of (Z/f)*: table[i][j] holds the period
+    coordinates of eta_i eta_j.
+
+    eta_0 eta_j = sum a_e zeta^e is the group-ring product, |H|^2 terms.
+    As 1 + zeta + ... + zeta^(f-1) = 0 it is sum (a_e - a_0) zeta^e over
+    the basis zeta..zeta^(f-1), so it lies in the period span iff a_e - a_0
+    is constant on every coset g^t H, and that constant is its eta_t
+    coordinate.  The difference of the two sides is checked to vanish
+    exactly, and DegenerateField is raised otherwise.  sigma: zeta ->
+    zeta^g sends eta_t to eta_(t+1), so eta_i eta_j = sigma^i(eta_0
+    eta_(j-i)) completes the table.
+    """
+    g = _primitive_root(f)
+    subgroup = [pow(g, 4 * k, f) for k in range((f - 1) // 4)]
+    cosets = [[pow(g, t, f) * h % f for h in subgroup] for t in range(4)]
+    rows = []
+    for coset in cosets:
+        a = [0] * f
+        for u in subgroup:
+            for v in coset:
+                a[(u + v) % f] += 1
+        row = [a[c[0]] - a[0] for c in cosets]
+        rest = [x - a[0] for x in a]
+        for r, c in zip(row, cosets):
+            for e in c:
+                rest[e] -= r
+        if any(rest):
+            raise DegenerateField(f"conductor {f}: a period product leaves the period span")
+        rows.append(row)
+    return [[[rows[(j - i) % 4][(k - i) % 4] for k in range(4)] for j in range(4)]
+            for i in range(4)]
 
 
-def _cyclo_mul(u, v, f):
-    out = [0] * f
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b != 0:
-                out[(i + j) % f] += a * b
-    return _cyclo_reduce(out, f)
+# Q(zeta_16 - zeta_16^-1) over the tower basis 1, x, y, xy with x^2 = 2 and
+# y^2 = x - 2: table[i][j] holds the coordinates of b_i b_j
+_TOWER16_TABLE = (
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1), (0, 0, 2, 0)),
+    ((0, 0, 1, 0), (0, 0, 0, 1), (-2, 1, 0, 0), (2, -2, 0, 0)),
+    ((0, 0, 0, 1), (0, 0, 2, 0), (2, -2, 0, 0), (-4, 2, 0, 0)),
+)
 
 
 def build_cyclic_quartic(f: int) -> FieldSpec:
     """The imaginary cyclic quartic field inside Q(zeta_f).
 
-    theta is the Gauss period over the index-4 subgroup H of (Z/f)* with
-    cyclic quotient and -1 not in H; for the supported conductors that
-    subgroup is unique.
+    For a prime conductor the ambient is the Gauss-period basis
+    eta_0..eta_3 of _period_table, with one = -(eta_0 + ... + eta_3),
+    theta = eta_0, sqrt(f) = eta_0 - eta_1 + eta_2 - eta_3 (the quadratic
+    Gauss sum, as f = 1 mod 4) and y = eta_0 - eta_2; the periods are the
+    generators of the basis.  The periods of conductor 16 are dependent
+    (eta_2 = -eta_0), so it works in the tower 1, x, y, xy of
+    _TOWER16_TABLE, x = sqrt(2) = zeta^2 + zeta^-2, with
+    theta = y = zeta - zeta^-1, whose powers generate the maximal order.
     """
     if f not in SUPPORTED_CONDUCTORS:
         raise UnsupportedConductor(f"conductor {f} is not in {SUPPORTED_CONDUCTORS}")
 
+    unit = [tuple(int(t == i) for t in range(4)) for i in range(4)]
     if f == 16:
-        subgroup = [1, 7]
-        gamma = 3
+        real_d, table, one, sqrt_vec, y = 2, _TOWER16_TABLE, unit[0], unit[1], unit[2]
+        theta = y
     else:
-        g0 = _primitive_root(f)
-        subgroup = sorted(pow(g0, 4 * k, f) for k in range((f - 1) // 4))
-        gamma = g0
-
-    def period(j):
-        vec = [0] * f
-        mult = pow(gamma, j, f)
-        for h in subgroup:
-            vec[(mult * h) % f] += 1
-        return _cyclo_reduce(vec, f)
-
-    periods = [period(j) for j in range(4)]
-    one = _cyclo_reduce([1] + [0] * (f - 1), f)
-    minpoly, to_power = _power_basis(one, periods[0], lambda u, v: _cyclo_mul(u, v, f))
-
-    # y = theta for conductor 16 (theta^2 = sqrt(2) - 2), else eta_0 - eta_2
-    if f == 16:
-        generators = [(tuple(int(t == i) for t in range(4)), 1) for i in range(4)]
-        real_d = 2
-        sqrt_vec = _cyclo_reduce(
-            [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], 16
-        )
-        tower_y = generators[1]
-    else:
-        generators = [to_power(p) for p in periods]
-        real_d = f
-        sqrt_vec = _cyclo_reduce([0] + [legendre(a, f) for a in range(1, f)], f)
-        # the periods share the denominator det(G)
-        (eta0, den), (eta2, _) = generators[0], generators[2]
-        tower_y = (tuple(a - b for a, b in zip(eta0, eta2)), den)
+        real_d, table, one, sqrt_vec, y = (
+            f, _period_table(f), (-1, -1, -1, -1), (1, -1, 1, -1), (1, 0, -1, 0))
+        theta = unit[0]
+    minpoly, to_power = _power_basis(one, theta, lambda u, v: basis_mul(table, u, v))
+    generators = [(u, 1) for u in unit] if f == 16 else [to_power(u) for u in unit]
 
     return _finish(
         "cyclic", None, None, f, minpoly, generators,
         target=f * f * quadratic_discriminant(real_d),
         real_d=real_d,
         sqrt_power=[(real_d, to_power(sqrt_vec))],
-        tower_y=tower_y,
+        tower_y=to_power(y),
     )
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import euclid4
+from euclid4 import fields
 from euclid4.elements import NFElement, trace
 from euclid4.errors import (
     CapExceeded,
@@ -18,10 +19,10 @@ from euclid4.errors import (
     UnsupportedConductor,
 )
 from euclid4.fields import (
+    _TOWER16_TABLE,
     _bi_mul,
-    _cyclo_mul,
-    _cyclo_reduce,
     _finish,
+    _period_table,
     _power_basis,
     _validate_spec,
     build_biquadratic,
@@ -235,6 +236,27 @@ def test_construction_matches_frozen_digest(entries):
     assert hashlib.sha256(blob.encode()).hexdigest() == CONSTRUCTION_DIGEST
 
 
+# SHA-256 of the construction data of every other imaginary biquadratic
+# pair (m, n) of distinct squarefree radicands with |m|, |n| <= 60, in both
+# orders (m > n gives theta a power matrix of negative determinant), as built
+# by the Gram-matrix construction that the 4 x 4 inverse replaced.
+WIDE_CONSTRUCTION_DIGEST = "0d39c8a536a9df4e26bbb898b20819f09c5aded9c707b8f8641c027f0f55d562"
+
+
+def test_construction_matches_wide_frozen_digest():
+    small = [r for r in range(-20, 21) if r not in (0, 1) and is_squarefree(r)]
+    done = {(m, n) for m in small for n in small if m < n and min(m, n) < 0}
+    radicands = [r for r in range(-60, 61) if r not in (0, 1) and is_squarefree(r)]
+    pairs = [(m, n) for m in radicands for n in radicands
+             if m != n and min(m, n) < 0 and (m, n) not in done]
+    assert len(pairs) == 3762
+    # m > n, and both radicands 2 mod 4
+    assert (6, -2) in pairs and (-2, -58) in pairs
+    blob = json.dumps([construction_json(build_biquadratic(m, n)) for m, n in pairs],
+                      sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == WIDE_CONSTRUCTION_DIGEST
+
+
 def test_cyclotomic_power_basis_is_maximal():
     # Z[zeta_5] is the maximal order: the conductor-5 basis is the power basis
     k5 = build_cyclic_quartic(5)
@@ -314,20 +336,76 @@ def test_hash_is_cached_per_object():
     assert hash(replace(b, integral_basis=other.integral_basis[::-1])) != hash(b)
 
 
-def test_power_coordinates_reject_vector_outside_theta_span():
-    # in Q(zeta_13) the Gauss period theta = zeta + zeta^3 + zeta^9 spans the
-    # quartic subfield, and zeta itself lies outside it
-    f = 13
+def _cyclo_reduce(vec, f):
+    """Canonical representative modulo the f-th cyclotomic polynomial, f
+    prime or 16."""
+    v = list(vec)
+    if f == 16:
+        return [v[j] - v[8 + j] for j in range(8)] + [0] * 8
+    c = v[f - 1]
+    return [x - c for x in v[: f - 1]] + [0]
 
-    def ambient(*exponents):
+
+def _cyclo_mul(u, v, f):
+    """Product in Z[zeta_f] of two exponent-indexed coordinate vectors."""
+    out = [0] * f
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[(i + j) % f] += a * b
+    return _cyclo_reduce(out, f)
+
+
+def _cyclo_combination(coeffs, vectors):
+    return [sum(c * v[e] for c, v in zip(coeffs, vectors)) for e in range(len(vectors[0]))]
+
+
+@pytest.mark.parametrize("f", [5, 13, 29, 37, 53, 61])
+def test_period_table_matches_products_in_the_cyclotomic_field(f):
+    # the periods, the Gauss sum and the products taken directly in Z[zeta_f]
+    g = next(g for g in range(2, f) if len({pow(g, k, f) for k in range(f - 1)}) == f - 1)
+    subgroup = {pow(g, 4 * k, f) for k in range((f - 1) // 4)}
+    periods = []
+    for t in range(4):
         vec = [0] * f
+        for h in subgroup:
+            vec[pow(g, t, f) * h % f] += 1
+        periods.append(_cyclo_reduce(vec, f))
+    table = _period_table(f)
+    for i in range(4):
+        for j in range(4):
+            assert _cyclo_mul(periods[i], periods[j], f) == _cyclo_combination(
+                table[i][j], periods), (f, i, j)
+    one = _cyclo_reduce([1] + [0] * (f - 1), f)
+    assert _cyclo_combination((-1, -1, -1, -1), periods) == one
+    residues = {a * a % f for a in range(1, f)}
+    gauss_sum = _cyclo_reduce([0] + [1 if a in residues else -1 for a in range(1, f)], f)
+    assert _cyclo_combination((1, -1, 1, -1), periods) == gauss_sum
+    assert _cyclo_mul(gauss_sum, gauss_sum, f) == _cyclo_combination([f], [one])
+
+
+def test_conductor_16_tower_matches_products_in_the_cyclotomic_field():
+    # y = zeta - zeta^-1 squares to sqrt(2) - 2 with sqrt(2) = zeta^2 + zeta^-2,
+    # and the tower table is the product of 1, x = sqrt(2), y, xy in Z[zeta_16]
+    def ambient(*exponents):
+        vec = [0] * 16
         for e in exponents:
             vec[e] += 1
-        return _cyclo_reduce(vec, f)
+        return _cyclo_reduce(vec, 16)
 
-    theta = ambient(1, 3, 9)
-    _, to_power = _power_basis(ambient(0), theta, lambda u, v: _cyclo_mul(u, v, f))
-    nums, den = to_power(theta)
-    assert nums == (0, den, 0, 0)
-    with pytest.raises(ValueError):
-        to_power(ambient(1))
+    one, x = ambient(0), ambient(2, 14)
+    y = _cyclo_combination((1, -1), [ambient(1), ambient(15)])
+    assert _cyclo_mul(x, x, 16) == _cyclo_combination([2], [one])
+    assert _cyclo_mul(y, y, 16) == _cyclo_combination((1, -2), [x, one])
+    basis = [one, x, y, _cyclo_mul(x, y, 16)]
+    for i in range(4):
+        for j in range(4):
+            assert _cyclo_mul(basis[i], basis[j], 16) == _cyclo_combination(
+                _TOWER16_TABLE[i][j], basis), (i, j)
+
+
+def test_period_product_outside_the_period_span_is_degenerate(monkeypatch):
+    # 3 has order 3 modulo 13, so its "periods" all equal zeta + zeta^3 +
+    # zeta^9, whose square has a zeta^2 term outside their span
+    monkeypatch.setattr(fields, "_primitive_root", lambda f: 3)
+    with pytest.raises(DegenerateField, match="period span"):
+        _period_table(13)
