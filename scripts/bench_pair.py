@@ -28,8 +28,10 @@ Each workload also reports the operations attempted and failed on each side,
 and ``failed_share`` is ``regression`` when the change fails a larger share
 of its operations than the base, else ``within_bound``.
 
-The output also records the interpreter facts that move cold start-up:
-``sys.version``, ``os.cpu_count()`` and ``sys.flags.dont_write_bytecode``.
+The output also records the interpreter facts that move the numbers:
+``sys.version``, ``numpy.__version__`` (the enumeration oracle runs at
+numpy's scatter speed), ``os.cpu_count()`` and
+``sys.flags.dont_write_bytecode``.
 The last is set by ``PYTHONDONTWRITEBYTECODE``, which every child run
 inherits; with it set, each cold ``reproduce`` child compiles all of
 ``src/euclid4`` again (about half of ``import euclid4.cli``), so
@@ -52,6 +54,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 # run.py ends every run within 180 s; a run past this has hung.
@@ -173,7 +177,8 @@ def main(argv=None) -> int:
         "base_commit": base_commit,
         "change": "working tree",
         "run_seconds": seconds,
-        "interpreter": {"version": sys.version, "cpu_count": os.cpu_count(),
+        "interpreter": {"version": sys.version, "numpy": numpy.__version__,
+                        "cpu_count": os.cpu_count(),
                         "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
         "summary": summary,
         "runs": runs,

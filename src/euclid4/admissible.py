@@ -279,9 +279,50 @@ def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int) -> Admissibl
     )
 
 
-# Block length of the oracle's coset walk: a block of int64 residues stays
-# a few pages, whatever the group order.
+# Most residues the oracle marks in one numpy call: a block of int64
+# indices stays a few pages, whatever the group order.
 _BLOCK = 1 << 12
+
+
+def unit_orbit(x: int, m: int):
+    """The powers x^i mod m for i below the order of x, as an int64 numpy
+    array, so that its length is that order.
+
+    The walk doubles: x^n .. x^(2n-1) is x^0 .. x^(n-1) times x^n, and it
+    stops at the first power equal to 1.  m must be below 2^31, so that a
+    product of two residues fits in int64; x not invertible mod m, whose
+    powers never return to 1, is a ValueError.
+    """
+    if gcd(x, m) != 1:
+        raise ValueError(f"{x} is not invertible mod {m}")
+    import numpy as np
+
+    one = 1 % m
+    powers = np.full(1, one, dtype=np.int64)
+    while True:
+        ahead = powers * pow(x, len(powers), m) % m
+        back = np.flatnonzero(ahead == one)
+        if back.size:
+            return np.concatenate((powers, ahead[:back[0]]))
+        powers = np.concatenate((powers, ahead))
+
+
+def _mark_coset(marks, A, B, m2):
+    """Set marks[A[i] m2 + B[j]] for every index pair with i = j mod g,
+    g = gcd(len(A), len(B)) (see brute_force_surjectivity), in tiles of at
+    most _BLOCK indices, each a broadcast sum of rows and columns."""
+    g = gcd(len(A), len(B))
+    n1, n2 = len(A) // g, len(B) // g
+    rows = (A * m2).reshape(n1, g).T
+    cols = B.reshape(n2, g).T
+    # a tile is c classes by h rows by w columns
+    w = min(n2, _BLOCK)
+    h = min(n1, _BLOCK // w)
+    c = min(g, _BLOCK // (h * w))
+    for k in range(0, g, c):
+        for i in range(0, n1, h):
+            for j in range(0, n2, w):
+                marks[rows[k:k + c, i:i + h, None] + cols[k:k + c, None, j:j + w]] = 1
 
 
 def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
@@ -293,15 +334,24 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
     This is the definition-level oracle: it shares nothing with the order
     computations above.  Exponents up to 2 are supported (squares suffice
     for admissibility).  The moduli m1 = p1^a1 and m2 = p2^a2 are coprime,
-    so the Chinese remainder theorem identifies the group with (Z/M)*,
-    M = m1 m2, and each unit image is one residue mod M.  The group is
-    abelian, so <eta, eps> is the union of the cosets eta^j <eps> for j < r,
-    r the first j with eta^j already marked.  Each coset s <eps> is walked
-    in blocks s eps^(kB) (1, eps, ..., eps^(B-1)) mod M of int64 residues,
-    marked in a bytearray of M bytes, one byte per residue; the walk of the
-    first coset ends where it returns to 1, at the order of eps.  M must
-    stay below 2^31, where the int64 products of two residues cannot
-    overflow, and the unit images must be invertible mod M.
+    and the residue pair (r1, r2) is marked at byte r1 m2 + r2 of a
+    bytearray of M = m1 m2 bytes.  The group is abelian, so <eta, eps> is
+    the union of the cosets s <eps>, s = eta^j for j < r, r the first j
+    with eta^j already marked.
+
+    A coset is marked without a multiply mod M.  Let A = (eps^i mod m1)
+    and B = (eps^i mod m2) be the orbits of eps (unit_orbit), of lengths
+    o1 and o2, and g = gcd(o1, o2).  By the Chinese remainder theorem on
+    exponents, k -> (k mod o1, k mod o2) maps the k < lcm(o1, o2) one to
+    one onto the index pairs (i, j) with i = j mod g, so eps^k runs over
+    the pairs (A[i], B[j]) with i = j mod g, each once.  Reshaped to
+    (o1/g, g) and transposed, s1 A m2 (mod m1) gives per class i mod g
+    the rows, and s2 B (mod m2) reshaped the same way the columns; their
+    broadcast sum is the coset s <eps>, marked in tiles of at most _BLOCK
+    residues.  So a coset costs two orbit-length multiplies, by s1 and
+    by s2, and one scattered byte write per residue.  The unit images
+    must be invertible, and M below 2^31, which bounds the bytearray at
+    2 GiB.
     """
     if not (0 <= a1 <= 2 and 0 <= a2 <= 2):
         raise ValueError("exponents must be 0, 1 or 2")
@@ -320,48 +370,22 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
     M = m1 * m2
     if M >= 2 ** 31:
         raise CapExceeded(f"modulus {M} is not below 2^31")
-    # c1 = 1 mod m1, 0 mod m2 and c2 = 0 mod m1, 1 mod m2 (pow(_, -1, 1) is 0)
-    c1 = m2 * pow(m2, -1, m1)
-    c2 = m1 * pow(m1, -1, m2)
-    eta, eps = (
-        (reduce_mod_p2(u, P1) * c1 + reduce_mod_p2(u, P2) * c2) % M
-        for u in (units.eta, units.epsilon)
+    (eta1, eps1), (eta2, eps2) = (
+        (reduce_mod_p2(units.eta, P) % m, reduce_mod_p2(units.epsilon, P) % m)
+        for P, m in ((P1, m1), (P2, m2))
     )
-    if gcd(eta, M) != 1 or gcd(eps, M) != 1:
+    if any(gcd(x, m) != 1 for x, m in ((eta1, m1), (eps1, m1), (eta2, m2), (eps2, m2))):
         raise ValueError(f"a unit image is not invertible mod {M}")
 
     import numpy as np
 
-    size = min(_BLOCK, target)
-    powers = np.empty(size, dtype=np.int64)  # eps^i mod M
-    powers[0] = 1 % M
-    n = 1
-    while n < size:
-        m = min(n, size - n)
-        powers[n:n + m] = powers[:m] * pow(eps, n, M) % M
-        n += m
-    step = pow(eps, size, M)
-
+    A, B = unit_orbit(eps1, m1), unit_orbit(eps2, m2)
     seen = bytearray(M)
     marks = np.frombuffer(seen, dtype=np.uint8)
-    order = 0  # the order of eps, once the first coset has returned to 1
-    s = 1 % M
-    while not seen[s]:
-        base, k = s, 0  # base = s eps^k
-        while True:
-            block = powers * base % M
-            if not order:
-                skip = int(k == 0)
-                back = np.flatnonzero(block[skip:] == s)
-                if back.size:
-                    order = k + skip + int(back[0])
-            if order and k + size >= order:
-                marks[block[:order - k]] = 1
-                break
-            marks[block] = 1
-            base = base * step % M
-            k += size
-        s = s * eta % M
+    s1, s2 = 1 % m1, 1 % m2
+    while not seen[s1 * m2 + s2]:
+        _mark_coset(marks, A * s1 % m1, B * s2 % m2, m2)
+        s1, s2 = s1 * eta1 % m1, s2 * eta2 % m2
     return seen.count(1) == target
 
 

@@ -22,7 +22,9 @@ class NFElement:
     coords: tuple[int, int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        # coordinates are ints: ring operations make them, and certificate
+        # parsing converts them (certs._as_int); basis_mul returns a list
+        object.__setattr__(self, "coords", tuple(self.coords))
         if len(self.coords) != 4:
             raise FieldMismatch(f"{len(self.coords)} coordinates for a quartic field")
 

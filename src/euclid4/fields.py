@@ -190,7 +190,7 @@ class FieldSpec:
     def _basis_matrix(self):
         """(D, M, adj(M), det(M)) with M = D * integral_basis integral."""
         d, mat = _scaled(self.integral_basis)
-        return d, mat, adjugate_int(mat), det_int(mat)
+        return (d, mat, *_adjugate_det(mat))
 
     @cached_property
     def index(self):
@@ -267,7 +267,7 @@ class FieldSpec:
         if [be * (i == 0) + ce * xi for i, xi in enumerate(x)] != [e * v for v in y2]:
             raise DegenerateField(f"{self.name()}: y^2 is not in Q(sqrt({d}))")
         rows = [[1, 0, 0, 0], list(x), list(y), basis_mul(table, x, y)]
-        det = det_int(rows)
+        adj, det = _adjugate_det(rows)
         if det == 0:
             raise DegenerateField(f"{self.name()}: 1, x, y, xy are linearly dependent")
         rest = abs(e * det)
@@ -276,7 +276,7 @@ class FieldSpec:
         if any(splits_completely(self, q) for q in factorize(rest)):
             raise DegenerateField(f"{self.name()}: e det(S) = {e * det} is divisible "
                                   "by a completely split prime")
-        return d, e, be, ce, det, adjugate_int(rows)
+        return d, e, be, ce, det, adj
 
     @cached_property
     def norm_forms(self):
@@ -364,6 +364,13 @@ def _validate_spec(spec: FieldSpec):
 # the shared build path
 
 
+def _adjugate_det(rows):
+    """adj(A) and det(A) of a 4 x 4 integer matrix A, with det(A) read off
+    adj(A) A = det(A) I at the top-left entry."""
+    adj = adjugate_int(rows)
+    return adj, sum(a * r[0] for a, r in zip(adj[0], rows))
+
+
 def _power_basis(one, theta, mul):
     """Minimal polynomial of theta and the map to power coordinates, from
     theta^0..theta^4 computed in a 4-dimensional ambient Q-algebra with
@@ -380,10 +387,7 @@ def _power_basis(one, theta, mul):
     powers = [one]
     for _ in range(4):
         powers.append(mul(powers[-1], theta))
-    rows = list(zip(*powers[:4]))
-    adj = adjugate_int(rows)
-    # adj(T) T = det(T) I, read at the top-left entry
-    det = sum(a * r[0] for a, r in zip(adj[0], rows))
+    adj, det = _adjugate_det(list(zip(*powers[:4])))
     if det == 0:
         raise DegenerateField("theta does not generate the ambient algebra")
     if det < 0:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from euclid4 import admissible, residues
@@ -26,8 +27,9 @@ from euclid4.admissible import (
     construct_witness,
     find_prime_element,
     search_pair,
+    unit_orbit,
 )
-from euclid4.certs import certificate_to_dict, certificate_to_json
+from euclid4.certs import certificate_to_dict, certificate_to_json, parse_certificate
 from euclid4.elements import NFElement, from_power_coords, norm, one
 from euclid4.errors import (
     BoundExceeded,
@@ -312,7 +314,7 @@ def test_surjectivity_trivial_and_cap(entries):
         brute_force_surjectivity(spec, ud, primes3[0], primes59[0], 2, 2, cap=10)
     with pytest.raises(ValueError):
         brute_force_surjectivity(spec, ud, primes3[0], primes59[0], 3, 2)
-    # 59^2 859^2 is above 2^31, where int64 products of residues overflow
+    # 59^2 859^2 is above 2^31: the marks would take over 2 GiB
     primes859 = degree_one_primes_above(spec, 859)
     with pytest.raises(CapExceeded, match=r"2\^31"):
         brute_force_surjectivity(spec, ud, primes59[0], primes859[0], 2, 2, cap=10 ** 10)
@@ -726,3 +728,73 @@ def test_surjectivity_memory_bound(entries):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 10 ** 6
+
+
+FROZEN_CERTS = Path(__file__).resolve().parent.parent / "benchmark" / "data" / "certs"
+
+
+def _frozen_certificate(label):
+    doc = json.loads((FROZEN_CERTS / f"{label}.json").read_text())
+    return parse_certificate(doc)[0], doc
+
+
+def test_unit_orbit_lengths_match_stored_orders():
+    """On all 40 frozen certificates, the oracle's orbits of eps mod P1^2
+    and P2^2 and of eta mod P1^2 are as long as the stored orders, which
+    check_conditions takes from the factored group order."""
+    labels = sorted(path.stem for path in FROZEN_CERTS.glob("*.json"))
+    assert len(labels) == 40
+    for label in labels:
+        cert, doc = _frozen_certificate(label)
+        for key, unit, P in (("ord_eps_P1", cert.units.epsilon, cert.P1),
+                             ("ord_eps_P2", cert.units.epsilon, cert.P2),
+                             ("ord_eta_P1", cert.units.eta, cert.P1)):
+            orbit = unit_orbit(reduce_mod_p2(unit, P), P.p * P.p)
+            assert len(orbit) == int(doc["orders"][key]), (label, key)
+            assert len(set(orbit.tolist())) == len(orbit), (label, key)
+
+
+@pytest.mark.parametrize("block", [7, 64, admissible._BLOCK])
+def test_mark_coset_is_the_crt_on_exponents(monkeypatch, block):
+    """_mark_coset marks exactly (s1 x1^k mod m1, s2 x2^k mod m2) for
+    k < lcm(o1, o2), o1 and o2 the orders of x1 and x2, over every pair of
+    units modulo 7^2 and 13 and modulo 5^2 and 13, with orbit gcds 1, 2,
+    3, 4 and 6."""
+    monkeypatch.setattr(admissible, "_BLOCK", block)
+    gcds = set()
+    for m1, m2 in ((49, 13), (25, 13)):
+        s1, s2 = 3 % m1, 2 % m2
+        for x1 in (x for x in range(1, m1) if gcd(x, m1) == 1):
+            for x2 in (x for x in range(1, m2) if gcd(x, m2) == 1):
+                A, B = unit_orbit(x1, m1), unit_orbit(x2, m2)
+                o1, o2 = len(A), len(B)
+                gcds.add(gcd(o1, o2))
+                marks = np.zeros(m1 * m2, dtype=np.uint8)
+                admissible._mark_coset(marks, A * s1 % m1, B * s2 % m2, m2)
+                want = {s1 * pow(x1, k, m1) % m1 * m2 + s2 * pow(x2, k, m2) % m2
+                        for k in range(o1 * o2 // gcd(o1, o2))}
+                assert set(np.flatnonzero(marks).tolist()) == want, (x1, x2)
+    assert gcds == {1, 2, 3, 4, 6}
+
+
+def test_unit_orbit_rejects_non_unit():
+    assert unit_orbit(5, 1).tolist() == [0]
+    with pytest.raises(ValueError, match="invertible"):
+        unit_orbit(6, 9)
+
+
+def test_surjectivity_memory_at_largest_audit_group():
+    """K_5 (29, 37) has the largest group the audit workload enumerates,
+    1,081,584 residues.  The marks take M = 29^2 37^2 = 1,151,329 bytes and
+    a tile of a coset at most _BLOCK int64 indices, so one call peaks below
+    1.5 MB; one coset's whole outer sum, lcm(203, 1332) = 270,396 int64
+    indices, would add 2.2 MB."""
+    cert, _ = _frozen_certificate("K_5")
+    assert cert.pair == (29, 37)
+    tracemalloc.start()
+    try:
+        assert brute_force_surjectivity(cert.spec, cert.units, cert.P1, cert.P2, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000

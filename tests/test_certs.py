@@ -11,6 +11,7 @@ from euclid4.certs import (
     parse_certificate,
     verify_certificate_json,
 )
+from euclid4.elements import from_power_coords, inverse_unit
 from euclid4.errors import ConditionFailed, OracleMismatch, SchemaError
 from euclid4.fields import build_from_descriptor
 from euclid4.residues import degree_one_primes_above
@@ -115,6 +116,17 @@ def test_repeated_prime_is_schema_error():
     doc["P2"] = doc["P1"]
     with pytest.raises(SchemaError):
         parse_certificate(doc)
+
+
+def test_coordinates_are_int_tuples():
+    """Parsed coordinates are ints (certs._as_int), and ring operations
+    keep them ints; NFElement stores them as a tuple without converting."""
+    cert, _ = parse_certificate(json.loads((FROZEN_CERTS / "K_5.json").read_text()))
+    eta, eps = cert.units.eta, cert.units.epsilon
+    for x in (eta, eps, eta + eps, eta - eps, -eps, 3 * eps, eta * eps, eps ** 3,
+              inverse_unit(eps), from_power_coords(cert.spec, (1, 2, 3, 4))):
+        assert type(x.coords) is tuple and len(x.coords) == 4
+        assert all(type(c) is int for c in x.coords), x
 
 
 def test_verify_with_oracle_on_frozen_certificates():
