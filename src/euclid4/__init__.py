@@ -26,7 +26,6 @@ from .intmath import (
     IntPoly,
     continued_fraction_fundamental_unit,
     factorize,
-    hensel_lift,
     is_prime,
     mult_order,
     poly_roots_mod_p,

@@ -29,8 +29,7 @@ class NFElement:
             raise FieldMismatch(f"{len(self.coords)} coordinates for a quartic field")
 
     def _check(self, other: "NFElement"):
-        # identity first: the dataclass __eq__ compares all ten FieldSpec fields
-        if self.field is not other.field and self.field != other.field:
+        if self.field != other.field:
             raise FieldMismatch("elements of different fields")
 
     def __add__(self, other):

@@ -5,10 +5,6 @@ class Euclid4Error(Exception):
     """Base class for all package errors."""
 
 
-class NonSimpleRoot(Euclid4Error):
-    """Root refinement attempted at a root where the derivative vanishes."""
-
-
 class NotCoprime(Euclid4Error):
     """Residue is not a unit of its residue ring."""
 

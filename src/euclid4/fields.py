@@ -39,10 +39,11 @@ descriptor renders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import (
     CapExceeded,
@@ -57,6 +58,9 @@ from .linalg import adjugate_int, det_int, hnf_rows
 # Radicands are tested for squarefreeness by trial division, which takes
 # about 0.075 s at 10**12 and grows with the square root beyond it; larger
 # radicands are refused before any factoring so that no input runs unbounded.
+# A radicand below the cap can still have a fundamental unit too large to
+# write down: the continued fraction that finds it stops with CapExceeded
+# once a convergent passes intmath.MAX_CF_BITS bits.
 MAX_RADICAND = 10 ** 12
 
 
@@ -304,6 +308,15 @@ class FieldSpec:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        # identity first: elements and primes of one field share its spec,
+        # and the field-by-field compare costs about 40 times more
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _spec_values(self) == _spec_values(other)
+
     def coords_from_power(self, power_vec):
         """Integral-basis coordinates of an element given in power coordinates.
 
@@ -319,6 +332,9 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec({self.name()})"
+
+
+_spec_values = attrgetter(*(f.name for f in fields(FieldSpec)))
 
 
 def integral_basis_closure_check(spec: FieldSpec) -> bool:

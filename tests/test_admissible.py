@@ -754,12 +754,15 @@ def test_unit_orbit_lengths_match_stored_orders():
             assert len(set(orbit.tolist())) == len(orbit), (label, key)
 
 
-@pytest.mark.parametrize("block", [7, 64, admissible._BLOCK])
+@pytest.mark.parametrize("block", [7, 64, 4096])
 def test_mark_coset_is_the_crt_on_exponents(monkeypatch, block):
     """_mark_coset marks exactly (s1 x1^k mod m1, s2 x2^k mod m2) for
     k < lcm(o1, o2), o1 and o2 the orders of x1 and x2, over every pair of
     units modulo 7^2 and 13 and modulo 5^2 and 13, with orbit gcds 1, 2,
-    3, 4 and 6."""
+    3, 4 and 6, once with every class tiled (_DENSE 0) and once with every
+    class marked by row masks (_DENSE m2).  With block 7 a row chunk is
+    one row; with 4,096, as with the default, a coset is one tile or one
+    chunk."""
     monkeypatch.setattr(admissible, "_BLOCK", block)
     gcds = set()
     for m1, m2 in ((49, 13), (25, 13)):
@@ -769,12 +772,32 @@ def test_mark_coset_is_the_crt_on_exponents(monkeypatch, block):
                 A, B = unit_orbit(x1, m1), unit_orbit(x2, m2)
                 o1, o2 = len(A), len(B)
                 gcds.add(gcd(o1, o2))
-                marks = np.zeros(m1 * m2, dtype=np.uint8)
-                admissible._mark_coset(marks, A * s1 % m1, B * s2 % m2, m2)
                 want = {s1 * pow(x1, k, m1) % m1 * m2 + s2 * pow(x2, k, m2) % m2
                         for k in range(o1 * o2 // gcd(o1, o2))}
-                assert set(np.flatnonzero(marks).tolist()) == want, (x1, x2)
+                for dense in (0, m2):
+                    monkeypatch.setattr(admissible, "_DENSE", dense)
+                    marks = np.zeros(m1 * m2, dtype=np.uint8)
+                    admissible._mark_coset(marks, A * s1 % m1, B * s2 % m2, m2)
+                    assert set(np.flatnonzero(marks).tolist()) == want, (x1, x2)
     assert gcds == {1, 2, 3, 4, 6}
+
+
+def test_mark_coset_sparse_class_touches_no_row():
+    """A class of one column on rows of m2 = 1009^2 bytes is tiled: its
+    six residues take a few hundred bytes of indices, where row masks
+    would take a 1 MB mask and gather 1 MB rows."""
+    m1, m2 = 7, 1009 ** 2
+    A, B = unit_orbit(3, m1), unit_orbit(1, m2) * 5
+    assert (len(A), len(B)) == (6, 1)
+    marks = np.zeros(m1 * m2, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        admissible._mark_coset(marks, A, B, m2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.flatnonzero(marks).tolist() == sorted(a * m2 + 5 for a in range(1, m1))
+    assert peak < 4096
 
 
 def test_unit_orbit_rejects_non_unit():
@@ -786,8 +809,8 @@ def test_unit_orbit_rejects_non_unit():
 def test_surjectivity_memory_at_largest_audit_group():
     """K_5 (29, 37) has the largest group the audit workload enumerates,
     1,081,584 residues.  The marks take M = 29^2 37^2 = 1,151,329 bytes and
-    a tile of a coset at most _BLOCK int64 indices, so one call peaks below
-    1.5 MB; one coset's whole outer sum, lcm(203, 1332) = 270,396 int64
+    a numpy call at most _BLOCK int64 indices or a chunk of rows, so one
+    call peaks below 1.5 MB; one coset's whole outer sum, lcm(203, 1332) = 270,396 int64
     indices, would add 2.2 MB."""
     cert, _ = _frozen_certificate("K_5")
     assert cert.pair == (29, 37)

@@ -1,0 +1,64 @@
+"""The verdict rules of scripts/bench_pair.py, on made-up paired runs; no
+benchmark and no subprocess is run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pair.py"
+_spec = importlib.util.spec_from_file_location("bench_pair", SCRIPT)
+bench_pair = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pair)
+
+# ten base runs, median 1 and inclusive quartiles 0.9925 and 1.0075: a
+# relative IQR of 1.5%; WIDE has a relative IQR of 80%
+BASE = [1.00, 1.01, 0.99, 1.00, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00]
+WIDE = [0.6, 1.4, 0.6, 1.4, 1.0, 1.0, 0.6, 1.4, 0.6, 1.4]
+
+
+def scaled(runs, factor):
+    return [factor * x for x in runs]
+
+
+CASES = [
+    # name, base, change, better, change_fails_more, verdict, wins
+    ("every pair won by far", BASE, scaled(BASE, 0.8), "lower", False, "gain", 10),
+    ("nine of ten won", BASE, scaled(BASE, 0.8)[:9] + [1.01], "lower", False, "gain", 9),
+    ("higher is better", BASE, scaled(BASE, 1.2), "higher", False, "gain", 10),
+    ("eight of ten won", BASE, scaled(BASE, 0.8)[:8] + [1.02, 1.01], "lower", False,
+     "within_bound", 8),
+    ("won inside the base spread", BASE, scaled(BASE, 0.995), "lower", False, "within_bound", 10),
+    ("failed share vetoes a gain", BASE, scaled(BASE, 0.8), "lower", True, "within_bound", 10),
+    ("worse by more than the bound", BASE, scaled(BASE, 1.3), "lower", False, "regression", 0),
+    ("higher is better, lower by more than the bound", BASE, scaled(BASE, 0.7), "higher", False,
+     "regression", 0),
+    ("worse within the bound", BASE, scaled(BASE, 1.2), "lower", False, "within_bound", 0),
+    ("base spread above the bound", WIDE, scaled(WIDE, 0.9), "lower", False, "unresolved", 10),
+    ("wide base spread, every change run better", WIDE, [0.1] * 10, "lower", False, "gain", 10),
+    ("every change run better, inside the base IQR", WIDE, [0.5] * 10, "lower", False,
+     "within_bound", 10),
+]
+
+
+@pytest.mark.parametrize("name, base, change, better, fails_more, outcome, wins", CASES,
+                         ids=[case[0] for case in CASES])
+def test_verdict(name, base, change, better, fails_more, outcome, wins):
+    got = bench_pair.verdict(base, change, better, 0.25, fails_more)
+    assert got["verdict"] == outcome
+    assert got["change_wins"] == wins
+    assert got["change_wins"] + got["change_losses"] <= len(base)
+
+
+def test_verdict_reports_medians_and_spread():
+    got = bench_pair.verdict(BASE, scaled(BASE, 0.8), "lower", 0.25, False)
+    assert got["base"] == pytest.approx({"median": 1.0, "q1": 0.9925, "q3": 1.0075})
+    assert got["change"]["median"] == pytest.approx(0.8)
+    assert got["relative_change"] == pytest.approx(-0.2)
+    assert got["base_relative_iqr"] == pytest.approx(0.015)
+    assert got["bound"] == 0.25
+
+
+def test_failed_share():
+    assert bench_pair.failed_share({"attempted": 40, "failed": 2}) == 0.05
+    assert bench_pair.failed_share({"attempted": 0, "failed": 0}) == 0

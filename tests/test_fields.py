@@ -20,6 +20,7 @@ from euclid4.errors import (
 )
 from euclid4.fields import (
     _TOWER16_TABLE,
+    FieldSpec,
     _bi_mul,
     _finish,
     _period_table,
@@ -334,6 +335,20 @@ def test_hash_is_cached_per_object():
     other = replace(a, discriminant=a.discriminant * 4)
     assert other != a and hash(other) != hash(a)
     assert hash(replace(b, integral_basis=other.integral_basis[::-1])) != hash(b)
+
+
+
+def test_equality_is_identity_first_then_by_field(gaussian_sqrt11):
+    """A spec equals itself without reading a field: an instance with no
+    fields set compares equal to itself.  A dataclasses.replace copy
+    equals its source, and a copy with another discriminant does not."""
+    bare = object.__new__(FieldSpec)
+    assert bare == bare
+    a = gaussian_sqrt11
+    copy = replace(a)
+    assert copy is not a and copy == a and a == copy
+    assert replace(a, discriminant=a.discriminant * 4) != a
+    assert a != field_descriptor(a)
 
 
 def _cyclo_reduce(vec, f):

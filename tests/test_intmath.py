@@ -1,15 +1,16 @@
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euclid4.errors import CapExceeded, NonSimpleRoot, NotCoprime
+from euclid4.errors import CapExceeded, NotCoprime
 from euclid4.intmath import (
+    MAX_CF_BITS,
     IntPoly,
     continued_fraction_fundamental_unit,
     factorize,
-    hensel_lift,
     is_prime,
     is_squarefree,
     mult_order,
@@ -119,38 +120,6 @@ def test_sqrt_mod_prime_power_lifts():
         sqrt_mod_prime_power(14, 7, 2)
 
 
-def test_hensel_examples():
-    assert hensel_lift(IntPoly((1, 0, 1)), 2, 5) == 7
-    # x^2 - 11 at c=2 mod 7: f(2) = -7, f'(2) = 4, lift is 16 (16^2-11 = 5*49)
-    assert hensel_lift(IntPoly((-11, 0, 1)), 2, 7) == 16
-    assert (16 * 16 - 11) % 49 == 0
-    assert hensel_lift(IntPoly((-3, 1)), 3, 5) == 3
-
-
-def test_hensel_non_simple_root():
-    with pytest.raises(NonSimpleRoot):
-        hensel_lift(IntPoly((0, 0, 1)), 0, 5)
-
-
-def test_hensel_random_property():
-    rng = random.Random(2024)
-    primes = [5, 7, 11, 13, 17, 19, 23]
-    done = 0
-    while done < 1000:
-        p = rng.choice(primes)
-        f = IntPoly(tuple(rng.randrange(-20, 21) for _ in range(4)) + (1,))
-        fp = f.derivative()
-        simple = [c for c in range(p)
-                  if f.eval_mod(c, p) == 0 and fp.eval_mod(c, p) != 0]
-        if not simple:
-            continue
-        c = rng.choice(simple)
-        lifted = hensel_lift(f, c, p)
-        assert lifted % p == c
-        assert f.eval_mod(lifted, p * p) == 0
-        done += 1
-
-
 def test_mult_order_examples():
     assert mult_order(24, 25, 20) == 2
     assert mult_order(1, 25, 20) == 1
@@ -191,9 +160,28 @@ def test_fundamental_unit_is_a_unit():
             assert x * x - d * y * y == sign
 
 
+def test_continued_fraction_is_capped_by_size():
+    """d = 10^10 + 19, a prime = 3 mod 4, has a fundamental unit far past
+    MAX_CF_BITS bits: the walk stops with CapExceeded naming d and the cap
+    after about 9,600 steps, within a one-second budget enforced by SIGALRM
+    in this process."""
+    def overrun(signum, frame):
+        raise TimeoutError("the continued fraction ran past its budget")
+
+    d = 10 ** 10 + 19
+    assert is_prime(d) and d % 4 == 3
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(CapExceeded, match=rf"{d}\b.*\b{MAX_CF_BITS} bits"):
+            continued_fraction_fundamental_unit(d)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_residue_arguments_are_normalized():
     # residues are plain ints; representatives outside [0, m) are reduced
     assert mult_order(-1, 25, 20) == mult_order(24, 25, 20) == 2
-    assert hensel_lift(IntPoly((1, 0, 1)), -3, 5) == 7
     with pytest.raises(ValueError):
         mult_order(2, 25, 7)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from euclid4.elements import NFElement, from_power_coords, one
 from euclid4.errors import CapExceeded, NotCoprime, Ramified
 from euclid4.fields import SUPPORTED_CONDUCTORS, build_biquadratic, build_cyclic_quartic
-from euclid4.intmath import hensel_lift, is_prime, is_squarefree, mult_order, poly_roots_mod_p
+from euclid4.intmath import is_prime, is_squarefree, mult_order, poly_roots_mod_p
 from euclid4.residues import (
     MAX_CERT_PRIME,
     degree_one_primes_above,
@@ -160,6 +160,18 @@ def test_index_divisor_prime_via_tower(entries):
             )
     eps = infinite_order_unit(spec)
     assert sorted(unit_order_mod_p2(eps, prime) for prime in primes) == [6, 6, 6, 6]
+
+
+def hensel_lift(f, c, p):
+    """The root mod p^2 of f above a simple root c mod p (one Newton step)."""
+    c %= p
+    if f.eval_mod(c, p) != 0:
+        raise ValueError("c is not a root of f mod p")
+    d = sum(i * a * c ** (i - 1) for i, a in enumerate(f.coeffs) if i) % p
+    if d == 0:
+        raise ValueError(f"f'({c}) = 0 mod {p}")
+    p2 = p * p
+    return (c - f.eval_mod(c, p2) * pow(d, -1, p2)) % p2
 
 
 def root_model_primes(spec, p):
