@@ -3,11 +3,9 @@ class-number-one imaginary Galois quartic fields."""
 
 from .admissible import (
     AdmissibleCertificate,
-    Conclusion,
     WitnessResult,
     brute_force_surjectivity,
     check_conditions,
-    conclude_euclidean,
     construct_witness,
     find_prime_element,
     search_pair,

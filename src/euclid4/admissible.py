@@ -19,8 +19,7 @@ records; the enumeration oracle checks the same surjectivity directly.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -31,7 +30,6 @@ from .errors import (
     ConditionFailed,
     DegenerateField,
     FieldMismatch,
-    MissingAssumption,
     NotGenerator,
     SamePrime,
     SearchExhausted,
@@ -50,11 +48,6 @@ from .residues import (
 from .units import Provenance, UnitData, torsion_units, unit_data
 
 
-class Conclusion(enum.Enum):
-    ADMISSIBLE_PAIR = "AdmissiblePair"
-    EUCLIDEAN = "Euclidean"
-
-
 @dataclass(frozen=True)
 class AdmissibleCertificate:
     spec: FieldSpec
@@ -64,9 +57,6 @@ class AdmissibleCertificate:
     ord_eps_P1: int
     ord_eta_P1: int
     ord_eps_P2: int
-    conclusion: Conclusion
-    unit_rank: int | None = None
-    prime_count: int | None = None
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -122,7 +112,6 @@ def check_conditions(spec: FieldSpec, units: UnitData, P1: DegreeOnePrime,
         ord_eps_P1=ord_eps_p1,
         ord_eta_P1=ord_eta_p1,
         ord_eps_P2=ord_eps_p2,
-        conclusion=Conclusion.ADMISSIBLE_PAIR,
     )
 
 
@@ -504,23 +493,6 @@ def construct_witness(cert: AdmissibleCertificate, x: int, y: int) -> WitnessRes
     return WitnessResult(alpha=(alpha1, alpha2), beta=(b1, b2), k=k, e=e_exp, f_exp=f_exp, z=z)
 
 
-def conclude_euclidean(cert: AdmissibleCertificate,
-                       class_number_one: bool) -> AdmissibleCertificate:
-    """Upgrade an admissible-pair certificate to the Euclidean conclusion.
-
-    The class-number-one hypothesis is an external input (the supported
-    fields are exactly the classified ones); unit rank 1 plus a two-prime
-    admissible set gives rank + primes = 3 >= 3.
-    """
-    if not class_number_one:
-        raise MissingAssumption("class number one must be asserted explicitly")
-    if cert.conclusion != Conclusion.ADMISSIBLE_PAIR:
-        raise ValueError("certificate is not an admissible-pair certificate")
-    if cert.P1.p == cert.P2.p:
-        raise SamePrime("admissible set must contain two non-associate primes")
-    return replace(cert, conclusion=Conclusion.EUCLIDEAN, unit_rank=1, prime_count=2)
-
-
 @dataclass(frozen=True)
 class _FieldGenerators:
     """The constants of _box_hits for one field (_field_generators).
@@ -651,11 +623,10 @@ def _box_hits(prime: DegreeOnePrime, bound: int) -> list[tuple[int, ...]]:
 
 
 # Largest coord_bound of find_prime_element.  The walk visits about log(b)
-# units, so the cap no longer guards the time: at b = 64 a call takes
+# units, so the cap does not guard the time: at b = 64 a call takes
 # 0.41 ms at the median and 1.9 ms at most over the 488 conjugates of the
 # split primes below 60 and the reference primes of the 40 fields (2-core
-# Xeon, Python 3.11), against about 0.3 s for the box sweep that it
-# replaced at b = 64 and p = 3.
+# Xeon, Python 3.11).
 MAX_COORD_BOUND = 64
 
 

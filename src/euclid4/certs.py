@@ -13,7 +13,6 @@ import json
 from .admissible import (
     MAX_CERT_PRIME,
     AdmissibleCertificate,
-    Conclusion,
     brute_force_surjectivity,
     check_conditions,
 )
@@ -24,6 +23,15 @@ from .residues import DegreeOnePrime, degree_one_primes_above
 from .units import Provenance, UnitData, verify_unit_data
 
 SCHEMA_VERSION = "cert/v1"
+# The one statement a certificate makes: P1, P2 is an admissible pair.
+CONCLUSION = "AdmissiblePair"
+
+# The keys of each object, exactly as certificate_to_dict writes them; the
+# top level may also hold a label.
+_KEYS = frozenset({"version", "field", "units", "P1", "P2", "orders", "gcds", "conclusion"})
+_UNIT_KEYS = frozenset({"g", "eta_coords", "epsilon_coords", "provenance"})
+_PRIME_KEYS = frozenset({"p", "root_c", "lifted_c", "conjugate_index", "basis_images"})
+_ORDER_KEYS = frozenset({"ord_eps_P1", "ord_eta_P1", "ord_eps_P2"})
 
 
 def _prime_dict(P: DegreeOnePrime) -> dict:
@@ -59,13 +67,10 @@ def certificate_to_dict(cert: AdmissibleCertificate, label: str | None = None) -
             "ord_eps_P2": str(cert.ord_eps_P2),
         },
         "gcds": [True, True],
-        "conclusion": cert.conclusion.value,
+        "conclusion": CONCLUSION,
     }
     if label is not None:
         doc["label"] = label
-    if cert.conclusion == Conclusion.EUCLIDEAN:
-        doc["unit_rank"] = str(cert.unit_rank)
-        doc["prime_count"] = str(cert.prime_count)
     return doc
 
 
@@ -73,12 +78,14 @@ def certificate_to_json(cert: AdmissibleCertificate, label: str | None = None) -
     return json.dumps(certificate_to_dict(cert, label), indent=2, sort_keys=True) + "\n"
 
 
-def _require(doc: dict, key: str):
+def _object(doc, what: str, keys: frozenset, optional: frozenset = frozenset()) -> dict:
+    """doc, once it is a JSON object holding every key of keys and no key
+    outside keys and optional."""
     if not isinstance(doc, dict):
-        raise SchemaError(f"expected a JSON object holding {key!r}")
-    if key not in doc:
-        raise SchemaError(f"missing key {key!r}")
-    return doc[key]
+        raise SchemaError(f"{what} must be a JSON object")
+    if doc.keys() - optional != keys:
+        raise SchemaError(f"{what} keys {sorted(doc)} differ from the schema's {sorted(keys)}")
+    return doc
 
 
 def _as_int(value, what: str) -> int:
@@ -97,10 +104,11 @@ def _as_coords(value, what: str) -> tuple[int, int, int, int]:
 
 
 def _load_prime(doc: dict, spec: FieldSpec, what: str) -> DegreeOnePrime:
-    p = _as_int(_require(doc, "p"), f"{what}.p")
+    _object(doc, what, _PRIME_KEYS)
+    p = _as_int(doc["p"], f"{what}.p")
     if p > MAX_CERT_PRIME:
         raise SchemaError(f"{what}.p = {p} exceeds the certificate cap {MAX_CERT_PRIME}")
-    conj = _as_int(_require(doc, "conjugate_index"), f"{what}.conjugate_index")
+    conj = _as_int(doc["conjugate_index"], f"{what}.conjugate_index")
     try:
         candidates = degree_one_primes_above(spec, p)
     except Exception as exc:
@@ -109,9 +117,9 @@ def _load_prime(doc: dict, spec: FieldSpec, what: str) -> DegreeOnePrime:
         raise SchemaError(f"{what}: conjugate index {conj} out of range")
     prime = candidates[conj]
     stored = (
-        _as_int(_require(doc, "root_c"), f"{what}.root_c"),
-        _as_int(_require(doc, "lifted_c"), f"{what}.lifted_c"),
-        _as_coords(_require(doc, "basis_images"), f"{what}.basis_images"),
+        _as_int(doc["root_c"], f"{what}.root_c"),
+        _as_int(doc["lifted_c"], f"{what}.lifted_c"),
+        _as_coords(doc["basis_images"], f"{what}.basis_images"),
     )
     actual = (prime.lifted_c % p, prime.lifted_c, prime.basis_images)
     if stored != actual:
@@ -125,55 +133,52 @@ def parse_certificate(doc: dict) -> tuple[AdmissibleCertificate, str | None]:
     Raises SchemaError for structural problems, ConditionFailed(n) when a
     recomputed condition or stored order disagrees.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("certificate must be a JSON object")
-    if _require(doc, "version") != SCHEMA_VERSION:
+    _object(doc, "certificate", _KEYS, frozenset({"label"}))
+    if doc["version"] != SCHEMA_VERSION:
         raise SchemaError(f"unsupported version {doc['version']!r}")
+    if doc["conclusion"] != CONCLUSION:
+        raise SchemaError(f"unknown conclusion {doc['conclusion']!r}")
 
-    fdesc = _require(doc, "field")
+    fdesc = doc["field"]
     try:
         spec = build_from_descriptor(fdesc)
     except Exception as exc:
         raise SchemaError(f"field rebuild failed: {exc}") from exc
-    if field_descriptor(spec) != {k: v for k, v in fdesc.items() if k != "label"}:
+    if field_descriptor(spec) != fdesc:
         raise SchemaError("field descriptor does not match the rebuilt field")
 
-    udoc = _require(doc, "units")
-    g = _as_int(_require(udoc, "g"), "units.g")
-    eta = NFElement(spec, _as_coords(_require(udoc, "eta_coords"), "units.eta_coords"))
-    eps = NFElement(spec, _as_coords(_require(udoc, "epsilon_coords"), "units.epsilon_coords"))
+    udoc = _object(doc["units"], "units", _UNIT_KEYS)
+    g = _as_int(udoc["g"], "units.g")
+    eta = NFElement(spec, _as_coords(udoc["eta_coords"], "units.eta_coords"))
+    eps = NFElement(spec, _as_coords(udoc["epsilon_coords"], "units.epsilon_coords"))
     try:
-        prov = Provenance(_require(udoc, "provenance"))
+        prov = Provenance(udoc["provenance"])
     except ValueError as exc:
         raise SchemaError(f"bad provenance: {exc}") from exc
     units = UnitData(g, eta, eps, prov)
     if not verify_unit_data(units):
         raise SchemaError("unit data failed verification")
 
-    P1 = _load_prime(_require(doc, "P1"), spec, "P1")
-    P2 = _load_prime(_require(doc, "P2"), spec, "P2")
+    P1 = _load_prime(doc["P1"], spec, "P1")
+    P2 = _load_prime(doc["P2"], spec, "P2")
     if P1.p == P2.p:
         raise SchemaError(f"P1 and P2 both lie above p = {P1.p}")
 
     result = check_conditions(spec, units, P1, P2)
 
-    stored_orders = _require(doc, "orders")
+    stored_orders = _object(doc["orders"], "orders", _ORDER_KEYS)
     for key, value, cond in (
         ("ord_eps_P1", result.ord_eps_P1, 1),
         ("ord_eta_P1", result.ord_eta_P1, 4),
         ("ord_eps_P2", result.ord_eps_P2, 5),
     ):
-        if _as_int(_require(stored_orders, key), key) != value:
+        if _as_int(stored_orders[key], key) != value:
             raise ConditionFailed(cond, f"stored {key} disagrees with recomputed {value}")
-    gcds = _require(doc, "gcds")
+    gcds = doc["gcds"]
     if not isinstance(gcds, list):
         raise SchemaError("gcds must be a list of two booleans")
     if gcds != [True, True]:
         raise ConditionFailed(2, "stored gcd flags are not both true")
-
-    conclusion = _require(doc, "conclusion")
-    if conclusion not in (c.value for c in Conclusion):
-        raise SchemaError(f"unknown conclusion {conclusion!r}")
     return result, doc.get("label")
 
 

@@ -59,10 +59,6 @@ class NotGenerator(Euclid4Error):
     """A certified generator fails to generate; certificate data is corrupt."""
 
 
-class MissingAssumption(Euclid4Error):
-    """The class-number-one assumption flag was not supplied."""
-
-
 class BoundExceeded(Euclid4Error):
     """No element found within the coordinate bound."""
 

@@ -102,8 +102,6 @@ def hnf_rows(rows):
     # reduce entries above each pivot: for rows j > i, reduce column i
     for i in range(cols):
         for j in range(i + 1, cols):
-            if result[j] is None or result[i] is None:
-                continue
             q = result[j][i] // result[i][i]
             if q:
                 result[j] = [x - q * y for x, y in zip(result[j], result[i])]

@@ -15,7 +15,6 @@ from euclid4.admissible import (
     MAX_CERT_PRIME,
     MAX_COORD_BOUND,
     AdmissibleCertificate,
-    Conclusion,
     _box_hits,
     _dlog,
     _field_generators,
@@ -23,7 +22,6 @@ from euclid4.admissible import (
     _prime_below,
     brute_force_surjectivity,
     check_conditions,
-    conclude_euclidean,
     construct_witness,
     find_prime_element,
     search_pair,
@@ -35,7 +33,6 @@ from euclid4.errors import (
     BoundExceeded,
     CapExceeded,
     ConditionFailed,
-    MissingAssumption,
     SamePrime,
     SearchExhausted,
 )
@@ -77,7 +74,6 @@ def test_worked_example_conditions(gaussian_sqrt11):
     assert cert.ord_eta_P1 == 4
     assert cert.ord_eps_P2 == 20
     assert certificate_to_dict(cert)["gcds"] == [True, True]
-    assert cert.conclusion == Conclusion.ADMISSIBLE_PAIR
     # integer facts behind conditions (2) and (3)
     assert gcd(6123, 20) == 1 and gcd(6123, 4) == 1
     assert 6123 == 3 * 13 * 157
@@ -387,22 +383,6 @@ def test_dlog_is_least_exponent():
                     outside += want is None
                     assert _dlog(base, target, m, order) == want, (p, base, target)
     assert outside
-
-
-def test_conclude_euclidean(reproduction):
-    _, cert = reproduction["K_8"]
-    final = conclude_euclidean(cert, class_number_one=True)
-    assert final.conclusion == Conclusion.EUCLIDEAN
-    assert final.unit_rank == 1 and final.prime_count == 2
-    with pytest.raises(MissingAssumption):
-        conclude_euclidean(cert, class_number_one=False)
-    with pytest.raises(ValueError):
-        conclude_euclidean(final, class_number_one=True)
-    # a degenerate single-prime "pair" is refused
-    from dataclasses import replace
-
-    with pytest.raises(SamePrime):
-        conclude_euclidean(replace(cert, P2=cert.P1), class_number_one=True)
 
 
 @pytest.mark.filterwarnings("error")

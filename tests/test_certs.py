@@ -176,6 +176,12 @@ MALFORMED = {
     "P1.p-pseudoprime": lambda doc: doc["P1"].update(p="318665857834031151167461"),
     "P1.p-large-prime": lambda doc: doc["P1"].update(p="1000000007"),
     "P1.p-large-split-prime": _large_split_prime,
+    # a certificate states an admissible pair and nothing the verifier does
+    # not re-check, and holds no key its writer does not emit
+    "conclusion-Euclidean": lambda doc: doc.update(conclusion="Euclidean"),
+    "unit_rank-added": lambda doc: doc.update(unit_rank="1"),
+    "orders-extra-key": lambda doc: doc["orders"].update(ord_eta_P2="1"),
+    "field-label": lambda doc: doc["field"].update(label="K_8"),
 }
 
 
