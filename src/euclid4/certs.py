@@ -18,7 +18,7 @@ from .admissible import (
 )
 from .elements import NFElement
 from .errors import CapExceeded, ConditionFailed, OracleMismatch, SchemaError
-from .fields import FieldSpec, build_from_descriptor, field_descriptor
+from .fields import FieldSpec, build_from_descriptor, field_descriptor, registry_label
 from .residues import DegreeOnePrime, degree_one_primes_above
 from .units import Provenance, UnitData, verify_unit_data
 
@@ -27,7 +27,7 @@ SCHEMA_VERSION = "cert/v1"
 CONCLUSION = "AdmissiblePair"
 
 # The keys of each object, exactly as certificate_to_dict writes them; the
-# top level may also hold a label.
+# top level may also hold a label, the registry label of the field.
 _KEYS = frozenset({"version", "field", "units", "P1", "P2", "orders", "gcds", "conclusion"})
 _UNIT_KEYS = frozenset({"g", "eta_coords", "epsilon_coords", "provenance"})
 _PRIME_KEYS = frozenset({"p", "root_c", "lifted_c", "conjugate_index", "basis_images"})
@@ -146,6 +146,9 @@ def parse_certificate(doc: dict) -> tuple[AdmissibleCertificate, str | None]:
         raise SchemaError(f"field rebuild failed: {exc}") from exc
     if field_descriptor(spec) != fdesc:
         raise SchemaError("field descriptor does not match the rebuilt field")
+    # a label, the one value not re-derived below, must name this field's row
+    if "label" in doc and doc["label"] != registry_label(spec):
+        raise SchemaError(f"label {doc['label']!r} does not name {spec.name()} in the registry")
 
     udoc = _object(doc["units"], "units", _UNIT_KEYS)
     g = _as_int(udoc["g"], "units.g")

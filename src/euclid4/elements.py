@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import FieldMismatch, NotAUnit
-from .fields import FieldSpec, basis_mul
+from .fields import UNIT_VECTORS, FieldSpec, basis_mul
 from .linalg import adjugate_int, box_vectors, det_int, lll_reduce
 
 
@@ -68,12 +68,10 @@ class NFElement:
         return all(c == 0 for c in self.coords)
 
     def mult_matrix(self):
-        """Matrix of multiplication by self over the integral basis (rows act)."""
+        """Matrix of multiplication by self over the integral basis (rows act):
+        row j holds the coordinates of self b_j."""
         table = self.field.mult_table
-        return [
-            [sum(self.coords[i] * table[i][j][k] for i in range(4)) for k in range(4)]
-            for j in range(4)
-        ]
+        return [basis_mul(table, self.coords, e) for e in UNIT_VECTORS]
 
     def __repr__(self):
         return f"NFElement{self.coords} in {self.field.name()}"

@@ -27,8 +27,10 @@ Each field is built in a 4-dimensional ambient Q-algebra: the basis
 1, sqrt(m), sqrt(n), sqrt(m) sqrt(n) for Q(sqrt(m), sqrt(n)), the Gauss
 periods for a prime conductor, whose products are read off the group ring of
 Z[zeta_f] once per field, and the tower 1, x, y, xy for conductor 16, whose
-periods are dependent.  The square matrix of theta^0..theta^3 in that
-ambient is inverted once by its adjugate.
+periods are dependent.  Every ambient is a structure table, as is the
+power basis of theta (_power_table), and basis_mul is the one product over
+them all.  The square matrix of theta^0..theta^3 in the ambient is
+inverted once by its adjugate.
 
 Construction is integer arithmetic.  A rational vector is carried as
 (nums, den), integer numerators over one positive denominator, from the
@@ -57,7 +59,9 @@ from .linalg import adjugate_int, det_int, hnf_rows
 
 # Radicands are tested for squarefreeness by trial division, which takes
 # about 0.075 s at 10**12 and grows with the square root beyond it; larger
-# radicands are refused before any factoring so that no input runs unbounded.
+# radicands, the third radicand mn / gcd(m, n)^2 of a biquadratic field
+# included, are refused before they are factored so that no input runs
+# unbounded.
 # A radicand below the cap can still have a fundamental unit too large to
 # write down: the continued fraction that finds it stops with CapExceeded
 # once a convergent passes intmath.MAX_CF_BITS bits.
@@ -70,38 +74,35 @@ def quadratic_discriminant(r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# power-basis arithmetic helpers
+# structure tables and the one product over them
+
+UNIT_VECTORS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def _reduction_rows(minpoly: IntPoly):
-    """Power-basis coordinates of theta^4, theta^5, theta^6."""
+def _tower_table(d, b, c):
+    """Structure constants of Q<1, x, y, xy> with x^2 = d and y^2 = b + c x:
+    table[i][j] holds the coordinates of the product of basis elements i
+    and j."""
+    one, x, y, xy = UNIT_VECTORS
+    dy, y2, xy2 = (0, 0, d, 0), (b, c, 0, 0), (c * d, b, 0, 0)
+    return (
+        (one, x, y, xy),
+        (x, (d, 0, 0, 0), xy, dy),
+        (y, xy, y2, xy2),
+        (xy, dy, xy2, (d * b, d * c, 0, 0)),
+    )
+
+
+def _power_table(minpoly: IntPoly):
+    """Structure constants of the power basis 1, theta, theta^2, theta^3:
+    table[i][j] holds the coordinates of theta^(i+j), reduced by the monic
+    quartic minpoly (theta^4 = -c0 - c1 theta - c2 theta^2 - c3 theta^3)."""
     c = minpoly.coeffs
-    t4 = [-c[k] for k in range(4)]
-    rows = [t4]
-    for _ in range(2):
-        prev = rows[-1]
-        nxt = [0] + prev[:3]
-        nxt = [nxt[k] + prev[3] * t4[k] for k in range(4)]
-        rows.append(nxt)
-    return rows
-
-
-def _poly_mul_mod(u, v, red):
-    """Product of two power-coordinate vectors modulo the defining polynomial."""
-    full = [0] * 7
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b != 0:
-                full[i + j] += a * b
-    out = full[:4]
-    for k in range(4, 7):
-        if full[k] != 0:
-            r = red[k - 4]
-            for t in range(4):
-                out[t] += full[k] * r[t]
-    return out
+    powers = list(UNIT_VECTORS)
+    for _ in range(3):
+        *low, top = powers[-1]
+        powers.append(tuple(s - top * ck for s, ck in zip((0, *low), c)))
+    return [[powers[i + j] for j in range(4)] for i in range(4)]
 
 
 def _scaled(rows):
@@ -125,18 +126,19 @@ def _canonical_basis(generators):
 def basis_mul(table, x, y):
     """Product of two coordinate vectors over a basis with structure
     constants table (table[i][j] holds the coordinates of b_i * b_j)."""
-    out = [0, 0, 0, 0]
-    for i, a in enumerate(x):
+    o0 = o1 = o2 = o3 = 0
+    for a, row in zip(x, table):
         if a == 0:
             continue
-        for j, b in enumerate(y):
+        for b, (c0, c1, c2, c3) in zip(y, row):
             if b == 0:
                 continue
             f = a * b
-            cij = table[i][j]
-            for k in range(4):
-                out[k] += f * cij[k]
-    return out
+            o0 += f * c0
+            o1 += f * c1
+            o2 += f * c2
+            o3 += f * c3
+    return [o0, o1, o2, o3]
 
 
 def _forms(tower, t0, t1, t2, t3):
@@ -187,10 +189,6 @@ class FieldSpec:
     tower_y: tuple
 
     @cached_property
-    def _red(self):
-        return _reduction_rows(self.theta_minpoly)
-
-    @cached_property
     def _basis_matrix(self):
         """(D, M, adj(M), det(M)) with M = D * integral_basis integral."""
         d, mat = _scaled(self.integral_basis)
@@ -223,17 +221,19 @@ class FieldSpec:
     @cached_property
     def mult_table(self):
         """table[i][j] holds the coordinates of b_i * b_j, from the products
-        M_i M_j of integer basis rows reduced modulo the defining polynomial.
-        The product commutes, so the ten with i <= j are computed and mirrored.
+        M_i M_j of integer basis rows over the power table of the defining
+        polynomial.  The product commutes, so the ten with i <= j are
+        computed and mirrored.
 
         Raises ValueError when the basis is not closed under multiplication.
         """
         d, mat, _, _ = self._basis_matrix
+        power = _power_table(self.theta_minpoly)
         table = [[None] * 4 for _ in range(4)]
         for i in range(4):
             for j in range(i, 4):
                 table[i][j] = table[j][i] = self._coords(
-                    _poly_mul_mod(mat[i], mat[j], self._red), d * d)
+                    basis_mul(power, mat[i], mat[j]), d * d)
         return table
 
     @cached_property
@@ -387,10 +387,10 @@ def _adjugate_det(rows):
     return adj, sum(a * r[0] for a, r in zip(adj[0], rows))
 
 
-def _power_basis(one, theta, mul):
+def _power_basis(one, theta, table):
     """Minimal polynomial of theta and the map to power coordinates, from
     theta^0..theta^4 computed in a 4-dimensional ambient Q-algebra with
-    product mul.
+    structure constants table.
 
     Rational vectors are (nums, den): integer numerators over one positive
     denominator.  The columns of the square matrix T are theta^0..theta^3 in
@@ -402,7 +402,7 @@ def _power_basis(one, theta, mul):
     """
     powers = [one]
     for _ in range(4):
-        powers.append(mul(powers[-1], theta))
+        powers.append(basis_mul(table, powers[-1], theta))
     adj, det = _adjugate_det(list(zip(*powers[:4])))
     if det == 0:
         raise DegenerateField("theta does not generate the ambient algebra")
@@ -444,18 +444,6 @@ def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_pow
 # biquadratic construction
 
 
-def _bi_mul(u, v, m, n):
-    """Multiplication in the 4-dimensional algebra Q<1, A, B, AB>."""
-    u0, u1, u2, u3 = u
-    v0, v1, v2, v3 = v
-    return [
-        u0 * v0 + m * u1 * v1 + n * u2 * v2 + m * n * u3 * v3,
-        u0 * v1 + u1 * v0 + n * (u2 * v3 + u3 * v2),
-        u0 * v2 + u2 * v0 + m * (u1 * v3 + u3 * v1),
-        u0 * v3 + u3 * v0 + u1 * v2 + u2 * v1,
-    ]
-
-
 def build_biquadratic(m: int, n: int) -> FieldSpec:
     """The imaginary biquadratic field Q(sqrt(m), sqrt(n)), theta = sqrt(m)+sqrt(n)."""
     if max(abs(m), abs(n)) > MAX_RADICAND:
@@ -470,13 +458,14 @@ def build_biquadratic(m: int, n: int) -> FieldSpec:
     # m, n squarefree: mn = h^2 k with h = gcd(m, n) and k squarefree
     h = gcd(m, n)
     k = (m // h) * (n // h)
+    if abs(k) > MAX_RADICAND:
+        raise CapExceeded(f"({m}, {n}): the third radicand {k} is above {MAX_RADICAND}")
     radicands = (m, n, k)
 
-    def mul(u, v):
-        return _bi_mul(u, v, m, n)
-
+    # the ambient Q<1, A, B, AB> with A^2 = m and B^2 = n
+    table = _tower_table(m, n, 0)
     one = (1, 0, 0, 0)
-    minpoly, to_power = _power_basis(one, (0, 1, 1, 0), mul)
+    minpoly, to_power = _power_basis(one, (0, 1, 1, 0), table)
     if minpoly.coeffs != ((m - n) ** 2, 0, -2 * (m + n), 0, 1):
         raise DegenerateField(f"({m}, {n}): theta has the wrong minimal polynomial")
 
@@ -487,7 +476,7 @@ def build_biquadratic(m: int, n: int) -> FieldSpec:
         v, dv = sqrt_amb[r]
         if r % 4 == 1:  # (1 + sqrt(r)) / 2
             v, dv = [dv * o + x for o, x in zip(one, v)], 2 * dv
-        generators += [(mul(g, v), dg * dv) for g, dg in generators]
+        generators += [(basis_mul(table, g, v), dg * dv) for g, dg in generators]
     even = [r for r in radicands if r % 4 == 2]
     if len(even) == 2:  # (sqrt(a) + sqrt(b)) / 2
         (u, du), (v, dv) = (sqrt_amb[r] for r in even)
@@ -554,16 +543,6 @@ def _period_table(f: int):
             for i in range(4)]
 
 
-# Q(zeta_16 - zeta_16^-1) over the tower basis 1, x, y, xy with x^2 = 2 and
-# y^2 = x - 2: table[i][j] holds the coordinates of b_i b_j
-_TOWER16_TABLE = (
-    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-    ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1), (0, 0, 2, 0)),
-    ((0, 0, 1, 0), (0, 0, 0, 1), (-2, 1, 0, 0), (2, -2, 0, 0)),
-    ((0, 0, 0, 1), (0, 0, 2, 0), (2, -2, 0, 0), (-4, 2, 0, 0)),
-)
-
-
 def build_cyclic_quartic(f: int) -> FieldSpec:
     """The imaginary cyclic quartic field inside Q(zeta_f).
 
@@ -573,21 +552,21 @@ def build_cyclic_quartic(f: int) -> FieldSpec:
     Gauss sum, as f = 1 mod 4) and y = eta_0 - eta_2; the periods are the
     generators of the basis.  The periods of conductor 16 are dependent
     (eta_2 = -eta_0), so it works in the tower 1, x, y, xy of
-    _TOWER16_TABLE, x = sqrt(2) = zeta^2 + zeta^-2, with
+    _tower_table(2, -2, 1), x = sqrt(2) = zeta^2 + zeta^-2, with
     theta = y = zeta - zeta^-1, whose powers generate the maximal order.
     """
     if f not in SUPPORTED_CONDUCTORS:
         raise UnsupportedConductor(f"conductor {f} is not in {SUPPORTED_CONDUCTORS}")
 
-    unit = [tuple(int(t == i) for t in range(4)) for i in range(4)]
+    unit = UNIT_VECTORS
     if f == 16:
-        real_d, table, one, sqrt_vec, y = 2, _TOWER16_TABLE, unit[0], unit[1], unit[2]
-        theta = y
+        one, sqrt_vec, y, _ = unit
+        real_d, table, theta = 2, _tower_table(2, -2, 1), y
     else:
         real_d, table, one, sqrt_vec, y = (
             f, _period_table(f), (-1, -1, -1, -1), (1, -1, 1, -1), (1, 0, -1, 0))
         theta = unit[0]
-    minpoly, to_power = _power_basis(one, theta, lambda u, v: basis_mul(table, u, v))
+    minpoly, to_power = _power_basis(one, theta, table)
     generators = [(u, 1) for u in unit] if f == 16 else [to_power(u) for u in unit]
 
     return _finish(
@@ -656,6 +635,14 @@ _CYCLIC_TABLE = (
     ("53", 53, 107, 89),
     ("61", 61, 47, 73),
 )
+
+
+def registry_label(spec: FieldSpec) -> str | None:
+    """The label of the registry row of spec's field, read off the reference
+    tables without building the registry; None for a field outside it."""
+    if spec.kind == "biquadratic":
+        return next((row[0] for row in _BIQUADRATIC_TABLE if row[1:3] == (spec.m, spec.n)), None)
+    return next((row[0] for row in _CYCLIC_TABLE if row[1] == spec.conductor), None)
 
 
 def _expected_torsion(label: str, conductor: int | None) -> int:

@@ -1,0 +1,59 @@
+"""Every public entry on a random bounded biquadratic input returns or
+raises a typed error, inside a per-example time budget that SIGALRM enforces
+in this process (no thread or process per example)."""
+
+import signal
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from euclid4.admissible import find_prime_element, search_pair
+from euclid4.errors import Euclid4Error
+from euclid4.fields import build_biquadratic
+from euclid4.intmath import is_squarefree
+from euclid4.residues import degree_one_primes_above, split_primes
+from euclid4.units import unit_data
+
+BUDGET_S = 2.0
+radicands = st.integers(-10 ** 4, 10 ** 4).filter(lambda r: r not in (0, 1) and is_squarefree(r))
+# one radicand negative and the two distinct, so that most examples get past
+# the build; hypothesis would otherwise repeat a value as often as not
+pairs = st.tuples(radicands.filter(lambda r: r < 0), radicands).filter(lambda p: p[0] != p[1])
+
+
+def _overrun(signum, frame):
+    raise TimeoutError(f"an example ran past its {BUDGET_S} s budget")
+
+
+def _typed(call, *args):
+    """call(*args), or None when it raises a package error."""
+    try:
+        return call(*args)
+    except Euclid4Error:
+        return None
+
+
+def _entries(m, n):
+    spec = _typed(build_biquadratic, m, n)
+    units = spec and _typed(unit_data, spec)
+    if units is None:
+        return
+    primes = _typed(degree_one_primes_above, spec, next(split_primes(spec, 10 ** 4)))
+    _typed(search_pair, spec, units, 100)
+    if primes:
+        _typed(find_prime_element, primes[0], 8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pair=pairs)
+# both radicands lie below the cap but their third radicand, about 3.4e23,
+# does not; uncapped, its squarefree test trial-divides to about 5.8e11
+@example(pair=(-599688520149, -567536985833))
+def test_bounded_inputs_return_or_raise_a_typed_error(pair):
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
+    try:
+        _entries(*pair)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

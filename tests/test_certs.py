@@ -182,6 +182,10 @@ MALFORMED = {
     "unit_rank-added": lambda doc: doc.update(unit_rank="1"),
     "orders-extra-key": lambda doc: doc["orders"].update(ord_eta_P2="1"),
     "field-label": lambda doc: doc["field"].update(label="K_8"),
+    # a label must be a string naming the registry row of the field
+    "label-of-another-field": lambda doc: doc.update(label="K_1"),
+    "label-not-a-string": lambda doc: doc.update(label={"any": ["thing", 1]}),
+    "label-unknown": lambda doc: doc.update(label="K_99"),
 }
 
 

@@ -19,13 +19,14 @@ from euclid4.errors import (
     UnsupportedConductor,
 )
 from euclid4.fields import (
-    _TOWER16_TABLE,
     FieldSpec,
-    _bi_mul,
     _finish,
     _period_table,
     _power_basis,
+    _power_table,
+    _tower_table,
     _validate_spec,
+    basis_mul,
     build_biquadratic,
     build_cyclic_quartic,
     field_descriptor,
@@ -58,6 +59,9 @@ def test_build_errors():
         build_biquadratic(2, 3)
     with pytest.raises(CapExceeded):
         build_biquadratic(-1, 10 ** 12 + 39)
+    # m and n are below the cap, k = mn / gcd(m, n)^2 is not
+    with pytest.raises(CapExceeded, match="third radicand"):
+        build_biquadratic(-599688520149, -567536985833)
     with pytest.raises(UnsupportedConductor):
         build_cyclic_quartic(7)
 
@@ -167,7 +171,7 @@ def test_real_field_is_rejected_by_the_tower():
     # (sqrt 2 + sqrt 6)/2, through the shared build path that
     # build_biquadratic refuses to enter for two positive radicands
     one = (1, 0, 0, 0)
-    minpoly, to_power = _power_basis(one, (0, 1, 1, 0), lambda u, v: _bi_mul(u, v, 2, 3))
+    minpoly, to_power = _power_basis(one, (0, 1, 1, 0), _tower_table(2, 3, 0))
     sqrt2, sqrt3 = to_power((0, 1, 0, 0)), to_power((0, 0, 1, 0))
     generators = [to_power(one), sqrt2, sqrt3, to_power((0, 0, 0, 1)), to_power((0, 1, 0, 1), 2)]
     with pytest.raises(NotImaginary):
@@ -415,7 +419,53 @@ def test_conductor_16_tower_matches_products_in_the_cyclotomic_field():
     for i in range(4):
         for j in range(4):
             assert _cyclo_mul(basis[i], basis[j], 16) == _cyclo_combination(
-                _TOWER16_TABLE[i][j], basis), (i, j)
+                _tower_table(2, -2, 1)[i][j], basis), (i, j)
+
+
+def _poly_rem(num, den):
+    """Remainder of num by the monic den, both coefficient lists from the
+    constant term up, by long division."""
+    num = list(num)
+    while len(num) >= len(den):
+        top = num.pop()
+        shift = len(num) - (len(den) - 1)
+        for k, c in enumerate(den[:-1]):
+            num[shift + k] -= top * c
+    return num + [0] * (len(den) - 1 - len(num))
+
+
+def test_power_table_holds_the_reduced_powers_of_theta(entries):
+    for entry in entries.values():
+        f = entry.spec.theta_minpoly
+        table = _power_table(f)
+        for i in range(4):
+            for j in range(4):
+                theta_ij = [0] * (i + j) + [1]
+                assert list(table[i][j]) == _poly_rem(theta_ij, f.coeffs), (entry.label, i, j)
+
+
+def _biquadratic_product(u, v, m, n):
+    """(u0 + u1 A + u2 B + u3 AB)(v0 + v1 A + v2 B + v3 AB) with A = sqrt(m)
+    and B = sqrt(n), written out."""
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return [
+        u0 * v0 + m * u1 * v1 + n * u2 * v2 + m * n * u3 * v3,
+        u0 * v1 + u1 * v0 + n * (u2 * v3 + u3 * v2),
+        u0 * v2 + u2 * v0 + m * (u1 * v3 + u3 * v1),
+        u0 * v3 + u3 * v0 + u1 * v2 + u2 * v1,
+    ]
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (-1, 13), (-7, -163), (-2, 29), (6, -10)])
+def test_tower_table_is_the_biquadratic_product(m, n):
+    table = _tower_table(m, n, 0)
+    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    for i in range(4):
+        for j in range(4):
+            assert list(table[i][j]) == _biquadratic_product(unit[i], unit[j], m, n), (i, j)
+    u, v = (3, -1, 4, 1), (-5, 9, 2, -6)
+    assert basis_mul(table, u, v) == _biquadratic_product(u, v, m, n)
 
 
 def test_period_product_outside_the_period_span_is_degenerate(monkeypatch):
