@@ -29,8 +29,8 @@ and ``failed_share`` is ``regression`` when the change fails a larger share
 of its operations than the base, else ``within_bound``.
 
 The output also records the interpreter facts that move the numbers:
-``sys.version``, ``numpy.__version__`` (the enumeration oracle runs at
-numpy's scatter speed), ``os.cpu_count()`` and
+``sys.version``, ``numpy.__version__`` (the surjectivity oracle walks its
+unit orbits in numpy), ``os.cpu_count()`` and
 ``sys.flags.dont_write_bytecode``.
 The last is set by ``PYTHONDONTWRITEBYTECODE``, which every child run
 inherits; with it set, each cold ``reproduce`` child compiles all of

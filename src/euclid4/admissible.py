@@ -1,5 +1,5 @@
 """Admissible prime pairs: the five-condition checker, the deterministic
-search, the brute-force surjectivity oracle, and the constructive witness;
+search, the surjectivity oracle, and the constructive witness;
 and the generators of norm +-p of a degree-one prime (find_prime_element),
 found by one lattice reduction and a walk along the unit group.
 
@@ -14,14 +14,16 @@ five exact facts about the unit images modulo the squared primes:
 
 Together these force the unit group to surject onto the full group of
 coprime residues modulo P1^2 P2^2, which is the content a certificate
-records; the enumeration oracle checks the same surjectivity directly.
+records.  The oracle checks the same surjectivity from its definition: it
+counts the subgroup the unit images generate from their orbits, with no
+order computation or factoring, and compares it with the group order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .elements import NFElement, _times, _value, inverse_unit, norm_solutions
 from .errors import (
@@ -268,24 +270,17 @@ def search_pair(spec: FieldSpec, units: UnitData, prime_bound: int) -> Admissibl
     )
 
 
-# Most int64 indices, or bytes of residue rows beyond one row, that the
-# oracle touches in one numpy call, so that a call stays small whatever the
-# group order.
-_BLOCK = 1 << 14
-# A coset class whose columns fill at least 1/_DENSE of a residue row is
-# marked a row at a time (see _mark_coset).
-_DENSE = 4
-
-
 def unit_orbit(x: int, m: int):
     """The powers x^i mod m for i below the order of x, as an int64 numpy
     array, so that its length is that order.
 
     The walk doubles: x^n .. x^(2n-1) is x^0 .. x^(n-1) times x^n, and it
-    stops at the first power equal to 1.  m must be below 2^31, so that a
-    product of two residues fits in int64; x not invertible mod m, whose
-    powers never return to 1, is a ValueError.
+    stops at the first power equal to 1.  A product of two residues must fit
+    in int64, so m at or above 2^31 is CapExceeded; x not invertible mod m,
+    whose powers never return to 1, is a ValueError.
     """
+    if m >= 2 ** 31:
+        raise CapExceeded(f"modulus {m} is not below 2^31")
     if gcd(x, m) != 1:
         raise ValueError(f"{x} is not invertible mod {m}")
     import numpy as np
@@ -300,82 +295,47 @@ def unit_orbit(x: int, m: int):
         powers = np.concatenate((powers, ahead))
 
 
-def _mark_coset(marks, A, B, m2):
-    """Set marks[A[i] m2 + B[j]] for every index pair with i = j mod g,
-    g = gcd(len(A), len(B)) (see brute_force_surjectivity).
+def _subgroup_order(eta: tuple[int, int], eps: tuple[int, int], m1: int, m2: int) -> int:
+    """The order of the subgroup of (Z/m1)* x (Z/m2)* generated by the
+    residue pairs eta and eps (reduced mod m1 and mod m2), for coprime m1
+    and m2 below 2^31.
 
-    Class c of the pairs is the rectangle A[c::g] x B[c::g] of the
-    (m1, m2) grid, n1 = len(A)/g rows by n2 = len(B)/g columns.  A dense
-    class, one whose columns fill at least a quarter of a row
-    (_DENSE n2 >= m2), is marked by one m2-byte mask with its columns set,
-    ORed into its rows of marks.reshape(-1, m2) in chunks of at most
-    max(_BLOCK, m2) bytes; at that density a row costs at most four bytes
-    per residue it marks.  A sparser class is marked in tiles of at most
-    _BLOCK indices, each a broadcast sum of rows and columns, so that a
-    class of one column never touches a whole row.  On the 29^2 x 37^2
-    grid (203 rows of 1,369 bytes; Python 3.11, numpy 2.4, 2-core host) a
-    row-mask class takes about 0.09 ms at any density and a tiled one
-    about 0.65 ms times the density, so the two cross near density 0.15.
+    Let A = (eps1^i mod m1) and B = (eps2^i mod m2) be the orbits of eps
+    (unit_orbit), of lengths o1 and o2, and g = gcd(o1, o2).  By the
+    Chinese remainder theorem on exponents, k -> (k mod o1, k mod o2) maps
+    the k < lcm(o1, o2) one to one onto the index pairs (i, j) with
+    i = j mod g.  So <eps> has lcm(o1, o2) elements, and (u1, u2) lies in
+    it iff u1 = A[i] and u2 = B[j] with i = j mod g.  The group is
+    abelian, so <eta, eps> is the union of the cosets eta^j <eps>; for r
+    the least j >= 1 with eta^j in <eps> (eta is invertible, so some
+    eta^j is 1), the cosets with j < r are distinct and cover it, and its
+    order is r lcm(o1, o2).
     """
-    g = gcd(len(A), len(B))
-    n1, n2 = len(A) // g, len(B) // g
-    if _DENSE * n2 >= m2:
-        import numpy as np
+    import numpy as np
 
-        grid = marks.reshape(-1, m2)
-        h = max(1, _BLOCK // m2)
-        for c in range(g):
-            mask = np.zeros(m2, dtype=np.uint8)
-            mask[B[c::g]] = 1
-            rows = A[c::g]
-            for i in range(0, n1, h):
-                grid[rows[i:i + h]] |= mask
-        return
-    rows = (A * m2).reshape(n1, g).T
-    cols = B.reshape(n2, g).T
-    # a tile is c classes by h rows by w columns
-    w = min(n2, _BLOCK)
-    h = min(n1, _BLOCK // w)
-    c = min(g, _BLOCK // (h * w))
-    for k in range(0, g, c):
-        for i in range(0, n1, h):
-            for j in range(0, n2, w):
-                marks[rows[k:k + c, i:i + h, None] + cols[k:k + c, None, j:j + w]] = 1
+    A, B = unit_orbit(eps[0], m1), unit_orbit(eps[1], m2)
+    g = gcd(len(A), len(B))
+    r, (s1, s2) = 1, eta
+    while True:
+        i, j = np.flatnonzero(A == s1), np.flatnonzero(B == s2)
+        if i.size and j.size and (i[0] - j[0]) % g == 0:
+            return r * lcm(len(A), len(B))
+        r, s1, s2 = r + 1, s1 * eta[0] % m1, s2 * eta[1] % m2
 
 
 def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
                              P1: DegreeOnePrime, P2: DegreeOnePrime,
                              a1: int, a2: int, cap: int = 10 ** 7) -> bool:
-    """Enumerate the unit-image subgroup of (Z/p1^a1)* x (Z/p2^a2)* and
-    compare its size with the full group order.
+    """Whether the unit images generate all of (Z/p1^a1)* x (Z/p2^a2)*:
+    the order of <eta, eps> there, counted from the orbits of the images
+    (_subgroup_order), against the group order.
 
     This is the definition-level oracle: it shares nothing with the order
-    computations above.  Exponents up to 2 are supported (squares suffice
-    for admissibility).  The moduli m1 = p1^a1 and m2 = p2^a2 are coprime,
-    and the residue pair (r1, r2) is marked at byte r1 m2 + r2 of a
-    bytearray of M = m1 m2 bytes.  The group is abelian, so <eta, eps> is
-    the union of the cosets s <eps>, s = eta^j for j < r, r the first j
-    with eta^j already marked.
-
-    A coset is marked without a multiply mod M.  Let A = (eps^i mod m1)
-    and B = (eps^i mod m2) be the orbits of eps (unit_orbit), of lengths
-    o1 and o2, and g = gcd(o1, o2).  By the Chinese remainder theorem on
-    exponents, k -> (k mod o1, k mod o2) maps the k < lcm(o1, o2) one to
-    one onto the index pairs (i, j) with i = j mod g, so eps^k runs over
-    the pairs (A[i], B[j]) with i = j mod g, each once.  So the coset
-    s <eps> is the union over the classes c mod g of the rectangles
-    s1 A[c::g] (mod m1) by s2 B[c::g] (mod m2) of the (m1, m2) grid,
-    which _mark_coset marks: a class whose columns fill at least a quarter
-    of a row by one byte mask ORed into each of its rows, a sparser one by
-    one scattered byte write per residue.  A coset costs two orbit-length
-    multiplies, by s1 and by s2, and then row masks or scattered writes.
-
-    Every certificate that verify_certificate_json passes here takes the
-    row masks.  Its conditions (2) and (5) make o1 = ord(eps) mod P1^2
-    prime to o2 = p2(p2-1), so g = 1, and with a2 = 2 the columns of the
-    one class are all p2(p2-1) units mod p2^2, a fraction
-    (p2-1)/p2 >= 1/2 of a row.  The unit images must be invertible, and M
-    below 2^31, which bounds the bytearray at 2 GiB.
+    computations above (no factoring, mult_order or has_order_mod_p2).
+    Exponents up to 2 are supported (squares suffice for admissibility),
+    and the moduli m1 = p1^a1 and m2 = p2^a2 must be coprime.  The unit
+    images must be invertible, and each modulus below 2^31 (unit_orbit).
+    A group order above cap is CapExceeded.
     """
     if not (0 <= a1 <= 2 and 0 <= a2 <= 2):
         raise ValueError("exponents must be 0, 1 or 2")
@@ -391,26 +351,13 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
     if target > cap:
         raise CapExceeded(f"group order {target} exceeds cap {cap}")
 
-    M = m1 * m2
-    if M >= 2 ** 31:
-        raise CapExceeded(f"modulus {M} is not below 2^31")
-    (eta1, eps1), (eta2, eps2) = (
-        (reduce_mod_p2(units.eta, P) % m, reduce_mod_p2(units.epsilon, P) % m)
-        for P, m in ((P1, m1), (P2, m2))
+    eta, eps = (
+        (reduce_mod_p2(u, P1) % m1, reduce_mod_p2(u, P2) % m2)
+        for u in (units.eta, units.epsilon)
     )
-    if any(gcd(x, m) != 1 for x, m in ((eta1, m1), (eps1, m1), (eta2, m2), (eps2, m2))):
-        raise ValueError(f"a unit image is not invertible mod {M}")
-
-    import numpy as np
-
-    A, B = unit_orbit(eps1, m1), unit_orbit(eps2, m2)
-    seen = bytearray(M)
-    marks = np.frombuffer(seen, dtype=np.uint8)
-    s1, s2 = 1 % m1, 1 % m2
-    while not seen[s1 * m2 + s2]:
-        _mark_coset(marks, A * s1 % m1, B * s2 % m2, m2)
-        s1, s2 = s1 * eta1 % m1, s2 * eta2 % m2
-    return seen.count(1) == target
+    if any(gcd(x, m) != 1 for pair in (eta, eps) for x, m in zip(pair, (m1, m2))):
+        raise ValueError(f"a unit image is not invertible mod {m1 * m2}")
+    return _subgroup_order(eta, eps, m1, m2) == target
 
 
 def _dlog(base: int, target: int, modulus: int, order: int) -> int | None:

@@ -190,8 +190,7 @@ def verify_certificate_json(text: str, oracle: bool = False) -> dict:
 
     Returns a small report dict; raises SchemaError / ConditionFailed /
     OracleMismatch on any defect.  With oracle=True the surjectivity
-    enumeration is run as well whenever the group fits under the oracle's
-    default cap.
+    oracle is run as well whenever the group fits under its default cap.
     """
     try:
         doc = json.loads(text)
@@ -211,6 +210,6 @@ def verify_certificate_json(text: str, oracle: bool = False) -> dict:
         except CapExceeded:
             ok = None
         if ok is False:
-            raise OracleMismatch("surjectivity enumeration contradicts the certificate")
+            raise OracleMismatch("the surjectivity oracle contradicts the certificate")
         report["oracle_checked"] = bool(ok)
     return report

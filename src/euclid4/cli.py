@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("certificate")
     p_verify.add_argument(
         "--oracle", action="store_true",
-        help="additionally run the surjectivity enumeration",
+        help="additionally run the surjectivity oracle",
     )
 
     p_rep = sub.add_parser(

@@ -52,7 +52,7 @@ class SearchExhausted(Euclid4Error):
 
 
 class CapExceeded(Euclid4Error):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """A computation would exceed its configured cap."""
 
 
 class NotGenerator(Euclid4Error):
@@ -76,7 +76,7 @@ class ConditionFailed(Euclid4Error):
 
 
 class OracleMismatch(Euclid4Error):
-    """Surjectivity enumeration contradicts the certificate, or an oracle's
+    """The surjectivity oracle contradicts the certificate, or an oracle's
     own arithmetic contradicts itself."""
 
 

@@ -112,15 +112,18 @@ def legendre(a: int, p: int) -> int:
 def _cf_unit_search(d: int, p0: int, q0: int, targets: tuple[int, ...]):
     """Continued fraction of (p0 + sqrt(d))/q0 with exact integer state.
 
-    q0 must divide d - p0^2.  Walks the convergents h_k/b_k and returns the
-    first (G, B, value) with G = q0*h - p0*b and G^2 - d B^2 = value in
-    targets, or None once the state (p, q) of the complete quotient
-    (p + sqrt(d))/q repeats: the expansion is then periodic and no later
-    step brings a new value.  The repeat is caught against a state saved at
-    every power-of-two step (Brent), so the walk ends within about twice
-    the pre-period and period.  The unit equations used below always have
-    a solution within the first period.  A denominator b above MAX_CF_BITS
-    bits is CapExceeded.
+    q0 must divide d - p0^2, and targets must hold -v with every v.  Walks
+    the convergents h_k/b_k and returns the first (G, B, value) with
+    G = q0*h - p0*b and G^2 - d B^2 = value in targets, or None once the
+    first reduced state (p, q) recurs.  The complete quotient
+    (p + sqrt(d))/q is reduced when it exceeds 1 and its conjugate lies in
+    (-1, 0), which for root = isqrt(d) reads p <= root < p + q and
+    q - p <= root; from there the expansion is purely periodic, so the walk
+    ends one period after it, having met every state of the period.  A
+    later lap would meet the same q with the same or the opposite value
+    sign, which targets closed under negation do not tell apart.  The unit
+    equations used below always have a solution within the first period.
+    A denominator b above MAX_CF_BITS bits is CapExceeded.
 
     The value needs no product of convergents: G^2 - d b^2 for h_k/b_k is
     (-1)^(k+1) q0 q_(k+1), q_(k+1) the state's q one step on (the norm of
@@ -132,7 +135,7 @@ def _cf_unit_search(d: int, p0: int, q0: int, targets: tuple[int, ...]):
     a = (p + root) // q
     h_prev, h = 1, a
     b_prev, b = 0, 1
-    saved, next_save = None, 1
+    reduced = None
     for step in count(1):
         if b.bit_length() > MAX_CF_BITS:
             raise CapExceeded(f"continued fraction of sqrt({d}) passes {MAX_CF_BITS} bits")
@@ -141,10 +144,10 @@ def _cf_unit_search(d: int, p0: int, q0: int, targets: tuple[int, ...]):
         val = -q0 * q if step % 2 else q0 * q
         if val in targets:
             return q0 * h - p0 * b, b, val
-        if (p, q) == saved:
+        if (p, q) == reduced:
             return None
-        if step == next_save:
-            saved, next_save = (p, q), 2 * next_save
+        if reduced is None and p <= root < p + q and q - p <= root:
+            reduced = (p, q)
         a = (p + root + (q < 0)) // q  # floor((p + sqrt(d))/q), either sign of q
         h, h_prev = a * h + h_prev, h
         b, b_prev = a * b + b_prev, b

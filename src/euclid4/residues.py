@@ -8,8 +8,7 @@ completely each map O -> Z/p^2 is fixed by a square root s of d and a square
 root t of (Be + Ce s) / e modulo p^2 (Tonelli-Shanks and a Newton lift), two
 signs each.  The integral basis is adj(S) (1, x, y, xy) / D with e and D
 coprime to every such p, so the same two square roots serve whether or not p
-divides the index of theta.  `reduction_maps` is the one evaluator, and
-degree_one_primes_above the one caller.
+divides the index of theta.  degree_one_primes_above is the one evaluator.
 """
 
 from __future__ import annotations
@@ -89,17 +88,17 @@ def split_primes(spec: FieldSpec, bound: int):
     return (p for p in odd if spec.discriminant % p and splits_completely(spec, p))
 
 
-def reduction_maps(spec: FieldSpec, p: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The four ring maps O -> Z/p^2 at an odd prime p that splits
-    completely, as (theta image, basis images); [] when p does not split.
+def degree_one_primes_above(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
+    """All primes of residue degree one above an odd prime p: four when p
+    splits completely in these Galois fields, else none.
 
-    A map is fixed by the images s, t of x and y (see FieldSpec.tower):
-    s^2 = d and e t^2 = Be + Ce s, two signs each.  The basis images are
-    adj(S) (1, s, t, st) / D.  The maps are sorted by (theta image mod p,
-    basis images), which is the ascending order of the roots of theta's
-    minimal polynomial mod p whenever those are distinct.  Raises
-    ValueError unless p is an odd prime and Ramified when it divides the
-    field discriminant.
+    Each prime is a ring map O -> Z/p^2, fixed by the images s, t of x and
+    y (see FieldSpec.tower): s^2 = d and e t^2 = Be + Ce s, two signs each.
+    The basis images are adj(S) (1, s, t, st) / D.  The primes are numbered
+    in the order of (theta image mod p, basis images), which is the
+    ascending order of the roots of theta's minimal polynomial mod p
+    whenever those are distinct.  Raises ValueError unless p is an odd
+    prime and Ramified when it divides the field discriminant.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
@@ -120,18 +119,7 @@ def reduction_maps(spec: FieldSpec, p: int) -> list[tuple[int, tuple[int, ...]]]
             theta = sum(a * im for a, im in zip(spec.theta_coords, images)) % p2
             out.append((theta, images))
     out.sort(key=lambda m: (m[0] % p, m[1]))
-    return out
-
-
-def degree_one_primes_above(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
-    """All primes of residue degree one above p (0 or 4 for these Galois fields).
-
-    Raises Ramified when p divides the field discriminant.
-    """
-    return [
-        DegreeOnePrime(spec, p, theta, idx, images)
-        for idx, (theta, images) in enumerate(reduction_maps(spec, p))
-    ]
+    return [DegreeOnePrime(spec, p, theta, idx, images) for idx, (theta, images) in enumerate(out)]
 
 
 def reduce_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:

@@ -7,7 +7,6 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from euclid4 import admissible, residues
@@ -310,10 +309,10 @@ def test_surjectivity_trivial_and_cap(entries):
         brute_force_surjectivity(spec, ud, primes3[0], primes59[0], 2, 2, cap=10)
     with pytest.raises(ValueError):
         brute_force_surjectivity(spec, ud, primes3[0], primes59[0], 3, 2)
-    # 59^2 859^2 is above 2^31: the marks would take over 2 GiB
-    primes859 = degree_one_primes_above(spec, 859)
-    with pytest.raises(CapExceeded, match=r"2\^31"):
-        brute_force_surjectivity(spec, ud, primes59[0], primes859[0], 2, 2, cap=10 ** 10)
+    # 46451^2 is above 2^31, so a product of two residues would overflow int64
+    primes46451 = degree_one_primes_above(spec, 46451)
+    with pytest.raises(CapExceeded, match=r"modulus 2157695401 .*2\^31"):
+        brute_force_surjectivity(spec, ud, primes46451[0], primes3[0], 2, 0, cap=10 ** 10)
     zero = UnitData(ud.g, ud.eta, NFElement(spec, (0, 0, 0, 0)), Provenance.SUPPLIED)
     with pytest.raises(ValueError, match="invertible"):
         brute_force_surjectivity(spec, zero, primes3[0], primes59[0], 2, 2)
@@ -629,14 +628,9 @@ def test_reference_pair_errata(entries):
         assert not any(brute_force_surjectivity(spec, ud, P1, P2, 2, 2) for P1, P2 in combos), label
 
 
-def _set_closure_surjects(units, P1, P2, a1, a2):
-    """The closure as a set of residue pairs: the reference the bytearray
-    walk over CRT residues is compared against."""
-    m1, m2 = P1.p ** a1, P2.p ** a2
-    gens = [
-        (reduce_mod_p2(u, P1) % m1, reduce_mod_p2(u, P2) % m2)
-        for u in (units.eta, units.epsilon)
-    ]
+def _closure(gens, m1, m2):
+    """The subgroup of (Z/m1)* x (Z/m2)* that the residue pairs gens
+    generate, as a set, by breadth-first closure from 1."""
     ident = (1 % m1, 1 % m2)
     seen = {ident}
     frontier = [ident]
@@ -649,20 +643,28 @@ def _set_closure_surjects(units, P1, P2, a1, a2):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
+    return seen
+
+
+def _set_closure_surjects(units, P1, P2, a1, a2):
+    """The closure as a set of residue pairs: the reference the orbit count
+    is compared against."""
+    m1, m2 = P1.p ** a1, P2.p ** a2
+    gens = [
+        (reduce_mod_p2(u, P1) % m1, reduce_mod_p2(u, P2) % m2)
+        for u in (units.eta, units.epsilon)
+    ]
 
     def phi(p, a):
         return 1 if a == 0 else p ** (a - 1) * (p - 1)
 
-    return len(seen) == phi(P1.p, a1) * phi(P2.p, a2)
+    return len(_closure(gens, m1, m2)) == phi(P1.p, a1) * phi(P2.p, a2)
 
 
 @pytest.mark.parametrize("label, p1, p2", [("13", 3, 29), ("K_2", 5, 17), ("16", 7, 17), ("K_8", 3, 59)])
-def test_surjectivity_matches_set_closure(entries, monkeypatch, label, p1, p2):
+def test_surjectivity_matches_set_closure(entries, label, p1, p2):
     """Every conjugate combination, every exponent pair in {0, 1, 2}^2, with
-    the field's units, with eps replaced by 1 and with eta replaced by 1, at
-    coset-walk block lengths 7, 64 and the default.  With 7, orders of eps
-    divisible by 7 (fields 13 and 16) end the walk exactly on a block
-    boundary."""
+    the field's units, with eps replaced by 1 and with eta replaced by 1."""
     spec = entries[label].spec
     ud = unit_data(spec)
     variants = (ud, UnitData(ud.g, ud.eta, one(spec), Provenance.SUPPLIED),
@@ -674,11 +676,7 @@ def test_surjectivity_matches_set_closure(entries, monkeypatch, label, p1, p2):
                 for a2 in range(3):
                     for units in variants:
                         expected = _set_closure_surjects(units, P1, P2, a1, a2)
-                        for block in (7, 64, admissible._BLOCK):
-                            with monkeypatch.context() as m:
-                                m.setattr(admissible, "_BLOCK", block)
-                                got = brute_force_surjectivity(spec, units, P1, P2, a1, a2)
-                            assert got == expected, block
+                        assert brute_force_surjectivity(spec, units, P1, P2, a1, a2) == expected
                         outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -695,8 +693,8 @@ def test_surjectivity_same_prime_rejected(entries):
 
 
 def test_surjectivity_memory_bound(entries):
-    """The closure over the 102,300 residues mod 31^2 11^2 stays within one
-    byte per residue plus its frontier; a set of residue pairs would take
+    """The count over the 102,300 residues mod 31^2 11^2 holds only the two
+    orbits of eps, 93 and 110 int64; a set of residue pairs would take
     about 12 MB."""
     spec = entries["5"].spec
     cert = search_pair(spec, unit_data(spec), 50)
@@ -707,7 +705,7 @@ def test_surjectivity_memory_bound(entries):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 10 ** 6
+    assert peak < 200_000
 
 
 FROZEN_CERTS = Path(__file__).resolve().parent.parent / "benchmark" / "data" / "certs"
@@ -734,64 +732,39 @@ def test_unit_orbit_lengths_match_stored_orders():
             assert len(set(orbit.tolist())) == len(orbit), (label, key)
 
 
-@pytest.mark.parametrize("block", [7, 64, 4096])
-def test_mark_coset_is_the_crt_on_exponents(monkeypatch, block):
-    """_mark_coset marks exactly (s1 x1^k mod m1, s2 x2^k mod m2) for
-    k < lcm(o1, o2), o1 and o2 the orders of x1 and x2, over every pair of
-    units modulo 7^2 and 13 and modulo 5^2 and 13, with orbit gcds 1, 2,
-    3, 4 and 6, once with every class tiled (_DENSE 0) and once with every
-    class marked by row masks (_DENSE m2).  With block 7 a row chunk is
-    one row; with 4,096, as with the default, a coset is one tile or one
-    chunk."""
-    monkeypatch.setattr(admissible, "_BLOCK", block)
+@pytest.mark.parametrize("eta", [(1, 1), (3, 2), (3, 1)], ids=["eta_1", "eta_3_2", "eta_3_1"])
+def test_subgroup_order_is_the_crt_on_exponents(eta):
+    """The orbit count r lcm(o1, o2) is the size of the closure of
+    <eta, eps> in (Z/m1)* x (Z/m2)*, over every pair of units eps modulo
+    7^2 and 13 and modulo 5^2 and 13, with orbit gcds 1, 2, 3, 4 and 6.
+    With eta = 1 there is one coset; with (3, 2) the count walks cosets
+    on both sides, and with (3, 1) eta^j lies in <eps> only where the
+    exponent of eps is a multiple of its order mod 13."""
     gcds = set()
     for m1, m2 in ((49, 13), (25, 13)):
-        s1, s2 = 3 % m1, 2 % m2
         for x1 in (x for x in range(1, m1) if gcd(x, m1) == 1):
             for x2 in (x for x in range(1, m2) if gcd(x, m2) == 1):
-                A, B = unit_orbit(x1, m1), unit_orbit(x2, m2)
-                o1, o2 = len(A), len(B)
-                gcds.add(gcd(o1, o2))
-                want = {s1 * pow(x1, k, m1) % m1 * m2 + s2 * pow(x2, k, m2) % m2
-                        for k in range(o1 * o2 // gcd(o1, o2))}
-                for dense in (0, m2):
-                    monkeypatch.setattr(admissible, "_DENSE", dense)
-                    marks = np.zeros(m1 * m2, dtype=np.uint8)
-                    admissible._mark_coset(marks, A * s1 % m1, B * s2 % m2, m2)
-                    assert set(np.flatnonzero(marks).tolist()) == want, (x1, x2)
+                gcds.add(gcd(len(unit_orbit(x1, m1)), len(unit_orbit(x2, m2))))
+                want = len(_closure([eta, (x1, x2)], m1, m2))
+                got = admissible._subgroup_order(eta, (x1, x2), m1, m2)
+                assert got == want, (m1, x1, x2)
     assert gcds == {1, 2, 3, 4, 6}
-
-
-def test_mark_coset_sparse_class_touches_no_row():
-    """A class of one column on rows of m2 = 1009^2 bytes is tiled: its
-    six residues take a few hundred bytes of indices, where row masks
-    would take a 1 MB mask and gather 1 MB rows."""
-    m1, m2 = 7, 1009 ** 2
-    A, B = unit_orbit(3, m1), unit_orbit(1, m2) * 5
-    assert (len(A), len(B)) == (6, 1)
-    marks = np.zeros(m1 * m2, dtype=np.uint8)
-    tracemalloc.start()
-    try:
-        admissible._mark_coset(marks, A, B, m2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.flatnonzero(marks).tolist() == sorted(a * m2 + 5 for a in range(1, m1))
-    assert peak < 4096
 
 
 def test_unit_orbit_rejects_non_unit():
     assert unit_orbit(5, 1).tolist() == [0]
     with pytest.raises(ValueError, match="invertible"):
         unit_orbit(6, 9)
+    # a product of two residues of the modulus would not fit in int64
+    with pytest.raises(CapExceeded, match=r"modulus 2147483648 "):
+        unit_orbit(3, 2 ** 31)
 
 
 def test_surjectivity_memory_at_largest_audit_group():
-    """K_5 (29, 37) has the largest group the audit workload enumerates,
-    1,081,584 residues.  The marks take M = 29^2 37^2 = 1,151,329 bytes and
-    a numpy call at most _BLOCK int64 indices or a chunk of rows, so one
-    call peaks below 1.5 MB; one coset's whole outer sum, lcm(203, 1332) = 270,396 int64
-    indices, would add 2.2 MB."""
+    """K_5 (29, 37) has the largest group the audit workload checks,
+    1,081,584 residues.  The count holds the orbits of eps, 203 and 1,332
+    int64, so it peaks far below the 1.2 MB that one byte per residue
+    mod 29^2 37^2 would take."""
     cert, _ = _frozen_certificate("K_5")
     assert cert.pair == (29, 37)
     tracemalloc.start()
@@ -800,4 +773,4 @@ def test_surjectivity_memory_at_largest_audit_group():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_500_000
+    assert peak < 200_000

@@ -9,6 +9,7 @@ from euclid4.errors import CapExceeded, NotCoprime
 from euclid4.intmath import (
     MAX_CF_BITS,
     IntPoly,
+    _cf_unit_search,
     continued_fraction_fundamental_unit,
     factorize,
     is_prime,
@@ -178,6 +179,18 @@ def test_continued_fraction_is_capped_by_size():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_continued_fraction_without_a_target_ends_after_one_period():
+    """A walk that meets no target returns None one period after its first
+    reduced state.  For d = 100,000,007 the fundamental unit's b has 11,058
+    bits, so the walk must stop within about one period to stay below
+    MAX_CF_BITS; it does from both starts, sqrt(d) and (1 + sqrt(d))/2."""
+    d = 100_000_007
+    _, b, _ = continued_fraction_fundamental_unit(d)
+    assert b.bit_length() == 11_058 and 2 * b.bit_length() > MAX_CF_BITS
+    assert _cf_unit_search(d, 0, 1, ()) is None
+    assert _cf_unit_search(d, 1, 2, ()) is None
 
 
 def test_residue_arguments_are_normalized():

@@ -16,7 +16,6 @@ from euclid4.residues import (
     degree_one_primes_above,
     has_order_mod_p2,
     reduce_mod_p2,
-    reduction_maps,
     splits_completely,
     unit_order_mod_p2,
 )
@@ -208,10 +207,10 @@ def test_index_prime_maps_are_ring_maps_mod_p5(entries, label, p):
     respects every product of basis elements, so it is a ring map."""
     spec = entries[label].spec
     assert spec.index % p == 0
-    maps = reduction_maps(spec, p)
-    assert len(maps) == 4 and len({images for _, images in maps}) == 4
+    primes = degree_one_primes_above(spec, p)
+    assert len(primes) == 4 and len({P.basis_images for P in primes}) == 4
     pk = p * p
-    for _, im in maps:
+    for im in (P.basis_images for P in primes):
         assert im[0] == 1
         for i in range(4):
             for j in range(4):
@@ -274,7 +273,7 @@ def test_unit_order_factors_only_p_minus_one(entries, monkeypatch):
 def test_split_primes_reads_the_sieve(entries, monkeypatch):
     """split_primes reads the shared sieve, growing it from empty, and makes
     no primality test; its output is the filtered walk over odd candidates,
-    and reduction_maps still guards outside input."""
+    and degree_one_primes_above still guards outside input."""
     import euclid4.residues as residues
 
     def reference(spec, bound):
@@ -297,9 +296,9 @@ def test_split_primes_reads_the_sieve(entries, monkeypatch):
     spec = entries["K_1"].spec
     ramified = next(p for p in range(3, 100, 2) if spec.discriminant % p == 0)
     with pytest.raises(Ramified):
-        reduction_maps(spec, ramified)
+        degree_one_primes_above(spec, ramified)
     with pytest.raises(ValueError):
-        reduction_maps(spec, 9)
+        degree_one_primes_above(spec, 9)
 
 
 def test_split_primes_cap(entries, monkeypatch):
