@@ -335,7 +335,9 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
     Exponents up to 2 are supported (squares suffice for admissibility),
     and the moduli m1 = p1^a1 and m2 = p2^a2 must be coprime.  The unit
     images must be invertible, and each modulus below 2^31 (unit_orbit).
-    A group order above cap is CapExceeded.
+    The oracle's memory is the two orbits, of at most phi(m1) and phi(m2)
+    residues, so either of these above cap is CapExceeded; the group order
+    phi(m1) phi(m2) itself is never walked.
     """
     if not (0 <= a1 <= 2 and 0 <= a2 <= 2):
         raise ValueError("exponents must be 0, 1 or 2")
@@ -347,9 +349,10 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
     def phi(p, a):
         return 1 if a == 0 else p ** (a - 1) * (p - 1)
 
-    target = phi(P1.p, a1) * phi(P2.p, a2)
-    if target > cap:
-        raise CapExceeded(f"group order {target} exceeds cap {cap}")
+    orders = phi(P1.p, a1), phi(P2.p, a2)
+    if max(orders) > cap:
+        raise CapExceeded(f"(Z/{m1})* x (Z/{m2})* has a factor of order {max(orders)} "
+                          f"above cap {cap}")
 
     eta, eps = (
         (reduce_mod_p2(u, P1) % m1, reduce_mod_p2(u, P2) % m2)
@@ -357,7 +360,7 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
     )
     if any(gcd(x, m) != 1 for pair in (eta, eps) for x, m in zip(pair, (m1, m2))):
         raise ValueError(f"a unit image is not invertible mod {m1 * m2}")
-    return _subgroup_order(eta, eps, m1, m2) == target
+    return _subgroup_order(eta, eps, m1, m2) == orders[0] * orders[1]
 
 
 def _dlog(base: int, target: int, modulus: int, order: int) -> int | None:

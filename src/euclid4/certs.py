@@ -2,8 +2,10 @@
 
 Schema "cert/v1".  Every integer is serialized as a decimal string so the
 files are exact and language-neutral.  Verification never trusts stored
-orders: the field is rebuilt from its defining data, the units and primes
-are re-validated, and all five conditions are recomputed from scratch.
+orders: the field is rebuilt from its defining data (once per process, as
+the builders are memoized) and its descriptor compared in full, the units
+and primes are re-validated, and all five conditions are recomputed from
+scratch.
 """
 
 from __future__ import annotations
@@ -190,7 +192,8 @@ def verify_certificate_json(text: str, oracle: bool = False) -> dict:
 
     Returns a small report dict; raises SchemaError / ConditionFailed /
     OracleMismatch on any defect.  With oracle=True the surjectivity
-    oracle is run as well whenever the group fits under its default cap.
+    oracle is run as well unless a factor of the residue group is above
+    its default cap.
     """
     try:
         doc = json.loads(text)

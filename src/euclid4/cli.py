@@ -145,26 +145,32 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.certificate) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"cannot read certificate: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = verify_certificate_json(text, oracle=args.oracle)
-    except (SchemaError, ConditionFailed, OracleMismatch) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    msg = f"valid certificate for {report['field']}, pair {report['pair']}"
-    if args.oracle:
-        msg += (
-            ", oracle-confirmed"
-            if report["oracle_checked"]
-            else ", oracle skipped (group above cap)"
-        )
-    print(msg)
-    return 0
+    """Verify every named certificate and report each one; 2 when a file
+    cannot be read, else 1 when one fails, else 0."""
+    unreadable = failed = False
+    for path in args.certificate:
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"cannot read certificate {path}: {exc}", file=sys.stderr)
+            unreadable = True
+            continue
+        try:
+            report = verify_certificate_json(text, oracle=args.oracle)
+        except (SchemaError, ConditionFailed, OracleMismatch) as exc:
+            print(f"verification failed for {path}: {exc}", file=sys.stderr)
+            failed = True
+            continue
+        msg = f"valid certificate {path} for {report['field']}, pair {report['pair']}"
+        if args.oracle:
+            msg += (
+                ", oracle-confirmed"
+                if report["oracle_checked"]
+                else ", oracle skipped (group above cap)"
+            )
+        print(msg)
+    return 2 if unreadable else 1 if failed else 0
 
 
 def _reproduce_one(payload):
@@ -247,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--bound", type=int, default=1000)
     p_search.add_argument("--emit", help="certificate output path")
 
-    p_verify = sub.add_parser("verify", help="re-verify a certificate file")
-    p_verify.add_argument("certificate")
+    p_verify = sub.add_parser("verify", help="re-verify certificate files")
+    p_verify.add_argument("certificate", nargs="+")
     p_verify.add_argument(
         "--oracle", action="store_true",
         help="additionally run the surjectivity oracle",

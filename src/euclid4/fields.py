@@ -37,6 +37,14 @@ Construction is integer arithmetic.  A rational vector is carried as
 ambient generators through their power coordinates to the Hermite normal
 form; Fraction appears only in the stored integral basis, which the field
 descriptor renders.
+
+Both builders are memoized (functools.lru_cache), so a field is built and
+certified once per process: the registry, a certificate's descriptor and
+every other caller of build_biquadratic(m, n) or build_cyclic_quartic(f)
+share one FieldSpec.  What a spec caches is therefore held in tuples, not
+lists.  The memo is keyed by argument type too, so -1.0 is still refused
+after -1 has built, and a refused input raises on every call, as
+lru_cache keeps no exception.
 """
 
 from __future__ import annotations
@@ -108,7 +116,7 @@ def _power_table(minpoly: IntPoly):
 def _scaled(rows):
     """(d, d * rows) with d the least common denominator of the entries."""
     d = lcm(*(x.denominator for row in rows for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
 
 
 def _canonical_basis(generators):
@@ -234,7 +242,7 @@ class FieldSpec:
             for j in range(i, 4):
                 table[i][j] = table[j][i] = self._coords(
                     basis_mul(power, mat[i], mat[j]), d * d)
-        return table
+        return tuple(map(tuple, table))
 
     @cached_property
     def theta_coords(self):
@@ -297,7 +305,7 @@ class FieldSpec:
                 both = _forms(tower, *(a + b for a, b in zip(adj[i], adj[j])))
                 for g, qij, qi, qj in zip(gram, both, q[i], q[j]):
                     g[i][j] = g[j][i] = qij - qi - qj
-        return gram
+        return tuple(tuple(map(tuple, g)) for g in gram)
 
     @cached_property
     def _hash(self):
@@ -381,9 +389,9 @@ def _validate_spec(spec: FieldSpec):
 
 
 def _adjugate_det(rows):
-    """adj(A) and det(A) of a 4 x 4 integer matrix A, with det(A) read off
-    adj(A) A = det(A) I at the top-left entry."""
-    adj = adjugate_int(rows)
+    """adj(A), as a tuple of rows, and det(A) of a 4 x 4 integer matrix A,
+    with det(A) read off adj(A) A = det(A) I at the top-left entry."""
+    adj = tuple(map(tuple, adjugate_int(rows)))
     return adj, sum(a * r[0] for a, r in zip(adj[0], rows))
 
 
@@ -444,6 +452,7 @@ def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_pow
 # biquadratic construction
 
 
+@lru_cache(maxsize=128, typed=True)
 def build_biquadratic(m: int, n: int) -> FieldSpec:
     """The imaginary biquadratic field Q(sqrt(m), sqrt(n)), theta = sqrt(m)+sqrt(n)."""
     if max(abs(m), abs(n)) > MAX_RADICAND:
@@ -543,6 +552,7 @@ def _period_table(f: int):
             for i in range(4)]
 
 
+@lru_cache(maxsize=None, typed=True)
 def build_cyclic_quartic(f: int) -> FieldSpec:
     """The imaginary cyclic quartic field inside Q(zeta_f).
 
@@ -710,7 +720,9 @@ def field_descriptor(spec: FieldSpec) -> dict:
 
 
 def build_from_descriptor(desc: dict) -> FieldSpec:
-    """Rebuild the field named by a descriptor (construction is recomputed)."""
+    """The field named by a descriptor's (m, n) or conductor, from the
+    memoized builders.  No other entry is read, so a caller that relies on
+    them compares the descriptor with field_descriptor of the result."""
     if desc["kind"] == "biquadratic":
         return build_biquadratic(int(desc["m"]), int(desc["n"]))
     if desc["kind"] == "cyclic":

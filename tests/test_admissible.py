@@ -603,21 +603,24 @@ def test_non_principal_prime_raises_bound_exceeded():
 
 
 def test_reference_pair_errata(entries):
-    """Seven registry reference pairs are not admissible for <eta, eps>.
+    """The eight registry reference pairs without a certificate are not
+    admissible for <eta, eps>.
 
-    Enumeration of the unit image modulo P1^2 P2^2 over all 16 conjugate
-    combinations finds none onto the residue group.  The refutation holds
-    for the field's full unit group only if <eta, eps> is all of it.  For
-    K_29 = Q(sqrt(-19), sqrt(-67)) with (23, 47) the gcd condition alone
-    already fails: 23 divides 47 - 1, so gcd(p1(p1-1)/g, p2(p2-1)) = 23 in
-    either role assignment.  13 (79, 29), of group order 5.0e6, is below
-    the oracle cap; K_33 (47, 167), of group order 6.0e7, is above it.
+    The orbit count of the unit image modulo P1^2 P2^2 over all 16
+    conjugate combinations finds none onto the residue group.  The
+    refutation holds for the field's full unit group only if <eta, eps> is
+    all of it.  For K_29 = Q(sqrt(-19), sqrt(-67)) with (23, 47) the gcd
+    condition alone already fails: 23 divides 47 - 1, so
+    gcd(p1(p1-1)/g, p2(p2-1)) = 23 in either role assignment.  K_33
+    (47, 167) has group order 6.0e7, but the oracle's cap bounds each
+    factor (Z/p^2)* (at most 167 * 166 here), not their product.
     """
     assert gcd(23 * 22 // 2, 47 * 46) == 23
     assert gcd(47 * 46 // 2, 23 * 22) == 23
 
     refuted = {"K_7": (23, 31), "K_12": (11, 17), "K_26": (23, 5),
-               "K_29": (23, 47), "K_31": (23, 17), "37": (7, 53), "13": (79, 29)}
+               "K_29": (23, 47), "K_31": (23, 17), "37": (7, 53), "13": (79, 29),
+               "K_33": (47, 167)}
     for label, (p1, p2) in refuted.items():
         assert entries[label].expected_p1_p2 == (p1, p2)
         spec = entries[label].spec

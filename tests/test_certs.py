@@ -130,15 +130,30 @@ def test_coordinates_are_int_tuples():
 
 
 def test_verify_with_oracle_on_frozen_certificates():
-    """verify --oracle on all forty frozen certificates: the enumeration
-    confirms the 28 whose group is under the oracle cap and skips the 12
-    above it."""
+    """verify --oracle on all forty frozen certificates: every factor
+    (Z/p^2)* is under the oracle cap, so the orbit count confirms all 40."""
     paths = sorted(FROZEN_CERTS.glob("*.json"))
     assert len(paths) == 40
     checked = [verify_certificate_json(path.read_text(), oracle=True)["oracle_checked"]
                for path in paths]
-    assert checked.count(True) == 28
-    assert checked.count(False) == 12
+    assert checked.count(True) == 40
+    assert checked.count(False) == 0
+
+
+def test_memoized_field_still_checks_the_descriptor():
+    """Once K_1 has verified, its field is held by the builders' memo; a
+    copy with one basis entry changed, or naming another field's (m, n),
+    is still refused."""
+    text = (FROZEN_CERTS / "K_1.json").read_text()
+    verify_certificate_json(text)
+    doc = json.loads(text)
+    doc["field"]["basis"][1][0] = "1/3"
+    with pytest.raises(SchemaError, match="descriptor does not match"):
+        verify_certificate_json(json.dumps(doc))
+    doc = json.loads(text)
+    doc["field"].update(m="-2", n="-7")
+    with pytest.raises(SchemaError):
+        verify_certificate_json(json.dumps(doc))
 
 
 def test_reproduction_matches_frozen_certificates(reproduction):

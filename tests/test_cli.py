@@ -95,6 +95,48 @@ def test_verify_missing_file(capsys):
     assert main(["verify", "/nonexistent/cert.json"]) == 2
 
 
+FROZEN = sorted((Path(__file__).resolve().parent.parent / "benchmark" / "data" / "certs")
+                .glob("*.json"))
+
+
+def test_verify_many_certificates(capsys):
+    assert len(FROZEN) == 40
+    assert main(["verify", *map(str, FROZEN)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 40
+    assert all(line.startswith(f"valid certificate {path} for ")
+               for line, path in zip(lines, FROZEN))
+
+
+def _tampered(tmp_path):
+    doc = json.loads(FROZEN[0].read_text())
+    doc["orders"]["ord_eps_P1"] = str(int(doc["orders"]["ord_eps_P1"]) + 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+def test_verify_many_reports_every_file(tmp_path, capsys):
+    """A tampered copy among the forty fails, and the others still verify."""
+    bad = _tampered(tmp_path)
+    paths = [str(bad), *map(str, FROZEN)]
+    assert main(["verify", *paths]) == 1
+    out = capsys.readouterr()
+    assert len(out.out.splitlines()) == 40
+    assert out.err.startswith(f"verification failed for {bad}")
+
+
+def test_verify_many_with_missing_file(tmp_path, capsys):
+    """An unreadable path is exit 2 even beside a failing certificate."""
+    paths = [str(FROZEN[0]), "/nonexistent/cert.json", str(_tampered(tmp_path)), str(FROZEN[1])]
+    assert main(["verify", *paths]) == 2
+    out = capsys.readouterr()
+    assert len(out.out.splitlines()) == 2
+    err = out.err.splitlines()
+    assert err[0].startswith("cannot read certificate /nonexistent/cert.json")
+    assert err[1].startswith("verification failed for ")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -321,17 +321,19 @@ def test_descriptor_roundtrip(gaussian_sqrt11):
 
 
 def test_construction_is_deterministic():
-    a = build_biquadratic(-1, 19)
-    b = build_biquadratic(-1, 19)
-    assert a == b
-    assert build_cyclic_quartic(29) == build_cyclic_quartic(29)
+    """A build past the memo (__wrapped__) equals the memoized one."""
+    for build, args in ((build_biquadratic, (-1, 19)), (build_cyclic_quartic, (29,))):
+        fresh = build.__wrapped__(*args)
+        assert fresh is not build(*args) and fresh == build(*args)
 
 
 def test_hash_is_cached_per_object():
-    """Two builds of one field are distinct objects that hash equal; the
-    hash is computed once per object, and a dataclasses.replace copy gets a
-    hash of its own instead of its source's."""
-    a, b = build_biquadratic(-1, 19), build_biquadratic(-1, 19)
+    """Two equal specs that are distinct objects hash equal (the builders
+    are memoized, so the distinct one comes from dataclasses.replace); the
+    hash is computed once per object, and a replace copy gets a hash of its
+    own instead of its source's."""
+    a = build_biquadratic(-1, 19)
+    b = replace(a)
     assert a is not b and hash(a) == hash(b) and {a: 1}[b] == 1
     assert a.__dict__["_hash"] == hash(a)
     same = replace(a)
@@ -340,6 +342,44 @@ def test_hash_is_cached_per_object():
     assert other != a and hash(other) != hash(a)
     assert hash(replace(b, integral_basis=other.integral_basis[::-1])) != hash(b)
 
+
+
+def test_builders_are_memoized():
+    """Every route to a registry field reaches the registry's own FieldSpec:
+    the builders return one object per field and process.  The rows are
+    built afresh, past the registry's own cache, as other tests build more
+    biquadratic fields than the memo keeps (128)."""
+    for entry in fields._registry_tuple.__wrapped__():
+        label, spec = entry.label, entry.spec
+        assert fields.build_from_descriptor(field_descriptor(spec)) is spec, label
+        again = (build_biquadratic(spec.m, spec.n) if spec.kind == "biquadratic"
+                 else build_cyclic_quartic(spec.conductor))
+        assert again is spec, label
+
+
+@pytest.mark.parametrize("build, args, error", [
+    (build_biquadratic, (2, 3), NotImaginary),
+    (build_biquadratic, (-1, 10 ** 12 + 39), CapExceeded),
+    (build_biquadratic, (-1, 4), DegenerateField),
+    (build_cyclic_quartic, (7,), UnsupportedConductor),
+    # keyed by type: a float radicand is refused even after the int builds
+    (build_biquadratic, (-1.0, 13), TypeError),
+])
+def test_refused_builds_raise_on_every_call(build, args, error):
+    build_biquadratic(-1, 13)
+    for _ in range(2):
+        with pytest.raises(error):
+            build(*args)
+
+
+def test_cached_tables_are_immutable():
+    """One FieldSpec serves every caller, so what it caches is read-only."""
+    spec = build_biquadratic(-7, 13)
+    _, mat, adj, _ = spec._basis_matrix
+    gu = spec.norm_forms[0]
+    for table in (spec.mult_table, spec.mult_table[1], mat, adj, spec.tower[5], gu, gu[2]):
+        with pytest.raises(TypeError):
+            table[0] = 0
 
 
 def test_equality_is_identity_first_then_by_field(gaussian_sqrt11):
