@@ -29,9 +29,10 @@ and ``failed_share`` is ``regression`` when the change fails a larger share
 of its operations than the base, else ``within_bound``.
 
 The output also records the interpreter facts that move the numbers:
-``sys.version``, ``numpy.__version__`` (the surjectivity oracle walks its
-unit orbits in numpy), ``os.cpu_count()`` and
-``sys.flags.dont_write_bytecode``.
+``sys.version``, the installed numpy version as ``benchmark/run.py`` reads
+it (``None`` when numpy is absent; the package no longer imports it, and
+the key stays so that older ``BENCH_*.json`` files compare),
+``os.cpu_count()`` and ``sys.flags.dont_write_bytecode``.
 The last is set by ``PYTHONDONTWRITEBYTECODE``, which every child run
 inherits; with it set, each cold ``reproduce`` child compiles all of
 ``src/euclid4`` again (about half of ``import euclid4.cli``), so
@@ -53,9 +54,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from importlib import metadata
 from pathlib import Path
-
-import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 # run.py ends every run within 180 s; a run past this has hung.
@@ -172,12 +172,16 @@ def main(argv=None) -> int:
             summary[w][name] = verdict([p["base"]["metrics"][name] for p in pairs],
                                        [p["change"]["metrics"][name] for p in pairs],
                                        metric["better"], metric["bound"], fails_more)
+    try:
+        numpy_version = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy_version = None
     doc = {
         "command": f"python3 scripts/bench_pair.py --base {args.base} --out {args.out}",
         "base_commit": base_commit,
         "change": "working tree",
         "run_seconds": seconds,
-        "interpreter": {"version": sys.version, "numpy": numpy.__version__,
+        "interpreter": {"version": sys.version, "numpy": numpy_version,
                         "cpu_count": os.cpu_count(),
                         "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
         "summary": summary,

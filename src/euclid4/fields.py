@@ -41,10 +41,11 @@ descriptor renders.
 Both builders are memoized (functools.lru_cache), so a field is built and
 certified once per process: the registry, a certificate's descriptor and
 every other caller of build_biquadratic(m, n) or build_cyclic_quartic(f)
-share one FieldSpec.  What a spec caches is therefore held in tuples, not
-lists.  The memo is keyed by argument type too, so -1.0 is still refused
-after -1 has built, and a refused input raises on every call, as
-lru_cache keeps no exception.
+share one FieldSpec.  The registry's fields are never evicted; other
+biquadratic fields share an LRU of 128.  What a spec caches is therefore
+held in tuples, not lists.  The memo is keyed by argument type too, so
+-1.0 is still refused after -1 has built, and a refused input raises on
+every call, as lru_cache keeps no exception.
 """
 
 from __future__ import annotations
@@ -452,9 +453,17 @@ def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_pow
 # biquadratic construction
 
 
-@lru_cache(maxsize=128, typed=True)
 def build_biquadratic(m: int, n: int) -> FieldSpec:
-    """The imaginary biquadratic field Q(sqrt(m), sqrt(n)), theta = sqrt(m)+sqrt(n)."""
+    """The imaginary biquadratic field Q(sqrt(m), sqrt(n)), theta = sqrt(m)+sqrt(n).
+
+    A registry row's field is kept for the life of the process and any other
+    field in an LRU of 128, so no number of other builds evicts a registry
+    field."""
+    memo = _pinned_biquadratic if (m, n) in _REGISTRY_RADICANDS else _other_biquadratic
+    return memo(m, n)
+
+
+def _biquadratic(m: int, n: int) -> FieldSpec:
     if max(abs(m), abs(n)) > MAX_RADICAND:
         raise CapExceeded(f"({m}, {n}): radicands above {MAX_RADICAND} are not supported")
     if m in (0, 1) or n in (0, 1) or not (is_squarefree(m) and is_squarefree(n)):
@@ -499,6 +508,10 @@ def build_biquadratic(m: int, n: int) -> FieldSpec:
         sqrt_power=[(d, to_power(*vec)) for d, vec in sqrt_amb.items()],
         tower_y=to_power(*sqrt_amb[min(radicands)]),
     )
+
+
+_pinned_biquadratic = lru_cache(maxsize=None, typed=True)(_biquadratic)
+_other_biquadratic = lru_cache(maxsize=128, typed=True)(_biquadratic)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +648,8 @@ _BIQUADRATIC_TABLE = (
     ("K_32", -43, -163, 47, 53),
     ("K_33", -67, -163, 47, 167),
 )
+
+_REGISTRY_RADICANDS = frozenset(row[1:3] for row in _BIQUADRATIC_TABLE)
 
 _CYCLIC_TABLE = (
     ("5", 5, 11, 31),

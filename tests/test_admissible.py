@@ -4,7 +4,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from euclid4.admissible import (
     MAX_CERT_PRIME,
     MAX_COORD_BOUND,
     AdmissibleCertificate,
+    UnitWalk,
     _box_hits,
     _dlog,
     _field_generators,
@@ -24,7 +25,6 @@ from euclid4.admissible import (
     construct_witness,
     find_prime_element,
     search_pair,
-    unit_orbit,
 )
 from euclid4.certs import certificate_to_dict, certificate_to_json, parse_certificate
 from euclid4.elements import NFElement, from_power_coords, norm, one
@@ -309,10 +309,17 @@ def test_surjectivity_trivial_and_cap(entries):
         brute_force_surjectivity(spec, ud, primes3[0], primes59[0], 2, 2, cap=10)
     with pytest.raises(ValueError):
         brute_force_surjectivity(spec, ud, primes3[0], primes59[0], 3, 2)
-    # 46451^2 is above 2^31, so a product of two residues would overflow int64
-    primes46451 = degree_one_primes_above(spec, 46451)
-    with pytest.raises(CapExceeded, match=r"modulus 2157695401 .*2\^31"):
-        brute_force_surjectivity(spec, ud, primes46451[0], primes3[0], 2, 0, cap=10 ** 10)
+    # (Z/46451^2)* has 2.2e9 residues, above the default cap; the walk mod
+    # 46451 holds at most 46450, so a larger cap lets the count run.  The
+    # group is cyclic, so <eta, eps> is onto it iff the lcm of the two
+    # orders is its order.
+    P = degree_one_primes_above(spec, 46451)[0]
+    with pytest.raises(CapExceeded, match="above cap 10000000"):
+        brute_force_surjectivity(spec, ud, P, primes3[0], 2, 0)
+    orders = [unit_order_mod_p2(u, P) for u in (ud.eta, ud.epsilon)]
+    assert (brute_force_surjectivity(spec, ud, P, primes3[0], 2, 0, cap=10 ** 10)
+            == (lcm(*orders) == P.p * (P.p - 1)))
+    assert UnitWalk(reduce_mod_p2(ud.epsilon, P), P.p, 2).order == orders[1]
     zero = UnitData(ud.g, ud.eta, NFElement(spec, (0, 0, 0, 0)), Provenance.SUPPLIED)
     with pytest.raises(ValueError, match="invertible"):
         brute_force_surjectivity(spec, zero, primes3[0], primes59[0], 2, 2)
@@ -697,8 +704,8 @@ def test_surjectivity_same_prime_rejected(entries):
 
 def test_surjectivity_memory_bound(entries):
     """The count over the 102,300 residues mod 31^2 11^2 holds only the two
-    orbits of eps, 93 and 110 int64; a set of residue pairs would take
-    about 12 MB."""
+    walks of eps mod 31 and mod 11, dicts of 3 and 10 entries; a set of
+    residue pairs would take about 12 MB."""
     spec = entries["5"].spec
     cert = search_pair(spec, unit_data(spec), 50)
     assert cert.pair == (31, 11)
@@ -719,10 +726,11 @@ def _frozen_certificate(label):
     return parse_certificate(doc)[0], doc
 
 
-def test_unit_orbit_lengths_match_stored_orders():
-    """On all 40 frozen certificates, the oracle's orbits of eps mod P1^2
-    and P2^2 and of eta mod P1^2 are as long as the stored orders, which
-    check_conditions takes from the factored group order."""
+def test_unit_walk_orders_match_stored_orders():
+    """On all 40 frozen certificates, the oracle's walks of eps mod P1^2
+    and P2^2 and of eta mod P1^2 give the stored orders, which
+    check_conditions takes from the factored group order; each order
+    returns x to 1, and the walk's log inverts x^k."""
     labels = sorted(path.stem for path in FROZEN_CERTS.glob("*.json"))
     assert len(labels) == 40
     for label in labels:
@@ -730,44 +738,66 @@ def test_unit_orbit_lengths_match_stored_orders():
         for key, unit, P in (("ord_eps_P1", cert.units.epsilon, cert.P1),
                              ("ord_eps_P2", cert.units.epsilon, cert.P2),
                              ("ord_eta_P1", cert.units.eta, cert.P1)):
-            orbit = unit_orbit(reduce_mod_p2(unit, P), P.p * P.p)
-            assert len(orbit) == int(doc["orders"][key]), (label, key)
-            assert len(set(orbit.tolist())) == len(orbit), (label, key)
+            x, m = reduce_mod_p2(unit, P), P.p * P.p
+            walk = UnitWalk(x, P.p, 2)
+            assert walk.order == int(doc["orders"][key]), (label, key)
+            assert pow(x, walk.order, m) == 1, (label, key)
+            assert len(walk.steps) == walk.order // (P.p if walk.t else 1) <= P.p - 1
+            for k in (0, 1, walk.order - 1, walk.order // 2 + 1):
+                assert walk.log(pow(x, k, m)) == k % walk.order, (label, key, k)
 
 
 @pytest.mark.parametrize("eta", [(1, 1), (3, 2), (3, 1)], ids=["eta_1", "eta_3_2", "eta_3_1"])
 def test_subgroup_order_is_the_crt_on_exponents(eta):
-    """The orbit count r lcm(o1, o2) is the size of the closure of
-    <eta, eps> in (Z/m1)* x (Z/m2)*, over every pair of units eps modulo
-    7^2 and 13 and modulo 5^2 and 13, with orbit gcds 1, 2, 3, 4 and 6.
-    With eta = 1 there is one coset; with (3, 2) the count walks cosets
-    on both sides, and with (3, 1) eta^j lies in <eps> only where the
-    exponent of eps is a multiple of its order mod 13."""
+    """The count r lcm(o1, o2) is the size of the closure of <eta, eps> in
+    (Z/m1)* x (Z/m2)*, over every pair of units eps modulo 7^2 and 13 and
+    modulo 5^2 and 13, with order gcds 1, 2, 3, 4 and 6.  With eta = 1
+    there is one coset; with (3, 2) the count walks cosets on both sides,
+    and with (3, 1) eta^j lies in <eps> only where the exponent of eps is a
+    multiple of its order mod 13."""
     gcds = set()
-    for m1, m2 in ((49, 13), (25, 13)):
+    for p1 in (7, 5):
+        m1, m2 = p1 * p1, 13
         for x1 in (x for x in range(1, m1) if gcd(x, m1) == 1):
-            for x2 in (x for x in range(1, m2) if gcd(x, m2) == 1):
-                gcds.add(gcd(len(unit_orbit(x1, m1)), len(unit_orbit(x2, m2))))
+            for x2 in range(1, m2):
+                gcds.add(gcd(UnitWalk(x1, p1, 2).order, UnitWalk(x2, 13, 1).order))
                 want = len(_closure([eta, (x1, x2)], m1, m2))
-                got = admissible._subgroup_order(eta, (x1, x2), m1, m2)
+                got = admissible._subgroup_order(eta, (x1, x2), p1, 2, 13, 1)
                 assert got == want, (m1, x1, x2)
     assert gcds == {1, 2, 3, 4, 6}
 
 
-def test_unit_orbit_rejects_non_unit():
-    assert unit_orbit(5, 1).tolist() == [0]
+def test_subgroup_order_matches_closure_on_random_units():
+    """Seeded random residue pairs eta and eps modulo p1^a1 and p2^a2, for
+    distinct primes below 30 and every exponent pair in {0, 1, 2}^2: the
+    count is the size of the closure."""
+    rng = random.Random(1)
+    primes = [p for p in range(2, 30) if is_prime(p)]
+
+    def unit(m):
+        return rng.choice([x for x in range(m) if gcd(x, m) == 1])
+
+    for a1, a2 in itertools.product(range(3), repeat=2):
+        for _ in range(50):
+            p1, p2 = rng.sample(primes, 2)
+            m1, m2 = p1 ** a1, p2 ** a2
+            eta, eps = (unit(m1), unit(m2)), (unit(m1), unit(m2))
+            want = len(_closure([eta, eps], m1, m2))
+            assert admissible._subgroup_order(eta, eps, p1, a1, p2, a2) == want, (m1, m2, eta, eps)
+
+
+def test_unit_walk_rejects_non_unit():
+    walk = UnitWalk(5, 7, 0)
+    assert (walk.order, walk.log(0)) == (1, 0)
     with pytest.raises(ValueError, match="invertible"):
-        unit_orbit(6, 9)
-    # a product of two residues of the modulus would not fit in int64
-    with pytest.raises(CapExceeded, match=r"modulus 2147483648 "):
-        unit_orbit(3, 2 ** 31)
+        UnitWalk(6, 3, 2)
 
 
 def test_surjectivity_memory_at_largest_audit_group():
     """K_5 (29, 37) has the largest group the audit workload checks,
-    1,081,584 residues.  The count holds the orbits of eps, 203 and 1,332
-    int64, so it peaks far below the 1.2 MB that one byte per residue
-    mod 29^2 37^2 would take."""
+    1,081,584 residues.  The count holds the walks of eps mod 29 and mod
+    37, dicts of 7 and 36 entries, so it peaks far below the 1.2 MB that one
+    byte per residue mod 29^2 37^2 would take."""
     cert, _ = _frozen_certificate("K_5")
     assert cert.pair == (29, 37)
     tracemalloc.start()

@@ -6,6 +6,9 @@ integer functions, and true division.  No true division is allowed anywhere.
 
 python -O strips assert statements, so the package holds none: its checks
 raise typed errors instead, and keep them under every interpreter flag.
+
+The package imports only the standard library and itself, so it runs, the
+oracle included, where numpy and every other third-party package are absent.
 """
 
 import ast
@@ -113,3 +116,56 @@ def test_foreign_prime_is_rejected_under_optimized_python():
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "rejected\n"
+
+
+def foreign_imports(path):
+    """The imports of path that are neither relative nor standard library."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    assert [use for path in modules for use in foreign_imports(path)] == []
+
+
+def test_import_scan_sees_foreign_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import os, numpy as np\n"
+        "from math import gcd\n"
+        "from .errors import CapExceeded\n"
+        "def f():\n"
+        "    from sympy.ntheory import factorint\n"
+    )
+    assert foreign_imports(sample) == ["sample.py:1 numpy", "sample.py:5 sympy.ntheory"]
+
+
+def test_oracle_runs_with_numpy_blocked():
+    """verify --oracle confirms the 40 frozen certificates in a process
+    where importing numpy fails."""
+    certs = sorted((PACKAGE.parent.parent / "benchmark" / "data" / "certs").glob("*.json"))
+    assert len(certs) == 40
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from euclid4.cli import main\n"
+        "sys.exit(main(['verify', '--oracle', *sys.argv[1:]]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code, *map(str, certs)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 40 and all(line.endswith("oracle-confirmed") for line in lines)

@@ -321,9 +321,10 @@ def test_descriptor_roundtrip(gaussian_sqrt11):
 
 
 def test_construction_is_deterministic():
-    """A build past the memo (__wrapped__) equals the memoized one."""
-    for build, args in ((build_biquadratic, (-1, 19)), (build_cyclic_quartic, (29,))):
-        fresh = build.__wrapped__(*args)
+    """A build past the memo equals the memoized one."""
+    for build, fresh_build, args in ((build_biquadratic, fields._biquadratic, (-1, 19)),
+                                     (build_cyclic_quartic, build_cyclic_quartic.__wrapped__, (29,))):
+        fresh = fresh_build(*args)
         assert fresh is not build(*args) and fresh == build(*args)
 
 
@@ -344,17 +345,30 @@ def test_hash_is_cached_per_object():
 
 
 
-def test_builders_are_memoized():
+def test_builders_are_memoized(entries):
     """Every route to a registry field reaches the registry's own FieldSpec:
-    the builders return one object per field and process.  The rows are
-    built afresh, past the registry's own cache, as other tests build more
-    biquadratic fields than the memo keeps (128)."""
-    for entry in fields._registry_tuple.__wrapped__():
-        label, spec = entry.label, entry.spec
+    the builders return one object per field and process, however many
+    other fields the session has built by now."""
+    for label, entry in entries.items():
+        spec = entry.spec
         assert fields.build_from_descriptor(field_descriptor(spec)) is spec, label
         again = (build_biquadratic(spec.m, spec.n) if spec.kind == "biquadratic"
                  else build_cyclic_quartic(spec.conductor))
         assert again is spec, label
+
+
+def test_registry_fields_outlive_the_lru(entries):
+    """300 other biquadratic builds, more than the LRU of 128 keeps, do not
+    evict a registry field."""
+    spec = entries["K_1"].spec
+    rows = {(e.spec.m, e.spec.n) for e in entries.values() if e.spec.kind == "biquadratic"}
+    radicands = [r for r in range(-60, 61) if r not in (0, 1) and is_squarefree(r)]
+    others = [(m, n) for m in radicands for n in radicands
+              if m < n and m < 0 and (m, n) not in rows][:300]
+    assert len(others) == 300
+    for m, n in others:
+        build_biquadratic(m, n)
+    assert fields.build_from_descriptor(field_descriptor(spec)) is spec
 
 
 @pytest.mark.parametrize("build, args, error", [
