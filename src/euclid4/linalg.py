@@ -4,13 +4,14 @@ Integer matrices only: a determinant, the 4x4 adjugate in closed form that
 serves as the package's one matrix inverse (A^-1 = adj(A) / det(A), with the
 division left to the caller as an exact-divisibility test or a modular
 inverse), a Hermite normal form, and integral LLL reduction of a Gram matrix
-with the enumeration of its short vectors.  Everything is dense and tiny;
-clarity over asymptotics.
+with the enumeration of its short vectors.  Everything is dense and tiny,
+so interpreter overhead, not arithmetic, sets the cost: the 4x4 kernels on
+the lattice paths (the adjugate, box_vectors) are written out one
+coordinate at a time, and the rest keeps the generic form.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import isqrt
 
 
@@ -176,15 +177,28 @@ def lll_reduce(gram):
 
 def box_vectors(gram, bound):
     """Every integer vector y with y gram y^T <= bound, in lexicographic
-    order, for a positive definite 4x4 integer Gram matrix.
+    order, for a positive definite symmetric 4x4 integer Gram matrix.
 
     Such y lie in the box y_i^2 <= bound (gram^-1)_ii = bound adj_ii / det
     (Cauchy-Schwarz), which is enumerated in full: it is small when gram is
-    LLL-reduced and bound is near its minimum.
+    LLL-reduced and bound is near its minimum.  Four nested loops add the
+    form one coordinate at a time: with y0..yk fixed, each later coordinate
+    yj enters with the linear coefficient 2 sum_(i <= k) gram[i][j] yi.
+    Only the upper triangle of gram is read.
     """
     adj, det = adjugate_int(gram), det_int(gram)
     if det <= 0 or bound < 0:
         raise ValueError("the Gram matrix must be positive definite and the bound >= 0")
-    radii = [isqrt(bound * adj[i][i] // det) for i in range(len(gram))]
-    return [y for y in product(*(range(-r, r + 1) for r in radii))
-            if sum(a * sum(g * b for g, b in zip(row, y)) for a, row in zip(y, gram)) <= bound]
+    r0, r1, r2, r3 = (isqrt(bound * adj[i][i] // det) for i in range(4))
+    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = gram
+    found = []
+    for y0 in range(-r0, r0 + 1):
+        q0, l1, l2, l3 = g00 * y0 * y0, 2 * g01 * y0, 2 * g02 * y0, 2 * g03 * y0
+        for y1 in range(-r1, r1 + 1):
+            q1, m2, m3 = q0 + y1 * (g11 * y1 + l1), l2 + 2 * g12 * y1, l3 + 2 * g13 * y1
+            for y2 in range(-r2, r2 + 1):
+                q2, n3 = q1 + y2 * (g22 * y2 + m2), m3 + 2 * g23 * y2
+                for y3 in range(-r3, r3 + 1):
+                    if q2 + y3 * (g33 * y3 + n3) <= bound:
+                        found.append((y0, y1, y2, y3))
+    return found

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
+from operator import mul
 
 from .elements import NFElement
 from .errors import CapExceeded, NotCoprime, Ramified
@@ -115,8 +116,8 @@ def degree_one_primes_above(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
         t0 = sqrt_mod_prime_power((be + ce * s) * inv_e, p, 2)
         for t in (t0, p2 - t0):
             vec = (1, s, t, s * t)
-            images = tuple(sum(a * v for a, v in zip(row, vec)) * inv_det % p2 for row in adj)
-            theta = sum(a * im for a, im in zip(spec.theta_coords, images)) % p2
+            images = tuple(sum(map(mul, row, vec)) * inv_det % p2 for row in adj)
+            theta = sum(map(mul, spec.theta_coords, images)) % p2
             out.append((theta, images))
     out.sort(key=lambda m: (m[0] % p, m[1]))
     return [DegreeOnePrime(spec, p, theta, idx, images) for idx, (theta, images) in enumerate(out)]
@@ -126,7 +127,7 @@ def reduce_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:
     """Image of x under the reduction map O -> Z/p^2 attached to the prime."""
     if x.field != prime.field:
         raise ValueError("element does not belong to the prime's field")
-    return sum(c * im for c, im in zip(x.coords, prime.basis_images)) % (prime.p * prime.p)
+    return sum(map(mul, x.coords, prime.basis_images)) % (prime.p * prime.p)
 
 
 def unit_order_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from euclid4.elements import (
     NFElement,
+    _times,
+    _value,
     from_power_coords,
     inverse_unit,
     norm,
@@ -15,8 +18,9 @@ from euclid4.elements import (
     trace,
     zero,
 )
-from euclid4.errors import FieldMismatch, NotAUnit
+from euclid4.errors import DegenerateField, FieldMismatch, NotAUnit
 from euclid4.fields import build_biquadratic, build_cyclic_quartic
+from euclid4.linalg import det_int
 
 coords_strategy = st.tuples(*[st.integers(min_value=-40, max_value=40)] * 4)
 
@@ -66,6 +70,55 @@ def test_norm_multiplicative_trace_additive(sample_fields):
             y = NFElement(k, tuple(rng.randrange(-60, 61) for _ in range(4)))
             assert norm(x * y) == norm(x) * norm(y)
             assert trace(x + y) == trace(x) + trace(y)
+
+
+def test_norm_matches_the_multiplication_determinant(entries):
+    """norm, from the tower forms, equals the determinant of the
+    multiplication matrix on every registry field, for seeded coordinates
+    small, past int64 and past 2^200."""
+    rng = random.Random(29)
+    for entry in entries.values():
+        for size in (50, 2 ** 70, 2 ** 210):
+            x = NFElement(entry.spec, tuple(rng.randint(-size, size) for _ in range(4)))
+            assert norm(x) == det_int(x.mult_matrix()), entry.label
+
+
+def test_norm_refuses_an_inexact_quotient(gaussian_sqrt11):
+    """A tower whose D does not fit the norm forms leaves a remainder, which
+    norm reports instead of rounding."""
+    k = copy.copy(gaussian_sqrt11)
+    d, e, be, ce, det, adj = k.tower
+    k.norm_forms  # cached on the copy with the true tower
+    vars(k)["tower"] = (d, e, be, ce, 2 * det, adj)
+    with pytest.raises(DegenerateField):
+        norm(NFElement(k, (1, 1, 0, 0)))
+
+
+def test_value_matches_the_double_sum():
+    """_value, which reads the upper triangle and doubles the cross terms,
+    equals sum_ij c_i G_ij c_j on seeded symmetric matrices, with entries
+    small and past 2^200."""
+    rng = random.Random(27)
+    for trial in range(300):
+        size = 2 ** 210 if trial % 2 else 9
+        g = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                g[i][j] = g[j][i] = rng.randint(-size, size)
+        c = tuple(rng.randint(-size, size) for _ in range(4))
+        assert _value(g, c) == sum(c[i] * g[i][j] * c[j] for i in range(4) for j in range(4))
+
+
+def test_times_matches_the_row_by_column_product():
+    """_times(rows, basis) is the matrix product rows basis, row by column,
+    with entries small and past 2^200."""
+    rng = random.Random(28)
+    for trial in range(300):
+        size = 2 ** 210 if trial % 2 else 9
+        basis = [[rng.randint(-size, size) for _ in range(4)] for _ in range(4)]
+        rows = [tuple(rng.randint(-size, size) for _ in range(4)) for _ in range(trial % 4)]
+        assert _times(rows, basis) == [
+            tuple(sum(r[k] * basis[k][j] for k in range(4)) for j in range(4)) for r in rows]
 
 
 def test_norm_trace_basics(gaussian_sqrt11):
