@@ -3,12 +3,18 @@
 Usage (from the repository root):
 
     python3 scripts/bench_pair.py --base 96c180f --out BENCH_6.json
+    python3 scripts/bench_pair.py --base 96c180f --seeds 11-20 --workload search \
+        --out held_out.json
 
 The base commit is exported with ``git archive`` into a temporary directory.
-For each seed 1..10 and each workload named in ``BENCHMARK.json``,
+For each seed of ``--seeds A-B`` (default ``1-10``) and each workload named
+by a ``--workload W`` option (repeatable; default: every workload in
+``BENCHMARK.json``),
 ``benchmark/run.py --workload W --seed S --seconds <run_seconds> --trace 0``
 runs once in the base copy and once in the working tree, the base first on
-odd seeds and the working tree first on even ones.  The output file holds
+odd seeds and the working tree first on even ones.  The output's
+``command`` records both options, so a held-out seed range goes through the
+same verdict code as the default one.  The output file holds
 every pair of results and, for each workload and end-to-end metric, each
 side's median and quartiles, the pairs the change won and lost, and a
 verdict against the metric's bound in ``BENCHMARK.json``:
@@ -18,8 +24,8 @@ verdict against the metric's bound in ``BENCHMARK.json``:
 - ``unresolved``: otherwise, when the base runs spread (interquartile range
   over median) wider than the bound and not every change run is better than
   every base run;
-- ``gain``: otherwise, when the change wins at least nine of the ten pairs
-  (ties count for neither), the medians differ by more than the base
+- ``gain``: otherwise, when the change wins at least nine tenths of the
+  pairs (ties count for neither), the medians differ by more than the base
   interquartile range, and the change fails no larger share of its
   operations than the base;
 - ``within_bound``: otherwise.
@@ -60,8 +66,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # run.py ends every run within 180 s; a run past this has hung.
 RUN_TIMEOUT_S = 300
-# Alternated base/change pairs per workload, one per seed 1..PAIRS; a gain
-# needs the change to win at least nine of them.
+# Alternated base/change pairs per workload by default, one per seed
+# 1..PAIRS; a gain needs the change to win at least nine tenths of them.
 PAIRS = 10
 
 
@@ -136,20 +142,47 @@ def verdict(base: list[float], change: list[float], better: str, bound: float,
     }
 
 
-def main(argv=None) -> int:
+def seed_range(text: str) -> range:
+    """The seeds A..B of an "A-B" option value, 1 <= A <= B."""
+    first, sep, last = text.partition("-")
+    if not (sep and first.isdecimal() and last.isdecimal() and 1 <= int(first) <= int(last)):
+        raise argparse.ArgumentTypeError(f"expected A-B with 1 <= A <= B, got {text!r}")
+    return range(int(first), int(last) + 1)
+
+
+def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
+    """The options, with args.workloads the workloads to run: those named by
+    --workload, in BENCHMARK.json's order, else every one of workloads."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="commit to compare the working tree against")
     parser.add_argument("--out", required=True, help="output JSON file, e.g. BENCH_<pr>.json")
+    parser.add_argument("--seeds", type=seed_range, default=range(1, PAIRS + 1),
+                        help=f"seed range A-B, one pair per seed (default 1-{PAIRS})")
+    parser.add_argument("--workload", action="append", choices=workloads,
+                        help="a workload to run; repeat for more (default: all)")
     args = parser.parse_args(argv)
+    args.workloads = [w for w in workloads if w in (args.workload or workloads)]
+    return args
 
+
+def command_line(args: argparse.Namespace) -> str:
+    """The command that repeats the run, with both the seeds and the
+    workloads recorded."""
+    seeds = f"{args.seeds[0]}-{args.seeds[-1]}"
+    named = "".join(f" --workload {w}" for w in args.workloads)
+    return f"python3 scripts/bench_pair.py --base {args.base} --seeds {seeds}{named} --out {args.out}"
+
+
+def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in spec["workloads"]]
+    args = parse_args(argv, [w["name"] for w in spec["workloads"]])
+    workloads = args.workloads
     seconds = spec["run_seconds"]
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_dir = Path(tmp)
         base_commit = export_commit(args.base, base_dir)
-        for seed in range(1, PAIRS + 1):
+        for seed in args.seeds:
             order = ("base", "change") if seed % 2 else ("change", "base")
             for w in workloads:
                 pair = {"seed": seed, "first": order[0]}
@@ -177,7 +210,7 @@ def main(argv=None) -> int:
     except metadata.PackageNotFoundError:
         numpy_version = None
     doc = {
-        "command": f"python3 scripts/bench_pair.py --base {args.base} --out {args.out}",
+        "command": command_line(args),
         "base_commit": base_commit,
         "change": "working tree",
         "run_seconds": seconds,

@@ -11,6 +11,7 @@ scratch.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .admissible import (
     MAX_CERT_PRIME,
@@ -76,8 +77,37 @@ def certificate_to_dict(cert: AdmissibleCertificate, label: str | None = None) -
     return doc
 
 
+def _dump(node, pad: str) -> str:
+    """node as json.dumps(node, indent=2, sort_keys=True) writes it at
+    indentation pad, for str, bool, list and str-keyed dict nodes only;
+    any other type raises TypeError.  With indent set, json.dumps runs its
+    pure-Python encoder; this writer quotes with the C-accelerated one, and
+    quotes a str child in place instead of recursing into it."""
+    inner = pad + "  "
+    if isinstance(node, list):
+        items = [_quote(v) if isinstance(v, str) else _dump(v, inner) for v in node]
+        opening, closing = "[", "]"
+    elif isinstance(node, dict):
+        items = [_quote(k) + ": " + (_quote(v) if isinstance(v, str) else _dump(v, inner))
+                 for k, v in sorted(node.items())]
+        opening, closing = "{", "}"
+    elif node is True:
+        return "true"
+    elif node is False:
+        return "false"
+    elif isinstance(node, str):
+        return _quote(node)
+    else:
+        raise TypeError(f"a certificate holds no {type(node).__name__}")
+    if not items:
+        return opening + closing
+    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closing
+
+
 def certificate_to_json(cert: AdmissibleCertificate, label: str | None = None) -> str:
-    return json.dumps(certificate_to_dict(cert, label), indent=2, sort_keys=True) + "\n"
+    """The certificate text: byte for byte json.dumps(certificate_to_dict(
+    cert, label), indent=2, sort_keys=True) + "\\n"."""
+    return _dump(certificate_to_dict(cert, label), "") + "\n"
 
 
 def _object(doc, what: str, keys: frozenset, optional: frozenset = frozenset()) -> dict:
@@ -91,12 +121,18 @@ def _object(doc, what: str, keys: frozenset, optional: frozenset = frozenset()) 
 
 
 def _as_int(value, what: str) -> int:
+    """value, a canonical decimal string, as an int.  int() also reads
+    signs, spaces, underscores, leading zeros and non-ASCII digits, so only
+    the text str() writes back is accepted."""
     if not isinstance(value, str):
         raise SchemaError(f"{what} must be a decimal string, got {type(value).__name__}")
     try:
-        return int(value)
+        n = int(value)
     except ValueError as exc:
         raise SchemaError(f"{what} is not a decimal integer: {value!r}") from exc
+    if str(n) != value:
+        raise SchemaError(f"{what} is not a canonical decimal integer: {value!r}")
+    return n
 
 
 def _as_coords(value, what: str) -> tuple[int, int, int, int]:

@@ -95,7 +95,9 @@ def degree_one_primes_above(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
 
     Each prime is a ring map O -> Z/p^2, fixed by the images s, t of x and
     y (see FieldSpec.tower): s^2 = d and e t^2 = Be + Ce s, two signs each.
-    The basis images are adj(S) (1, s, t, st) / D.  The primes are numbered
+    The basis images are adj(S) (1, s, t, st) / D = a + t b, with
+    a = adj(S) (1, s, 0, 0) / D and b = adj(S) (0, 0, 1, s) / D formed once
+    for both signs of t.  The primes are numbered
     in the order of (theta image mod p, basis images), which is the
     ascending order of the roots of theta's minimal polynomial mod p
     whenever those are distinct.  Raises ValueError unless p is an odd
@@ -112,13 +114,15 @@ def degree_one_primes_above(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
     inv_det, inv_e = pow(det, -1, p2), pow(e, -1, p2)
     s0 = sqrt_mod_prime_power(d, p, 2)
     out = []
+    c0, c1, c2, c3 = spec.theta_coords
     for s in (s0, p2 - s0):
         t0 = sqrt_mod_prime_power((be + ce * s) * inv_e, p, 2)
-        for t in (t0, p2 - t0):
-            vec = (1, s, t, s * t)
-            images = tuple(sum(map(mul, row, vec)) * inv_det % p2 for row in adj)
-            theta = sum(map(mul, spec.theta_coords, images)) % p2
-            out.append((theta, images))
+        a0, a1, a2, a3 = [(r0 + r1 * s) * inv_det % p2 for r0, r1, _, _ in adj]
+        b0, b1, b2, b3 = [(r2 + r3 * s) * inv_det % p2 for _, _, r2, r3 in adj]
+        for t in (t0, -t0):
+            i0, i1, i2, i3 = images = (
+                (a0 + t * b0) % p2, (a1 + t * b1) % p2, (a2 + t * b2) % p2, (a3 + t * b3) % p2)
+            out.append(((c0 * i0 + c1 * i1 + c2 * i2 + c3 * i3) % p2, images))
     out.sort(key=lambda m: (m[0] % p, m[1]))
     return [DegreeOnePrime(spec, p, theta, idx, images) for idx, (theta, images) in enumerate(out)]
 

@@ -17,7 +17,7 @@ from math import isqrt
 from .elements import NFElement, _value, norm, norm_solutions, one, sqrt_radicand, theta
 from .errors import CapExceeded, DegenerateField, NotAUnit
 from .fields import FieldSpec
-from .intmath import continued_fraction_fundamental_unit, factorize
+from .intmath import continued_fraction_fundamental_unit
 from .residues import degree_one_primes_above, reduce_mod_p2, split_primes
 
 
@@ -52,7 +52,7 @@ def torsion(spec: FieldSpec) -> tuple[int, NFElement]:
     The only roots of unity that fit in a quartic field have order n with
     phi(n) | 4; which occur is decided by the imaginary quadratic subfields
     (biquadratic case) or by the conductor (cyclic case).  The returned
-    generator is verified to have order exactly g.
+    generator is verified to have order exactly g (torsion_units).
     """
     if spec.kind == "cyclic":
         if spec.conductor == 5:
@@ -81,15 +81,9 @@ def torsion(spec: FieldSpec) -> tuple[int, NFElement]:
         else:
             eta = -one(spec)
             g = 2
-    if not _element_order_is(eta, g):
+    if torsion_units(g, eta) is None:
         raise DegenerateField(f"the torsion generator does not have order {g}")
     return g, eta
-
-
-def _element_order_is(eta: NFElement, g: int) -> bool:
-    if (eta ** g).coords != (1, 0, 0, 0):
-        return False
-    return all((eta ** (g // q)).coords != (1, 0, 0, 0) for q in factorize(g))
 
 
 def infinite_order_unit(spec: FieldSpec) -> NFElement:
@@ -178,26 +172,38 @@ def unit_data(spec: FieldSpec) -> UnitData:
     return UnitData(g, eta, eps, prov)
 
 
-def torsion_units(g: int, eta: NFElement) -> list[NFElement]:
-    """eta^0, ..., eta^(g-1): the torsion units, when eta generates them."""
+def torsion_units(g: int, eta: NFElement) -> list[NFElement] | None:
+    """eta^0, ..., eta^(g-1), the torsion units, when eta has order exactly
+    g, else None.  One walk of at most g - 1 products decides it: eta^g = 1
+    and no earlier power is 1."""
     powers = [one(eta.field)]
+    x = eta
     for _ in range(1, g):
-        powers.append(powers[-1] * eta)
-    return powers
+        if x.coords == (1, 0, 0, 0):
+            return None
+        powers.append(x)
+        x = x * eta
+    return powers if x.coords == (1, 0, 0, 0) else None
 
 
 def has_infinite_order(x: NFElement, g: int, eta: NFElement) -> bool:
     """A unit x has infinite order when it is none of the torsion units;
     comparing coordinates keeps the cost independent of the size of x,
-    which may come from a certificate."""
-    return all(x.coords != z.coords for z in torsion_units(g, eta))
+    which may come from a certificate.  eta must have order exactly g
+    (ValueError otherwise)."""
+    powers = torsion_units(g, eta)
+    if powers is None:
+        raise ValueError(f"eta does not have order {g}")
+    return all(x.coords != z.coords for z in powers)
 
 
 def verify_unit_data(u: UnitData) -> bool:
     """Re-check all UnitData invariants exactly.
 
     g must be the true torsion order of the field, eta must have order
-    exactly g, and epsilon must be a unit of infinite order.
+    exactly g, and epsilon must be a unit of infinite order.  The walk of
+    eta starts only once g is the field's own, so a stated g cannot make it
+    long.
     """
     spec = u.eta.field
     if u.epsilon.field != spec:
@@ -207,6 +213,5 @@ def verify_unit_data(u: UnitData) -> bool:
         return False
     if norm(u.eta) not in (1, -1) or norm(u.epsilon) not in (1, -1):
         return False
-    if not _element_order_is(u.eta, u.g):
-        return False
-    return has_infinite_order(u.epsilon, u.g, u.eta)
+    powers = torsion_units(u.g, u.eta)
+    return powers is not None and all(u.epsilon.coords != z.coords for z in powers)

@@ -12,6 +12,17 @@ def entries():
 
 
 @pytest.fixture(scope="session")
+def construction_specs(entries):
+    """The 40 registry fields, then the 234 biquadratic pairs with
+    |m|, |n| <= 20: the fields of test_construction_matches_frozen_digest."""
+    from euclid4.intmath import is_squarefree
+
+    radicands = [r for r in range(-20, 21) if r not in (0, 1) and is_squarefree(r)]
+    pairs = [(m, n) for m in radicands for n in radicands if m < n and min(m, n) < 0]
+    return [e.spec for e in entries.values()] + [build_biquadratic(m, n) for m, n in pairs]
+
+
+@pytest.fixture(scope="session")
 def gaussian_sqrt11():
     """The worked-example field Q(sqrt(-1), sqrt(11)) (not a registry row)."""
     return build_biquadratic(-1, 11)

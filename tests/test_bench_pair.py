@@ -62,3 +62,38 @@ def test_verdict_reports_medians_and_spread():
 def test_failed_share():
     assert bench_pair.failed_share({"attempted": 40, "failed": 2}) == 0.05
     assert bench_pair.failed_share({"attempted": 0, "failed": 0}) == 0
+
+
+WORKLOADS = ["reproduce", "verify", "search", "audit"]
+
+
+def test_default_options_run_seeds_1_to_10_on_every_workload():
+    args = bench_pair.parse_args(["--base", "abc123", "--out", "BENCH.json"], WORKLOADS)
+    assert args.seeds == range(1, 11)
+    assert args.workloads == WORKLOADS
+    assert bench_pair.command_line(args) == (
+        "python3 scripts/bench_pair.py --base abc123 --seeds 1-10 --workload reproduce"
+        " --workload verify --workload search --workload audit --out BENCH.json")
+
+
+def test_held_out_seeds_on_named_workloads():
+    """Named workloads run in BENCHMARK.json's order, each once, and the
+    command records the seeds and the workloads."""
+    args = bench_pair.parse_args(["--base", "abc123", "--out", "held.json", "--seeds", "11-20",
+                                  "--workload", "search", "--workload", "verify",
+                                  "--workload", "search"], WORKLOADS)
+    assert args.seeds == range(11, 21)
+    assert args.workloads == ["verify", "search"]
+    assert bench_pair.command_line(args) == (
+        "python3 scripts/bench_pair.py --base abc123 --seeds 11-20 --workload verify"
+        " --workload search --out held.json")
+    one = bench_pair.parse_args(["--base", "b", "--out", "o", "--seeds", "7-7"], WORKLOADS)
+    assert one.seeds == range(7, 8)
+
+
+@pytest.mark.parametrize("extra", [["--seeds", "5-3"], ["--seeds", "0-4"], ["--seeds", "11"],
+                                   ["--seeds", "a-b"], ["--seeds", "-3-4"],
+                                   ["--workload", "witness"]])
+def test_bad_options_are_refused(extra, capsys):
+    with pytest.raises(SystemExit):
+        bench_pair.parse_args(["--base", "b", "--out", "o", *extra], WORKLOADS)

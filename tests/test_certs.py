@@ -1,10 +1,13 @@
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 
+from euclid4.admissible import search_pair
 from euclid4.certs import (
+    _dump,
     _prime_dict,
     certificate_to_dict,
     certificate_to_json,
@@ -12,9 +15,11 @@ from euclid4.certs import (
     verify_certificate_json,
 )
 from euclid4.elements import from_power_coords, inverse_unit
-from euclid4.errors import ConditionFailed, OracleMismatch, SchemaError
-from euclid4.fields import build_from_descriptor
+from euclid4.errors import ConditionFailed, Euclid4Error, OracleMismatch, SchemaError
+from euclid4.fields import build_biquadratic, build_from_descriptor
+from euclid4.intmath import is_squarefree
 from euclid4.residues import degree_one_primes_above
+from euclid4.units import unit_data
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +230,116 @@ def test_large_unit_verifies_quickly(k8_cert):
     report = verify_certificate_json(json.dumps(doc))
     assert time.perf_counter() - start < 1.0
     assert report["pair"] == k8_cert.pair
+
+
+def reference_text(doc) -> str:
+    """The certificate text as the standard library writes it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_writer_matches_json_dumps_on_registry_certificates(reproduction):
+    for label, (_, cert) in reproduction.items():
+        for name in (label, None):
+            assert certificate_to_json(cert, name) == reference_text(certificate_to_dict(cert, name))
+
+
+def test_writer_matches_json_dumps_on_searched_certificates():
+    """Certificates that search_pair finds for 100 seeded random imaginary
+    biquadratic fields with |m|, |n| <= 2,000."""
+    rng = random.Random(28)
+    radicands = [r for r in range(-2000, 2001) if r not in (0, 1) and is_squarefree(r)]
+    negative = [r for r in radicands if r < 0]
+    written = 0
+    while written < 100:
+        m, n = rng.choice(negative), rng.choice(radicands)
+        try:
+            spec = build_biquadratic(m, n)
+            cert = search_pair(spec, unit_data(spec), 1000)
+        except Euclid4Error:
+            continue
+        assert certificate_to_json(cert) == reference_text(certificate_to_dict(cert)), (m, n)
+        written += 1
+
+
+def nested(depth: int):
+    doc = ["leaf"]
+    for level in range(depth):
+        doc = {f"level {level}": doc, "sibling": [True, {}]} if level % 2 else [doc, []]
+    return doc
+
+
+HAND_BUILT = {
+    "empty-list": [],
+    "empty-dict": {},
+    "bare-string": "x",
+    "bare-bool": False,
+    "empties-inside": {"a": [], "b": {}, "c": [[], {}, [[]]], "": ""},
+    "unsorted-keys": {"zeta": "1", "Alpha": "2", "alpha": "3", "_": "4", "10": "5", "9": "6"},
+    "escapes": ["\"", "\\", "/", "\b\f\n\r\t", "\x00\x01\x1f\x7f", "\u2028\u2029"],
+    "non-ascii": {"Käse \u03c0 \u2603": ["\U0001d11e", "\ud800"]},
+    "deep": nested(60),
+}
+
+
+@pytest.mark.parametrize("doc", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+def test_writer_matches_json_dumps_on_hand_built_documents(doc):
+    assert _dump(doc, "") + "\n" == reference_text(doc)
+
+
+@pytest.mark.parametrize("label", ['K_8 "\u00fc" \\ \x00\n\u2603', "", None])
+def test_writer_matches_json_dumps_on_awkward_labels(k8_cert, label):
+    assert certificate_to_json(k8_cert, label) == reference_text(certificate_to_dict(k8_cert, label))
+
+
+@pytest.mark.parametrize("doc", [3, None, ["1", 2], {"a": None}, {"a": ["b", {"c": 0}]},
+                                 ("1", "2"), {1: "a"}])
+def test_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        _dump(doc, "")
+
+
+def respell(value: str, form: str) -> str:
+    """The canonical decimal value spelled another way that int() reads as
+    the same integer."""
+    sign, digits = value[:value.startswith("-")], value.lstrip("-")
+    return {
+        "underscore": sign + (digits[0] + "_" + digits[1:] if len(digits) > 1 else "0_" + digits),
+        "sign-and-spaces": f" {sign or '+'}{digits} ",
+        "arabic-indic-digits": sign + digits.translate(str.maketrans("0123456789", ARABIC_INDIC)),
+        "leading-zeros": sign + "00" + digits,
+        "negative-zero": "-" + digits,  # for a zero value only
+    }[form]
+
+
+ARABIC_INDIC = "".join(chr(0x660 + i) for i in range(10))
+# leaves of the K_8 certificate (pair 3, 59), as key paths
+LEAVES = {
+    "prime": ("P2", "p"),
+    "order": ("orders", "ord_eps_P2"),
+    "g": ("units", "g"),
+    "unit-coordinate": ("units", "epsilon_coords", 3),
+    "basis-image": ("P1", "basis_images", 2),
+    "zero-unit-coordinate": ("units", "epsilon_coords", 2),
+    "zero-basis-image": ("P1", "basis_images", 1),
+}
+NON_CANONICAL = [
+    (form, leaf)
+    for form in ("underscore", "sign-and-spaces", "arabic-indic-digits", "leading-zeros")
+    for leaf in ("prime", "order", "g", "unit-coordinate", "basis-image")
+] + [("negative-zero", "zero-unit-coordinate"), ("negative-zero", "zero-basis-image")]
+
+
+@pytest.mark.parametrize("form, leaf", NON_CANONICAL, ids=[f"{f}-{l}" for f, l in NON_CANONICAL])
+def test_non_canonical_integer_text_is_schema_error(k8_cert, form, leaf):
+    """Each spelling reads as the stored value under int(), so only the
+    canonical-text rule refuses it."""
+    doc = certificate_to_dict(k8_cert, "K_8")
+    *path, last = LEAVES[leaf]
+    parent = doc
+    for key in path:
+        parent = parent[key]
+    text = respell(parent[last], form)
+    assert text != parent[last] and int(text) == int(parent[last])
+    parent[last] = text
+    with pytest.raises(SchemaError, match="canonical"):
+        verify_certificate_json(json.dumps(doc))

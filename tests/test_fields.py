@@ -232,25 +232,16 @@ def construction_json(spec):
 CONSTRUCTION_DIGEST = "615a73838ea6fabe45983886e224f5533e9d744363a19504a0fb192a0aab4a07"
 
 
-def construction_specs(entries):
-    """The 40 registry fields, then the 234 biquadratic pairs with
-    |m|, |n| <= 20."""
-    radicands = [r for r in range(-20, 21) if r not in (0, 1) and is_squarefree(r)]
-    pairs = [(m, n) for m in radicands for n in radicands if m < n and min(m, n) < 0]
-    return [e.spec for e in entries.values()] + [build_biquadratic(m, n) for m, n in pairs]
-
-
-def test_construction_matches_frozen_digest(entries):
-    specs = construction_specs(entries)
-    assert len(specs) == 274
-    blob = json.dumps([construction_json(s) for s in specs], sort_keys=True)
+def test_construction_matches_frozen_digest(construction_specs):
+    assert len(construction_specs) == 274
+    blob = json.dumps([construction_json(s) for s in construction_specs], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == CONSTRUCTION_DIGEST
 
 
-def test_norm_forms_are_symmetric(entries):
+def test_norm_forms_are_symmetric(construction_specs):
     """elements._value reads only the upper triangle of a Gram matrix, so
     both norm forms must be symmetric, on every field of the digest above."""
-    for spec in construction_specs(entries):
+    for spec in construction_specs:
         for gram in spec.norm_forms:
             assert all(gram[i][j] == gram[j][i] for i in range(4) for j in range(i)), spec.name()
 

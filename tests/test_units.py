@@ -4,6 +4,7 @@ import pytest
 
 from euclid4.errors import NotAUnit
 from euclid4.elements import NFElement, inverse_unit, norm, one, sqrt_radicand
+from euclid4.intmath import factorize
 from euclid4.fields import build_biquadratic, build_cyclic_quartic
 from euclid4.intmath import continued_fraction_fundamental_unit
 from euclid4.units import (
@@ -103,6 +104,62 @@ def test_verify_unit_data_examples(gaussian_sqrt11):
     assert not verify_unit_data(UnitData(2, one(k), eps, Provenance.SUPPLIED))
     # torsion element in place of epsilon
     assert not verify_unit_data(UnitData(4, eta, eta, Provenance.SUPPLIED))
+
+
+@pytest.fixture(scope="module")
+def every_torsion_order(entries):
+    """name -> unit data: the 40 fields (g = 2, 4, 6 and 10), with
+    Q(i, sqrt(2)) (g = 8) and Q(i, sqrt(-3)) (g = 12)."""
+    specs = [e.spec for e in entries.values()] + [build_biquadratic(-1, 2), build_biquadratic(-1, -3)]
+    data = {spec.name(): unit_data(spec) for spec in specs}
+    assert {ud.g for ud in data.values()} == {2, 4, 6, 8, 10, 12}
+    return data
+
+
+def test_eta_of_a_smaller_order_is_refused(every_torsion_order):
+    """For each prime q | g, eta^q has order g/q; stated as a generator of
+    order g it is refused."""
+    for name, ud in every_torsion_order.items():
+        assert verify_unit_data(ud), name
+        for q in factorize(ud.g):
+            assert torsion_units(ud.g, ud.eta ** q) is None
+            assert not verify_unit_data(UnitData(ud.g, ud.eta ** q, ud.epsilon, ud.provenance)), (
+                name, q)
+
+
+def test_torsion_unit_as_epsilon_is_refused(every_torsion_order):
+    for name, ud in every_torsion_order.items():
+        for z in torsion_units(ud.g, ud.eta):
+            assert not verify_unit_data(UnitData(ud.g, ud.eta, z, ud.provenance)), name
+
+
+def test_verify_unit_data_walks_each_generator_once(every_torsion_order, monkeypatch):
+    """At most 2g + 1 NFElement products per call: g for the stated eta,
+    g for the walk of the field's own generator in torsion(), and one to
+    build zeta_12.  The walk multiplies NFElements, so a count of
+    NFElement.__mul__ (elements.mul in a traced run) sees it.  Once g is
+    wrong the stated eta is not walked at all."""
+    calls = 0
+    real_mul = NFElement.__mul__
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return real_mul(x, y)
+
+    monkeypatch.setattr(NFElement, "__mul__", counted)
+    for name, ud in every_torsion_order.items():
+        calls = 0
+        assert verify_unit_data(ud)
+        # g - 1 products per walk
+        assert calls == 2 * (ud.g - 1) + (ud.g == 12), name
+        for eta in (ud.epsilon, one(ud.eta.field), ud.eta * ud.eta):
+            calls = 0
+            assert not verify_unit_data(UnitData(ud.g, eta, ud.epsilon, ud.provenance))
+            assert calls <= 2 * ud.g + 1, name
+        calls = 0
+        assert not verify_unit_data(UnitData(10 ** 6, ud.eta, ud.epsilon, ud.provenance))
+        assert calls <= ud.g + 1, name
 
 
 def test_sqrt_in_ring_finds_roots(entries):
