@@ -3,7 +3,8 @@
 An element is an integer coordinate vector; integrality is therefore a
 representation invariant, which keeps every residue computation
 denominator-free.  norm_solutions solves x conj(x) = alpha in a lattice of
-the ring, for the prime generators and the unit square roots alike.
+the ring; it serves the prime generators (admissible._least_generators).
+The square roots of units are written in closed form (units.sqrt_in_ring).
 """
 
 from __future__ import annotations
@@ -171,8 +172,7 @@ def norm_solutions(spec: FieldSpec, lattice, a: int, b: int) -> list[tuple[int, 
     under 2Q (Cohen, A Course in Computational Algebraic Number Theory,
     Alg. 2.6.7) and the box 2Q(y) <= 2 h e D^2 N(alpha) find every
     solution, each checked exactly; when |N(x)| >= N(alpha) on the lattice
-    (a prime of norm N(alpha), or the ring with alpha a unit), every
-    nonzero y of the box is one.
+    (a prime of norm N(alpha)), every nonzero y of the box is one.
     """
     d, e, _, _, det, _ = spec.tower
     h = 2 if d % 4 == 1 else 1

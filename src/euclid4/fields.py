@@ -254,24 +254,32 @@ class FieldSpec:
         return {d: self._coords(*vec) for d, vec in self.sqrt_power}
 
     @cached_property
+    def tower_rows(self):
+        """S of tower: the integral-basis coordinates of 1, x, y and xy, as
+        rows, so an element with tower coordinates W is W S."""
+        x = self.sqrt_map[self.real_subfield_d]
+        y = self._coords(*self.tower_y)
+        return (1, 0, 0, 0), x, y, tuple(basis_mul(self.mult_table, x, y))
+
+    @cached_property
     def tower(self):
         """(d, e, Be, Ce, D, adj(S)) presenting K as the tower Q(x, y).
 
         x^2 = d and e y^2 = Be + Ce x with integers e > 0, Be, Ce, where e is
         the least one that clears the denominators.  The rows of S are the
-        integral-basis coordinates of 1, x, y, xy and D = det S, so the basis
-        is adj(S) (1, x, y, xy) / D.  Every odd prime dividing e D is
-        certified to be ramified or not to split completely, so e and D are
-        units modulo every odd completely split prime.  Raises DegenerateField
-        when y^2 is not in Q(x), when D = 0, or when that certificate fails.
+        integral-basis coordinates of 1, x, y, xy (tower_rows) and D = det S,
+        so the basis is adj(S) (1, x, y, xy) / D.  Every odd prime dividing
+        e D is certified to be ramified or not to split completely, so e and
+        D are units modulo every odd completely split prime.  Raises
+        DegenerateField when y^2 is not in Q(x), when D = 0, or when that
+        certificate fails.
         """
         from .residues import splits_completely
 
-        table = self.mult_table
         d = self.real_subfield_d
-        x = self.sqrt_map[d]
-        y = self._coords(*self.tower_y)
-        y2 = basis_mul(table, y, y)
+        rows = self.tower_rows
+        _, x, y, _ = rows
+        y2 = basis_mul(self.mult_table, y, y)
         j = next(i for i in (1, 2, 3) if x[i])
         # C = y2[j] / x[j] = ce / e in lowest terms, and B = y2[0] - C x[0]
         g = gcd(y2[j], x[j]) if x[j] > 0 else -gcd(y2[j], x[j])
@@ -279,7 +287,6 @@ class FieldSpec:
         be = e * y2[0] - ce * x[0]
         if [be * (i == 0) + ce * xi for i, xi in enumerate(x)] != [e * v for v in y2]:
             raise DegenerateField(f"{self.name()}: y^2 is not in Q(sqrt({d}))")
-        rows = [[1, 0, 0, 0], list(x), list(y), basis_mul(table, x, y)]
         adj, det = _adjugate_det(rows)
         if det == 0:
             raise DegenerateField(f"{self.name()}: 1, x, y, xy are linearly dependent")

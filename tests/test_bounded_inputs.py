@@ -49,6 +49,10 @@ def _entries(m, n):
 # both radicands lie below the cap but their third radicand, about 3.4e23,
 # does not; uncapped, its squarefree test trial-divides to about 5.8e11
 @example(pair=(-599688520149, -567536985833))
+# eps0 has 15,745 bits, just under intmath.MAX_CF_BITS, so this field's unit
+# square root must not cost time in the size of the unit, as a lattice
+# search for it did (about 1.4 s)
+@example(pair=(-853503, -495294))
 def test_bounded_inputs_return_or_raise_a_typed_error(pair):
     previous = signal.signal(signal.SIGALRM, _overrun)
     signal.setitimer(signal.ITIMER_REAL, BUDGET_S)

@@ -1,10 +1,13 @@
 import random
+import sys
+from math import isqrt
 
 import pytest
 
-from euclid4.errors import NotAUnit
-from euclid4.elements import NFElement, inverse_unit, norm, one, sqrt_radicand
-from euclid4.intmath import factorize
+from euclid4 import linalg, units
+from euclid4.errors import Euclid4Error, NotAUnit
+from euclid4.elements import NFElement, _value, inverse_unit, norm, norm_solutions, one, sqrt_radicand
+from euclid4.intmath import factorize, is_squarefree
 from euclid4.fields import build_biquadratic, build_cyclic_quartic
 from euclid4.intmath import continued_fraction_fundamental_unit
 from euclid4.units import (
@@ -134,11 +137,11 @@ def test_torsion_unit_as_epsilon_is_refused(every_torsion_order):
 
 
 def test_verify_unit_data_walks_each_generator_once(every_torsion_order, monkeypatch):
-    """At most 2g + 1 NFElement products per call: g for the stated eta,
-    g for the walk of the field's own generator in torsion(), and one to
-    build zeta_12.  The walk multiplies NFElements, so a count of
-    NFElement.__mul__ (elements.mul in a traced run) sees it.  Once g is
-    wrong the stated eta is not walked at all."""
+    """At most g NFElement products per call, all of them the walk of the
+    stated eta: the field's own g is read off its radicands or conductor,
+    so its generator is neither built nor walked.  The walk multiplies
+    NFElements, so a count of NFElement.__mul__ (elements.mul in a traced
+    run) sees it.  Once g is wrong the stated eta is not walked at all."""
     calls = 0
     real_mul = NFElement.__mul__
 
@@ -152,14 +155,14 @@ def test_verify_unit_data_walks_each_generator_once(every_torsion_order, monkeyp
         calls = 0
         assert verify_unit_data(ud)
         # g - 1 products per walk
-        assert calls == 2 * (ud.g - 1) + (ud.g == 12), name
+        assert calls == ud.g - 1, name
         for eta in (ud.epsilon, one(ud.eta.field), ud.eta * ud.eta):
             calls = 0
             assert not verify_unit_data(UnitData(ud.g, eta, ud.epsilon, ud.provenance))
-            assert calls <= 2 * ud.g + 1, name
+            assert calls <= ud.g, name
         calls = 0
         assert not verify_unit_data(UnitData(10 ** 6, ud.eta, ud.epsilon, ud.provenance))
-        assert calls <= ud.g + 1, name
+        assert calls == 0, name
 
 
 def test_sqrt_in_ring_finds_roots(entries):
@@ -194,6 +197,104 @@ def test_sqrt_in_ring_negative_case(gaussian_sqrt11):
         assert sqrt_in_ring(k, v) is None
     w = sqrt_in_ring(k, eta * eps0)
     assert (w * w).coords == (eta * eps0).coords
+
+
+def _lattice_roots(spec, v):
+    """The roots of a unit v by their definition: the solutions x of
+    x conj(x) = alpha in the whole ring (norm_solutions over the identity
+    lattice) with x x = v, alpha the totally positive root of v conj(v)."""
+    d, e, _, _, det, _ = spec.tower
+    gu, gv = spec.norm_forms
+    u2, v2, s2 = _value(gu, v.coords), _value(gv, v.coords), 2 * e * det * det
+    h = 2 if d % 4 == 1 else 1
+    squares = ((h * h * (u2 + s2), 2 * s2), (h * h * (u2 - s2), 2 * d * s2))
+    a, b = (isqrt(num // den) for num, den in squares)
+    if any(num != den * r * r for (num, den), r in zip(squares, (a, b))):
+        return []
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    return [x for x in norm_solutions(spec, identity, a, b if v2 >= 0 else -b)
+            if (NFElement(spec, x) * NFElement(spec, x)).coords == v.coords]
+
+
+def _random_imaginary_biquadratic(count, seed, bound=10 ** 4):
+    """count seeded random imaginary biquadratic fields, |m|, |n| <= bound,
+    each with its torsion and eps0; draws that raise a package error are
+    skipped."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        m, n = -rng.randint(1, bound), rng.choice((-1, 1)) * rng.randint(2, bound)
+        if m == n or not (is_squarefree(m) and is_squarefree(n)):
+            continue
+        try:
+            spec = build_biquadratic(m, n)
+            found.append((spec, torsion(spec), infinite_order_unit(spec)))
+        except Euclid4Error:
+            continue
+    return found
+
+
+def test_sqrt_in_ring_matches_the_lattice_definition(entries, monkeypatch):
+    """On every torsion unit z times eps0, eps0^2 and 1, in the 40 fields
+    and 100 seeded random imaginary biquadratic ones, the closed form and
+    the lattice definition agree on None and on the root up to sign.  The
+    cases reach the branch z = 0 (a root w = c y, tower coordinates
+    T0 = T1 = 0) and the root q x of _sqrt_in_f."""
+    roots_of_f = []
+    real_sqrt = units._sqrt_in_f
+
+    def spied(*args):
+        roots_of_f.append(real_sqrt(*args))
+        return roots_of_f[-1]
+
+    monkeypatch.setattr(units, "_sqrt_in_f", spied)
+    fields = [(e.spec, torsion(e.spec), infinite_order_unit(e.spec)) for e in entries.values()]
+    fields += _random_imaginary_biquadratic(100, seed=29)
+    cases = with_root = pure_y = 0
+    for spec, (g, eta), eps0 in fields:
+        for z in torsion_units(g, eta):
+            for v in (z * eps0, z * eps0 * eps0, z):
+                w, want = sqrt_in_ring(spec, v), _lattice_roots(spec, v)
+                cases += 1
+                if w is None:
+                    assert want == [], (spec, v)
+                    continue
+                assert {x.coords for x in (w, -w)} == set(want), (spec, v)
+                with_root += 1
+                adj = spec.tower[5]
+                pure_y += not any(sum(c * r[j] for c, r in zip(w.coords, adj)) for j in (0, 1))
+    assert cases == 3 * sum(g for _, (g, _), _ in fields) and with_root > 0
+    assert pure_y > 0
+    assert any(r is not None and r[0] == 0 for r in roots_of_f)
+
+
+def test_sqrt_in_ring_needs_no_lattice_code(entries, monkeypatch):
+    """With every public linalg function raising, at every module binding,
+    the 40 canonical units are still found: the root takes no LLL, box
+    search or determinant."""
+    expected = {label: unit_data(e.spec) for label, e in entries.items()}
+    for e in entries.values():
+        e.spec.tower_rows  # the fields are built before linalg goes
+
+    def refuse(*args):
+        raise AssertionError("linalg was called")
+
+    public = {name: getattr(linalg, name) for name in dir(linalg)
+              if not name.startswith("_") and callable(getattr(linalg, name))
+              and getattr(getattr(linalg, name), "__module__", None) == linalg.__name__}
+    assert public
+    for module in [m for name, m in sys.modules.items() if name.startswith("euclid4")]:
+        for name, fn in public.items():
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, refuse)
+    k1 = expected["K_1"]
+    with pytest.raises(AssertionError, match="linalg"):
+        _lattice_roots(k1.eta.field, k1.epsilon * k1.epsilon)
+    for label, e in entries.items():
+        ud = expected[label]
+        eps0 = infinite_order_unit(e.spec)
+        assert units.strongest_unit(e.spec, ud.eta, eps0).coords == ud.epsilon.coords, label
 
 
 def test_sqrt_in_ring_rejects_non_units(gaussian_sqrt11):
