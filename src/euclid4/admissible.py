@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .elements import NFElement, _times, _value, inverse_unit, norm_solutions
 from .errors import (
@@ -281,6 +281,10 @@ class UnitWalk:
     As (1 + pt)^k = 1 + pkt mod p^2, x has order o p mod p^2 when p does not
     divide t, else o.  x not invertible mod p^a, whose walk would never
     return to 1, is a ValueError.
+
+    One walk serves both the oracle's count (_subgroup_order) and the
+    witness's discrete logarithms (construct_witness): log returns the
+    least exponent, in O(p) time and memory.
     """
 
     def __init__(self, x: int, p: int, a: int):
@@ -377,29 +381,6 @@ def brute_force_surjectivity(spec: FieldSpec, units: UnitData,
     return _subgroup_order(eta, eps, P1.p, a1, P2.p, a2) == orders[0] * orders[1]
 
 
-def _dlog(base: int, target: int, modulus: int, order: int) -> int | None:
-    """The least x >= 0 with base^x = target mod modulus, or None when target
-    is not a power of base; order is a multiple of the order of base.
-
-    Baby-step giant-step: the table keeps the least j < m for each baby step
-    base^j, and giant steps i = 0, 1, ... are tried in turn, so the first
-    hit i*m + j is the least exponent.
-    """
-    m = isqrt(order) + 1
-    table = {}
-    cur = 1
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = cur * base % modulus
-    giant = pow(base, -m, modulus)
-    cur = target % modulus
-    for i in range(m + 1):
-        if cur in table:
-            return i * m + table[cur]
-        cur = cur * giant % modulus
-    return None
-
-
 def construct_witness(cert: AdmissibleCertificate, x: int, y: int) -> WitnessResult:
     """A unit z with z = x mod P1^2 and z = y mod P2^2, built constructively.
 
@@ -409,6 +390,8 @@ def construct_witness(cert: AdmissibleCertificate, x: int, y: int) -> WitnessRes
     generates mod P1^2; z = alpha^e beta^f hits the target pair.  The two
     congruences are re-verified through the reduction map on the final
     element, independently of the modular bookkeeping used to find it.
+    The three logarithms, each the least exponent, are UnitWalk logs mod
+    p^2; the two to base beta mod P2^2 share one walk.
     """
     p1, p2 = cert.P1.p, cert.P2.p
     q1, q2 = p1 * p1, p2 * p2
@@ -430,7 +413,8 @@ def construct_witness(cert: AdmissibleCertificate, x: int, y: int) -> WitnessRes
     if b1 != 1:
         raise NotGenerator("beta is not trivial mod P1^2; certificate corrupt")
 
-    k = _dlog(b2, pow(h2 * e2 % q2, -1, q2), q2, ord2)
+    beta2 = UnitWalk(b2, p2, 2)
+    k = beta2.log(pow(h2 * e2 % q2, -1, q2))
     if k is None:
         raise NotGenerator("beta does not generate mod P2^2")
 
@@ -439,10 +423,10 @@ def construct_witness(cert: AdmissibleCertificate, x: int, y: int) -> WitnessRes
     if alpha2 != 1:
         raise NotGenerator("alpha is not trivial mod P2^2")
 
-    e_exp = _dlog(alpha1, x, q1, p1 * (p1 - 1))
+    e_exp = UnitWalk(alpha1, p1, 2).log(x)
     if e_exp is None:
         raise NotGenerator("alpha does not generate mod P1^2")
-    f_exp = _dlog(b2, y, q2, ord2)
+    f_exp = beta2.log(y)
     if f_exp is None:
         raise NotGenerator("beta does not generate mod P2^2")
 

@@ -63,7 +63,7 @@ from .errors import (
     UnknownLabel,
     UnsupportedConductor,
 )
-from .intmath import IntPoly, factorize, is_squarefree
+from .intmath import IntPoly, factorize, is_squarefree, legendre
 from .linalg import adjugate_int, det_int, hnf_rows
 
 # Radicands are tested for squarefreeness by trial division, which takes
@@ -274,8 +274,6 @@ class FieldSpec:
         DegenerateField when y^2 is not in Q(x), when D = 0, or when that
         certificate fails.
         """
-        from .residues import splits_completely
-
         d = self.real_subfield_d
         rows = self.tower_rows
         _, x, y, _ = rows
@@ -351,6 +349,17 @@ class FieldSpec:
 
 
 _spec_values = attrgetter(*(f.name for f in fields(FieldSpec)))
+
+
+def splits_completely(spec: FieldSpec, p: int) -> bool:
+    """Cheap arithmetic splitting test; p must be an odd unramified prime,
+    which the caller has checked."""
+    if spec.kind == "biquadratic":
+        return all(legendre(d, p) == 1 for d in spec.sqrt_map)
+    f = spec.conductor
+    if f == 16:
+        return p % 16 in (1, 7)
+    return pow(p, (f - 1) // 4, f) == 1
 
 
 def integral_basis_closure_check(spec: FieldSpec) -> bool:

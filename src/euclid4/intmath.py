@@ -2,6 +2,8 @@
 
 Everything is exact: arbitrary-precision integers and deterministic
 algorithms only.  No floating point and no rational arithmetic anywhere.
+Primality is one sieve of the odd numbers up to MAX_CERT_PRIME, grown on
+demand and shared by is_prime and residues.split_primes.
 """
 
 from __future__ import annotations
@@ -19,42 +21,46 @@ from .errors import CapExceeded, NotCoprime
 # 300 bits.
 MAX_CF_BITS = 1 << 14
 
-# Witness set proven sufficient for deterministic Miller-Rabin below 2^64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Largest prime a certificate may name, in search and verification alike;
+# orders mod p^2 trial-divide only p - 1, about sqrt(p) steps below it.
+MAX_CERT_PRIME = 10 ** 6
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# _odd_sieve[i] is 1 exactly when 2i + 1 is prime.  One sieve serves every
+# primality question; it doubles on demand, to at most MAX_CERT_PRIME / 2
+# bytes.
+_odd_sieve = bytearray()
+
+
+def odd_primes(bound: int) -> bytearray:
+    """The shared sieve, grown to cover the odd numbers up to bound: entry i
+    is 1 exactly when 2i + 1 is prime.  A bound above MAX_CERT_PRIME is
+    CapExceeded, raised before the sieve grows."""
+    global _odd_sieve
+    if bound > MAX_CERT_PRIME:
+        raise CapExceeded(f"bound {bound} exceeds the certificate cap {MAX_CERT_PRIME}")
+    size = bound // 2 + 1
+    if len(_odd_sieve) < size:
+        size = min(max(size, 2 * len(_odd_sieve)), MAX_CERT_PRIME // 2 + 1)
+        flags = bytearray([1]) * size
+        flags[0] = 0
+        for i in range(1, (isqrt(2 * size - 1) + 1) // 2):
+            if flags[i]:
+                start = 2 * i * (i + 1)  # (2i + 1)^2 = 2 start + 1
+                flags[start::2 * i + 1] = bytes(len(range(start, size, 2 * i + 1)))
+        _odd_sieve = flags
+    return _odd_sieve
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 2**64.
+    """Primality of n up to MAX_CERT_PRIME, read off the shared sieve.
 
-    The Miller-Rabin bases are proven sufficient only below 2**64 (above it
-    composites such as 399165290221 * 798330580441 pass all twelve), so
-    larger n raise CapExceeded instead of receiving an unproven answer.
+    Every prime the program names is at most the cap, so larger n, even or
+    odd, raise CapExceeded instead of receiving an answer.
     """
     if n < 2:
         return False
-    if n >= 2 ** 64:
-        raise CapExceeded(f"primality of {n} is not decided above 2**64")
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    sieve = odd_primes(n)
+    return sieve[n // 2] == 1 if n % 2 else n == 2
 
 
 def factorize(n: int) -> dict[int, int]:

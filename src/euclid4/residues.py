@@ -9,19 +9,27 @@ root t of (Be + Ce s) / e modulo p^2 (Tonelli-Shanks and a Newton lift), two
 signs each.  The integral basis is adj(S) (1, x, y, xy) / D with e and D
 coprime to every such p, so the same two square roots serve whether or not p
 divides the index of theta.  degree_one_primes_above is the one evaluator.
+
+The primes come from the odd-prime sieve in intmath (odd_primes), which
+also answers is_prime and holds the certificate cap MAX_CERT_PRIME; the
+splitting test splits_completely lives with FieldSpec in fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd
 from operator import mul
 
 from .elements import NFElement
-from .errors import CapExceeded, NotCoprime, Ramified
-from .fields import FieldSpec
-from .intmath import factorize, is_prime, legendre, mult_order, sqrt_mod_prime_power
+from .errors import NotCoprime, Ramified
+from .fields import FieldSpec, splits_completely
+from .intmath import factorize, is_prime, mult_order, odd_primes, sqrt_mod_prime_power
+
+# The certificate cap lives with the sieve in intmath; admissible, certs and
+# the tests import it from here, as they import splits_completely.
+from .intmath import MAX_CERT_PRIME  # noqa: F401
 
 # Not called here: benchmark/test_gate.py checks that tracing patches this
 # binding of the (now test-only) residue scan, so the name stays bound.
@@ -49,43 +57,10 @@ class DegreeOnePrime:
         return f"DegreeOnePrime(p={self.p}, root={self.lifted_c % self.p}, conj={self.conjugate_index})"
 
 
-def splits_completely(spec: FieldSpec, p: int) -> bool:
-    """Cheap arithmetic splitting test; p must be an odd unramified prime,
-    which the caller has checked."""
-    if spec.kind == "biquadratic":
-        return all(legendre(d, p) == 1 for d in spec.sqrt_map)
-    f = spec.conductor
-    if f == 16:
-        return p % 16 in (1, 7)
-    return pow(p, (f - 1) // 4, f) == 1
-
-
-# Largest prime a certificate may name, in search and verification alike;
-# orders mod p^2 trial-divide only p - 1, about sqrt(p) steps below it.
-MAX_CERT_PRIME = 10 ** 6
-
-# _odd_sieve[i] is 1 exactly when 2i + 1 is prime.  One sieve serves every
-# split_primes call; it doubles on demand, to at most MAX_CERT_PRIME / 2 bytes.
-_odd_sieve = bytearray()
-
-
 def split_primes(spec: FieldSpec, bound: int):
     """The odd unramified primes up to bound that split completely, ascending,
     read off the shared sieve; a bound above MAX_CERT_PRIME is CapExceeded."""
-    global _odd_sieve
-    if bound > MAX_CERT_PRIME:
-        raise CapExceeded(f"bound {bound} exceeds the certificate cap {MAX_CERT_PRIME}")
-    size = bound // 2 + 1
-    if len(_odd_sieve) < size:
-        size = min(max(size, 2 * len(_odd_sieve)), MAX_CERT_PRIME // 2 + 1)
-        flags = bytearray([1]) * size
-        flags[0] = 0
-        for i in range(1, (isqrt(2 * size - 1) + 1) // 2):
-            if flags[i]:
-                start = 2 * i * (i + 1)  # (2i + 1)^2 = 2 start + 1
-                flags[start::2 * i + 1] = bytes(len(range(start, size, 2 * i + 1)))
-        _odd_sieve = flags
-    odd = compress(range(1, bound + 1, 2), _odd_sieve)
+    odd = compress(range(1, bound + 1, 2), odd_primes(bound))
     return (p for p in odd if spec.discriminant % p and splits_completely(spec, p))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -16,7 +17,6 @@ from euclid4.admissible import (
     AdmissibleCertificate,
     UnitWalk,
     _box_hits,
-    _dlog,
     _field_generators,
     _least_generators,
     _prime_below,
@@ -370,9 +370,9 @@ def test_witness_validates_targets(reproduction):
             construct_witness(cert, x, y)
 
 
-def test_dlog_is_least_exponent():
-    """Baby-step giant-step returns the least exponent, as a plain loop over
-    the powers does, for every unit target mod p^2; targets outside the
+def test_unit_walk_log_is_least_exponent():
+    """UnitWalk.log returns the least exponent, as a plain loop over the
+    powers does, for every unit target mod p^2; targets outside the
     subgroup generated by the base give None."""
     outside = 0
     for p in (3, 5, 7, 11, 13):
@@ -387,7 +387,7 @@ def test_dlog_is_least_exponent():
                 if target % p:
                     want = powers.get(target)
                     outside += want is None
-                    assert _dlog(base, target, m, order) == want, (p, base, target)
+                    assert UnitWalk(base, p, 2).log(target) == want, (p, base, target)
     assert outside
 
 
@@ -416,8 +416,13 @@ def test_find_prime_element_examples(gaussian_sqrt11):
 
 def test_find_prime_element_caps(entries, gaussian_sqrt11):
     """A prime above MAX_CERT_PRIME or a bound above MAX_COORD_BOUND is
-    refused before the search starts."""
-    big = degree_one_primes_above(entries["K_1"].spec, 100000000000000013)[0]
+    refused before the search starts; degree_one_primes_above cannot name
+    such a prime, so one is built by hand."""
+    spec = entries["K_1"].spec
+    with pytest.raises(CapExceeded, match="certificate cap"):
+        degree_one_primes_above(spec, 100000000000000013)
+    P = degree_one_primes_above(spec, next(split_primes(spec, 1000)))[0]
+    big = dataclasses.replace(P, p=100000000000000013)
     with pytest.raises(CapExceeded, match="certificate cap"):
         find_prime_element(big, 4)
     P5 = degree_one_primes_above(gaussian_sqrt11, 5)[0]

@@ -2,9 +2,11 @@ import json
 import random
 import time
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
+from euclid4 import residues
 from euclid4.admissible import search_pair
 from euclid4.certs import (
     _dump,
@@ -174,9 +176,11 @@ def test_reproduction_matches_frozen_certificates(reproduction):
 
 def _large_split_prime(doc):
     """P1 moved to a completely split prime near 10^17 with its true prime
-    data, so that only the size of p is wrong."""
+    data, so that only the size of p is wrong.  10^17 + 49 is prime but far
+    past the sieve, so the primality check is patched to accept it."""
     spec = build_from_descriptor(doc["field"])
-    primes = degree_one_primes_above(spec, 100000000000000049)
+    with patch.object(residues, "is_prime", lambda n: True):
+        primes = degree_one_primes_above(spec, 100000000000000049)
     doc["P1"] = _prime_dict(primes[int(doc["P1"]["conjugate_index"])])
 
 
@@ -192,7 +196,8 @@ MALFORMED = {
     "gcds-not-a-list": lambda doc: doc.update(gcds=1),
     "large-prime-radicands": lambda doc: doc["field"].update(m="-1000000007", n="1000000009"),
     "radicand-above-cap": lambda doc: doc["field"].update(m="-1", n=str(10 ** 12 + 39)),
-    # a strong pseudoprime to every Miller-Rabin base used, and a large prime
+    # a strong pseudoprime to the first twelve prime bases, and a large
+    # prime: both lie above the certificate cap
     "P1.p-pseudoprime": lambda doc: doc["P1"].update(p="318665857834031151167461"),
     "P1.p-large-prime": lambda doc: doc["P1"].update(p="1000000007"),
     "P1.p-large-split-prime": _large_split_prime,

@@ -1,12 +1,15 @@
 import random
 import signal
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from euclid4 import intmath
 from euclid4.errors import CapExceeded, NotCoprime
 from euclid4.intmath import (
+    MAX_CERT_PRIME,
     MAX_CF_BITS,
     IntPoly,
     _cf_unit_search,
@@ -41,14 +44,35 @@ def test_is_prime_examples():
     assert not is_prime(0)
 
 
-def test_is_prime_refuses_beyond_proven_bases():
-    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to all
-    # twelve bases; above 2^64 the bases prove nothing
-    assert is_prime(2 ** 64 - 59)
-    with pytest.raises(CapExceeded):
-        is_prime(318665857834031151167461)
-    with pytest.raises(CapExceeded):
-        is_prime(2 ** 64)
+def test_is_prime_refuses_beyond_the_certificate_cap():
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to the
+    # first twelve prime bases, is refused like any n above the cap, prime
+    # or not, even or odd
+    for n in (318665857834031151167461, 2 ** 64 - 59, 2 ** 64, 1000003, 1000004):
+        with pytest.raises(CapExceeded, match="certificate cap"):
+            is_prime(n)
+
+
+def test_is_prime_at_the_cap():
+    """999,983 is the largest prime under the cap; the cap itself is not
+    prime."""
+    assert is_prime(999983)
+    assert not any(is_prime(n) for n in range(999984, MAX_CERT_PRIME + 1))
+
+
+@pytest.mark.parametrize("n", [MAX_CERT_PRIME + 1, MAX_CERT_PRIME + 2])
+def test_is_prime_cap_leaves_the_sieve_empty(n, monkeypatch):
+    """Just above the cap, odd or even, is_prime raises CapExceeded before
+    the shared sieve grows, as split_primes does."""
+    monkeypatch.setattr(intmath, "_odd_sieve", bytearray())
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="certificate cap"):
+            is_prime(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert intmath._odd_sieve == bytearray() and peak < 64 * 1024
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -69,7 +93,7 @@ def test_factorize_reconstructs(n):
     fac = factorize(n)
     prod = 1
     for p, e in fac.items():
-        assert is_prime(p)
+        assert is_prime(p) if p <= MAX_CERT_PRIME else trial_division_prime(p)
         prod *= p ** e
     assert prod == n
     assert list(fac) == sorted(fac)
@@ -170,7 +194,7 @@ def test_continued_fraction_is_capped_by_size():
         raise TimeoutError("the continued fraction ran past its budget")
 
     d = 10 ** 10 + 19
-    assert is_prime(d) and d % 4 == 3
+    assert trial_division_prime(d) and d % 4 == 3
     previous = signal.signal(signal.SIGALRM, overrun)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:

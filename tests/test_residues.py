@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from euclid4 import intmath
 from euclid4.elements import NFElement, from_power_coords, one
 from euclid4.errors import CapExceeded, NotCoprime, Ramified
 from euclid4.fields import SUPPORTED_CONDUCTORS, build_biquadratic, build_cyclic_quartic
@@ -294,8 +295,6 @@ def test_unit_order_factors_only_p_minus_one(entries, monkeypatch):
     # (Z/p^2)* = C_(p-1) x C_p: the order needs the factors of p - 1 only, not
     # those of p(p-1); (p - 1)/2 is prime here, so factoring p(p-1) by trial
     # division would run up to it
-    import euclid4.intmath as intmath
-
     p = 999959
     spec = entries["K_7"].spec
     eps = infinite_order_unit(spec)
@@ -330,7 +329,7 @@ def test_split_primes_reads_the_sieve(entries, monkeypatch):
         return is_prime(n)
 
     monkeypatch.setattr(residues, "is_prime", counting_is_prime)
-    monkeypatch.setattr(residues, "_odd_sieve", bytearray())
+    monkeypatch.setattr(intmath, "_odd_sieve", bytearray())
     cases = [(entry.spec, 1000) for entry in entries.values()]
     cases += [(entries[label].spec, 20000) for label in ("K_1", "13")]
     for spec, bound in cases:
@@ -351,7 +350,7 @@ def test_split_primes_cap(entries, monkeypatch):
     import euclid4.residues as residues
 
     spec = entries["K_1"].spec
-    monkeypatch.setattr(residues, "_odd_sieve", bytearray())
+    monkeypatch.setattr(intmath, "_odd_sieve", bytearray())
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded):
@@ -359,10 +358,10 @@ def test_split_primes_cap(entries, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert residues._odd_sieve == bytearray() and peak < 64 * 1024
+    assert intmath._odd_sieve == bytearray() and peak < 64 * 1024
     residues.split_primes(spec, MAX_CERT_PRIME)
-    assert len(residues._odd_sieve) == MAX_CERT_PRIME // 2 + 1
-    assert residues._odd_sieve.count(1) == 78497
+    assert len(intmath._odd_sieve) == MAX_CERT_PRIME // 2 + 1
+    assert intmath._odd_sieve.count(1) == 78497
 
 
 def test_has_order_matches_mult_order():
