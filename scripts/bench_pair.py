@@ -43,7 +43,11 @@ The last is set by ``PYTHONDONTWRITEBYTECODE``, which every child run
 inherits; with it set, each cold ``reproduce`` child compiles all of
 ``src/euclid4`` again (about half of ``import euclid4.cli``), so
 ``reproduce`` numbers taken with and without a bytecode cache are not
-comparable.
+comparable.  ``start_ms`` holds the medians of ``START_SAMPLES`` cold
+``python -c pass`` and ``python -S -c pass`` children, alternated: their
+difference is what the host's ``site`` startup hooks (``.pth`` files) add
+to every interpreter, and so to each ``reproduce`` operation, before the
+package is imported.
 
 ``--base HEAD`` on a clean working tree compares the code with itself: an
 A/A pass that shows the side bias and the host drift of the method.
@@ -60,6 +64,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from importlib import metadata
 from pathlib import Path
 
@@ -69,6 +74,8 @@ RUN_TIMEOUT_S = 300
 # Alternated base/change pairs per workload by default, one per seed
 # 1..PAIRS; a gain needs the change to win at least nine tenths of them.
 PAIRS = 10
+# Cold interpreter starts timed for each of the two start_ms medians.
+START_SAMPLES = 15
 
 
 def export_commit(rev: str, dest: Path) -> str:
@@ -99,6 +106,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def start_ms(run=subprocess.run, clock=time.perf_counter, samples=START_SAMPLES) -> dict:
+    """Medians, in ms, of cold ``python -c pass`` and ``python -S -c pass``
+    children, alternated; run and clock are injectable for the tests."""
+    children = {"python -c pass": ["-c", "pass"], "python -S -c pass": ["-S", "-c", "pass"]}
+    times: dict[str, list[float]] = {name: [] for name in children}
+    for _ in range(samples):
+        for name, flags in children.items():
+            start = clock()
+            run([sys.executable, *flags], check=True)
+            times[name].append((clock() - start) * 1000)
+    return {name: statistics.median(ms) for name, ms in times.items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -179,6 +199,7 @@ def main(argv=None) -> int:
     workloads = args.workloads
     seconds = spec["run_seconds"]
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
+    interpreter_start = start_ms()
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_dir = Path(tmp)
         base_commit = export_commit(args.base, base_dir)
@@ -216,7 +237,8 @@ def main(argv=None) -> int:
         "run_seconds": seconds,
         "interpreter": {"version": sys.version, "numpy": numpy_version,
                         "cpu_count": os.cpu_count(),
-                        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
+                        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+                        "start_ms": interpreter_start},
         "summary": summary,
         "runs": runs,
     }

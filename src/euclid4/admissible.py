@@ -38,7 +38,7 @@ from .errors import (
     SearchExhausted,
 )
 from .fields import FieldSpec
-from .intmath import _cf_unit_search, continued_fraction_fundamental_unit
+from .intmath import Record, _cf_unit_search, continued_fraction_fundamental_unit
 from .residues import (
     MAX_CERT_PRIME,
     DegreeOnePrime,
@@ -66,14 +66,12 @@ class AdmissibleCertificate:
         return (self.P1.p, self.P2.p)
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    alpha: tuple[int, int]
-    beta: tuple[int, int]
-    k: int
-    e: int
-    f_exp: int
-    z: NFElement
+class WitnessResult(Record):
+    __slots__ = ("alpha", "beta", "k", "e", "f_exp", "z")
+
+    def __init__(self, alpha: tuple[int, int], beta: tuple[int, int], k: int, e: int,
+                 f_exp: int, z: NFElement):
+        self._fill(alpha, beta, k, e, f_exp, z)
 
 
 def check_conditions(spec: FieldSpec, units: UnitData, P1: DegreeOnePrime,
@@ -441,8 +439,7 @@ def construct_witness(cert: AdmissibleCertificate, x: int, y: int) -> WitnessRes
     return WitnessResult(alpha=(alpha1, alpha2), beta=(b1, b2), k=k, e=e_exp, f_exp=f_exp, z=z)
 
 
-@dataclass(frozen=True)
-class _FieldGenerators:
+class _FieldGenerators(Record):
     """The constants of _box_hits for one field (_field_generators).
 
     u is the matrix of 2U (FieldSpec.norm_forms), and a box |c_i| <= b
@@ -453,13 +450,11 @@ class _FieldGenerators:
     and steps those of the unit eps of unit_data and of its inverse.
     """
 
-    u: list
-    u_sum: int
-    h: int
-    eps0: tuple[int, int]
-    sqrt_d: tuple
-    torsion: tuple
-    steps: tuple
+    __slots__ = ("u", "u_sum", "h", "eps0", "sqrt_d", "torsion", "steps")
+
+    def __init__(self, u: list, u_sum: int, h: int, eps0: tuple[int, int], sqrt_d: tuple,
+                 torsion: tuple, steps: tuple):
+        self._fill(u, u_sum, h, eps0, sqrt_d, torsion, steps)
 
 
 @lru_cache(maxsize=128)

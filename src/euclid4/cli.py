@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .admissible import PairAttempts, search_pair
 from .certs import certificate_to_json, units_to_dict, verify_certificate_json
@@ -25,6 +24,7 @@ from .errors import (
     UnknownLabel,
 )
 from .fields import FieldRegistryEntry, field_descriptor, registry, registry_entry
+from .intmath import Record
 from .units import unit_data
 
 STATUS_REPRODUCED = "Reproduced"
@@ -32,14 +32,16 @@ STATUS_ALTERNATIVE = "AlternativePairFound"
 STATUS_FAILED = "Failed"
 
 
-@dataclass
-class RunReport:
-    label: str
-    status: str
-    pair: tuple[int, int] | None
-    certificate_path: str | None
-    elapsed_ms: float
-    stats: dict
+class RunReport(Record):
+    """One row's outcome; mutable, as cmd_reproduce_tables sets
+    certificate_path once the file is written, and so unhashable."""
+
+    __slots__ = ("label", "status", "pair", "certificate_path", "elapsed_ms", "stats")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, label: str, status: str, pair: tuple[int, int] | None,
+                 certificate_path: str | None, elapsed_ms: float, stats: dict):
+        self._fill(label, status, pair, certificate_path, elapsed_ms, stats)
 
     def row(self) -> dict:
         """Deterministic summary row (timing deliberately excluded)."""

@@ -9,25 +9,34 @@ The square roots of units are written in closed form (units.sqrt_in_ring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import DegenerateField, FieldMismatch, NotAUnit
 from .fields import UNIT_VECTORS, FieldSpec, basis_mul
+from .intmath import Record
 from .linalg import adjugate_int, box_vectors, lll_reduce
 
 
-@dataclass(frozen=True)
-class NFElement:
-    field: FieldSpec
-    coords: tuple[int, int, int, int]
+class NFElement(Record):
+    __slots__ = ("field", "coords")
 
-    def __post_init__(self):
+    def __init__(self, field: FieldSpec, coords: tuple[int, int, int, int]):
         # coordinates are ints: ring operations make them, and certificate
         # parsing converts them (certs._as_int); basis_mul returns a list
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) != 4:
-            raise FieldMismatch(f"{len(self.coords)} coordinates for a quartic field")
+        coords = tuple(coords)
+        if len(coords) != 4:
+            raise FieldMismatch(f"{len(coords)} coordinates for a quartic field")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coords", coords)
+
+    # written out, not Record's loop over the slots, for the hot loops
+    def __eq__(self, other):
+        if other.__class__ is not NFElement:
+            return NotImplemented
+        return self.field == other.field and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.field, self.coords))
 
     def _check(self, other: "NFElement"):
         if self.field != other.field:

@@ -35,8 +35,9 @@ inverted once by its adjugate.
 Construction is integer arithmetic.  A rational vector is carried as
 (nums, den), integer numerators over one positive denominator, from the
 ambient generators through their power coordinates to the Hermite normal
-form; Fraction appears only in the stored integral basis, which the field
-descriptor renders.
+form.  The stored integral basis is (D, M) too: the integer matrix M over
+its least common denominator D, which the field descriptor renders as
+reduced fractions.
 
 Both builders are memoized (functools.lru_cache), so a field is built and
 certified once per process: the registry, a certificate's descriptor and
@@ -50,8 +51,6 @@ every call, as lru_cache keeps no exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import attrgetter
@@ -63,7 +62,7 @@ from .errors import (
     UnknownLabel,
     UnsupportedConductor,
 )
-from .intmath import IntPoly, factorize, is_squarefree, legendre
+from .intmath import IntPoly, Record, factorize, is_squarefree, legendre
 from .linalg import adjugate_int, det_int, hnf_rows
 
 # Radicands are tested for squarefreeness by trial division, which takes
@@ -114,22 +113,18 @@ def _power_table(minpoly: IntPoly):
     return [[powers[i + j] for j in range(4)] for i in range(4)]
 
 
-def _scaled(rows):
-    """(d, d * rows) with d the least common denominator of the entries."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
-
-
 def _canonical_basis(generators):
     """HNF-canonical basis of the Z-span of generators, given as (nums, den)
     power-coordinate vectors: b0 = 1, pivots on ascending powers, positive.
-    All are scaled once to the common denominator."""
+    All are scaled once to the common denominator; the result is (D, M),
+    the rows M over their least common denominator D."""
     d = lcm(*(den for _, den in generators))
-    mat = [[x * (d // den) for x in nums] for nums, den in generators]
-    out = tuple(tuple(Fraction(x, d) for x in row) for row in hnf_rows(mat))
-    if out[0] != (1, 0, 0, 0):
+    rows = hnf_rows([[x * (d // den) for x in nums] for nums, den in generators])
+    g = gcd(d, *(x for row in rows for x in row))
+    d, mat = d // g, tuple(tuple(x // g for x in row) for row in rows)
+    if mat[0] != (d, 0, 0, 0):
         raise DegenerateField("the canonical basis does not start with 1")
-    return out
+    return d, mat
 
 
 def basis_mul(table, x, y):
@@ -169,38 +164,38 @@ def _forms(tower, t0, t1, t2, t3):
 # the field object
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """An imaginary Galois quartic field with an exact integral basis.
 
-    integral_basis rows are coordinates over the power basis of theta.  They
-    are held once more as the integer matrix M = D * integral_basis, with D
-    the least common denominator, together with adj(M) and det(M): the
-    inverse basis matrix is D adj(M) / det(M), so every change of
-    coordinates is integer arithmetic ending in one exact division.
+    kind is "biquadratic" or "cyclic".  integral_basis is (D, M): the rows
+    of M / D are the basis elements' coordinates over the power basis of
+    theta, with D > 0 their least common denominator.  _basis_matrix adds
+    adj(M) and det(M): the inverse basis matrix is D adj(M) / det(M), so
+    every change of coordinates is integer arithmetic ending in one exact
+    division.
     sqrt_power pairs each embedded squarefree radicand d with the power-basis
     coordinates (nums, den) of an element squaring to d, and sqrt_map gives
     the integer coordinates of that element over the integral basis.
     tower_y holds the power coordinates (nums, den) of an integral y with
     K = Q(x, y), where x = sqrt(real_subfield_d) and y^2 lies in Q(x) (see
-    tower).
+    tower).  A spec is immutable; its fields share __dict__ with the
+    cached_property values, so a pickled copy carries the cached tables.
     """
 
-    kind: str  # "biquadratic" | "cyclic"
-    m: int | None
-    n: int | None
-    conductor: int | None
-    theta_minpoly: IntPoly
-    integral_basis: tuple
-    discriminant: int
-    real_subfield_d: int
-    sqrt_power: tuple
-    tower_y: tuple
+    def __init__(self, kind: str, m: int | None, n: int | None, conductor: int | None,
+                 theta_minpoly: IntPoly, integral_basis: tuple, discriminant: int,
+                 real_subfield_d: int, sqrt_power: tuple, tower_y: tuple):
+        vars(self).update(
+            kind=kind, m=m, n=n, conductor=conductor, theta_minpoly=theta_minpoly,
+            integral_basis=integral_basis, discriminant=discriminant,
+            real_subfield_d=real_subfield_d, sqrt_power=sqrt_power, tower_y=tower_y)
+
+    __setattr__ = __delattr__ = Record.__setattr__
 
     @cached_property
     def _basis_matrix(self):
-        """(D, M, adj(M), det(M)) with M = D * integral_basis integral."""
-        d, mat = _scaled(self.integral_basis)
+        """(D, M, adj(M), det(M)) with integral_basis = (D, M)."""
+        d, mat = self.integral_basis
         return (d, mat, *_adjugate_det(mat))
 
     @cached_property
@@ -315,8 +310,8 @@ class FieldSpec:
 
     @cached_property
     def _hash(self):
-        # once per object, not per lru_cache lookup; ints and Fractions hash
-        # alike in every process, so a pickled copy stays valid
+        # once per object, not per lru_cache lookup; ints hash alike in
+        # every process, so a pickled copy stays valid
         return hash((self.discriminant, self.integral_basis))
 
     def __hash__(self):
@@ -334,10 +329,11 @@ class FieldSpec:
     def coords_from_power(self, power_vec):
         """Integral-basis coordinates of an element given in power coordinates.
 
-        Raises ValueError when the element is not integral over the basis.
+        The entries may be ints or Fractions.  Raises ValueError when the
+        element is not integral over the basis.
         """
-        den, (vec,) = _scaled([power_vec])
-        return self._coords(vec, den)
+        den = lcm(*(x.denominator for x in power_vec))
+        return self._coords([x.numerator * (den // x.denominator) for x in power_vec], den)
 
     def name(self) -> str:
         if self.kind == "biquadratic":
@@ -348,7 +344,8 @@ class FieldSpec:
         return f"FieldSpec({self.name()})"
 
 
-_spec_values = attrgetter(*(f.name for f in fields(FieldSpec)))
+_spec_values = attrgetter("kind", "m", "n", "conductor", "theta_minpoly", "integral_basis",
+                          "discriminant", "real_subfield_d", "sqrt_power", "tower_y")
 
 
 def splits_completely(spec: FieldSpec, p: int) -> bool:
@@ -621,12 +618,12 @@ def build_cyclic_quartic(f: int) -> FieldSpec:
 # registry of the forty class-number-one fields
 
 
-@dataclass(frozen=True)
-class FieldRegistryEntry:
-    label: str
-    spec: FieldSpec
-    expected_g: int
-    expected_p1_p2: tuple[int, int]
+class FieldRegistryEntry(Record):
+    __slots__ = ("label", "spec", "expected_g", "expected_p1_p2")
+
+    def __init__(self, label: str, spec: FieldSpec, expected_g: int,
+                 expected_p1_p2: tuple[int, int]):
+        self._fill(label, spec, expected_g, expected_p1_p2)
 
 
 _BIQUADRATIC_TABLE = (
@@ -731,13 +728,11 @@ def registry_entry(label: str) -> FieldRegistryEntry:
 
 def field_descriptor(spec: FieldSpec) -> dict:
     """JSON-ready descriptor; every integer rendered as a decimal string."""
+    d, mat = spec.integral_basis
     desc = {
         "kind": spec.kind,
         "minpoly": [str(c) for c in spec.theta_minpoly.coeffs],
-        "basis": [
-            [f"{f.numerator}/{f.denominator}" for f in row]
-            for row in spec.integral_basis
-        ],
+        "basis": [[f"{x // g}/{d // g}" for x in row for g in (gcd(x, d),)] for row in mat],
         "discriminant": str(spec.discriminant),
         "index": str(spec.index),
         "real_subfield_d": str(spec.real_subfield_d),

@@ -8,9 +8,9 @@ demand and shared by is_prime and residues.split_primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt
+from operator import index
 
 from .errors import CapExceeded, NotCoprime
 
@@ -159,14 +159,52 @@ def _cf_unit_search(d: int, p0: int, q0: int, targets: tuple[int, ...]):
         b, b_prev = a * b + b_prev, b
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """Integer polynomial, coefficients constant-term first, trimmed."""
+class Record:
+    """Base of the package's records, plain classes so that no import pays
+    for generated code.  The fields are the __slots__, set once in __init__
+    (_fill, or straight-line in the hot NFElement, DegreeOnePrime and
+    UnitData); equality is same-class and field by field, the hash is that
+    of the fields, and assigning or deleting raises AttributeError.  A copy
+    pickles through the constructor, as unpickling would call __setattr__."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class IntPoly(Record):
+    """Integer polynomial, coefficients constant-term first, trimmed.  A
+    coefficient that is not an integer (operator.index) raises TypeError."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        c = tuple(map(index, coeffs))
         while len(c) > 1 and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)

@@ -17,7 +17,6 @@ splitting test splits_completely lives with FieldSpec in fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 from operator import mul
@@ -25,7 +24,7 @@ from operator import mul
 from .elements import NFElement
 from .errors import NotCoprime, Ramified
 from .fields import FieldSpec, splits_completely
-from .intmath import factorize, is_prime, mult_order, odd_primes, sqrt_mod_prime_power
+from .intmath import Record, factorize, is_prime, mult_order, odd_primes, sqrt_mod_prime_power
 
 # The certificate cap lives with the sieve in intmath; admissible, certs and
 # the tests import it from here, as they import splits_completely.
@@ -36,8 +35,7 @@ from .intmath import MAX_CERT_PRIME  # noqa: F401
 from .intmath import poly_roots_mod_p  # noqa: F401
 
 
-@dataclass(frozen=True)
-class DegreeOnePrime:
+class DegreeOnePrime(Record):
     """A prime ideal of residue degree one above p, with its mod-p^2 data.
 
     lifted_c is the image of theta mod p^2 (its residue mod p is the root of
@@ -47,11 +45,15 @@ class DegreeOnePrime:
     generator index.
     """
 
-    field: FieldSpec
-    p: int
-    lifted_c: int
-    conjugate_index: int
-    basis_images: tuple[int, int, int, int]
+    __slots__ = ("field", "p", "lifted_c", "conjugate_index", "basis_images")
+
+    def __init__(self, field: FieldSpec, p: int, lifted_c: int, conjugate_index: int,
+                 basis_images: tuple[int, int, int, int]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "lifted_c", lifted_c)
+        object.__setattr__(self, "conjugate_index", conjugate_index)
+        object.__setattr__(self, "basis_images", basis_images)
 
     def __repr__(self):
         return f"DegreeOnePrime(p={self.p}, root={self.lifted_c % self.p}, conj={self.conjugate_index})"

@@ -12,7 +12,6 @@ size of the unit the way a lattice search does.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from operator import mul
@@ -20,7 +19,7 @@ from operator import mul
 from .elements import NFElement, _value, norm, one, sqrt_radicand, theta
 from .errors import CapExceeded, DegenerateField, NotAUnit
 from .fields import FieldSpec
-from .intmath import continued_fraction_fundamental_unit
+from .intmath import Record, continued_fraction_fundamental_unit
 from .residues import degree_one_primes_above, reduce_mod_p2, split_primes
 
 
@@ -29,12 +28,14 @@ class Provenance(enum.Enum):
     SUPPLIED = "Supplied"
 
 
-@dataclass(frozen=True)
-class UnitData:
-    g: int
-    eta: NFElement
-    epsilon: NFElement
-    provenance: Provenance
+class UnitData(Record):
+    __slots__ = ("g", "eta", "epsilon", "provenance")
+
+    def __init__(self, g: int, eta: NFElement, epsilon: NFElement, provenance: Provenance):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "provenance", provenance)
 
 
 def _half_sum(field: FieldSpec, const: int, elem: NFElement) -> NFElement:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -38,6 +37,7 @@ from euclid4.errors import (
 from euclid4.fields import _forms, build_biquadratic, build_from_descriptor
 from euclid4.intmath import is_prime
 from euclid4.residues import (
+    DegreeOnePrime,
     degree_one_primes_above,
     reduce_mod_p2,
     split_primes,
@@ -422,7 +422,8 @@ def test_find_prime_element_caps(entries, gaussian_sqrt11):
     with pytest.raises(CapExceeded, match="certificate cap"):
         degree_one_primes_above(spec, 100000000000000013)
     P = degree_one_primes_above(spec, next(split_primes(spec, 1000)))[0]
-    big = dataclasses.replace(P, p=100000000000000013)
+    big = DegreeOnePrime(P.field, 100000000000000013, P.lifted_c, P.conjugate_index,
+                         P.basis_images)
     with pytest.raises(CapExceeded, match="certificate cap"):
         find_prime_element(big, 4)
     P5 = degree_one_primes_above(gaussian_sqrt11, 5)[0]

@@ -97,3 +97,19 @@ def test_held_out_seeds_on_named_workloads():
 def test_bad_options_are_refused(extra, capsys):
     with pytest.raises(SystemExit):
         bench_pair.parse_args(["--base", "b", "--out", "o", *extra], WORKLOADS)
+
+
+def test_start_ms_alternates_the_two_children():
+    """start_ms times each child with the injected clock and runs the two
+    kinds in turn; no interpreter is started."""
+    now = [0.0]
+    calls = []
+
+    def run(argv, check):
+        assert check
+        calls.append(argv[1:])
+        now[0] += 0.012 if "-S" in argv else 0.057
+
+    got = bench_pair.start_ms(run=run, clock=lambda: now[0], samples=3)
+    assert got == pytest.approx({"python -c pass": 57.0, "python -S -c pass": 12.0})
+    assert calls == [["-c", "pass"], ["-S", "-c", "pass"]] * 3

@@ -3,6 +3,8 @@
 Every module of the package is parsed and searched for the ways a float can
 enter: a float literal, a call to float, a name from math other than the
 integer functions, and true division.  No true division is allowed anywhere.
+Rationals are integer numerators over a denominator, so an import of
+fractions is refused too.
 
 python -O strips assert statements, so the package holds none: its checks
 raise typed errors instead, and keep them under every interpreter flag.
@@ -35,6 +37,10 @@ def float_uses(path):
             found.append(f"{here} call to float")
         elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
             found.append(f"{here} import math")
+        elif isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+            found.append(f"{here} import fractions")
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(f"{here} fractions import")
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             extra = {a.name for a in node.names} - INTEGER_MATH
             if extra:
@@ -65,6 +71,8 @@ def test_float_scan_sees_each_kind(tmp_path):
         "z = 1 / 2\n"
         "z /= 2\n"
         "w = 7 // 2\n"
+        "import fractions\n"
+        "from fractions import Fraction\n"
     )
     kinds = [use.split(" ", 1)[1] for use in float_uses(sample)]
     assert kinds == [
@@ -74,6 +82,8 @@ def test_float_scan_sees_each_kind(tmp_path):
         "call to float",
         "true division",
         "true division",
+        "import fractions",
+        "fractions import",
     ]
 
 

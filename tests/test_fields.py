@@ -1,10 +1,11 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -37,6 +38,13 @@ from euclid4.fields import (
 )
 from euclid4.intmath import is_squarefree, squarefree_part
 from euclid4.linalg import det_int
+
+
+def replace(spec, **changes):
+    """A copy of spec with the named fields changed, made by the
+    FieldSpec constructor."""
+    fields_ = {name: getattr(spec, name) for name in inspect.signature(FieldSpec).parameters}
+    return FieldSpec(**{**fields_, **changes})
 
 
 def test_gaussian_sqrt11(gaussian_sqrt11):
@@ -144,10 +152,8 @@ def test_closed_form_bases_beyond_registry():
 def test_power_basis_alone_fails_closure_check(gaussian_sqrt11):
     # Z[theta] is closed, so only the trace form tells it from the maximal
     # order: its determinant is disc(f) = 1936 * 192^2, not 1936
-    ident = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(4)) for i in range(4)
-    )
-    fake = replace(gaussian_sqrt11, integral_basis=ident)
+    ident = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    fake = replace(gaussian_sqrt11, integral_basis=(1, ident))
     basis = [NFElement(fake, tuple(int(i == j) for j in range(4))) for i in range(4)]
     assert det_int([[trace(x * y) for y in basis] for x in basis]) == 71368704
     assert not integral_basis_closure_check(fake)
@@ -156,9 +162,10 @@ def test_power_basis_alone_fails_closure_check(gaussian_sqrt11):
 
 
 def test_singular_basis_fails_closure_check(gaussian_sqrt11):
-    rows = list(gaussian_sqrt11.integral_basis)
+    d, rows = gaussian_sqrt11.integral_basis
+    rows = list(rows)
     rows[3] = tuple(2 * x for x in rows[2])
-    fake = replace(gaussian_sqrt11, integral_basis=tuple(rows))
+    fake = replace(gaussian_sqrt11, integral_basis=(d, tuple(rows)))
     with pytest.raises(ValueError):
         fake.coords_from_power((1, 0, 0, 0))
     assert not integral_basis_closure_check(fake)
@@ -187,11 +194,13 @@ def test_complex_x_is_rejected_by_the_tower(gaussian_sqrt11):
 
 def test_tower_checks_survive_optimized_python():
     code = (
-        "from dataclasses import replace\n"
         "from euclid4.errors import NotImaginary\n"
-        "from euclid4.fields import _validate_spec, build_biquadratic\n"
+        "from euclid4.fields import FieldSpec, _validate_spec, build_biquadratic\n"
+        "s = build_biquadratic(-1, 11)\n"
+        "fake = FieldSpec(s.kind, s.m, s.n, s.conductor, s.theta_minpoly, s.integral_basis,\n"
+        "                 s.discriminant, -1, s.sqrt_power, s.tower_y)\n"
         "try:\n"
-        "    _validate_spec(replace(build_biquadratic(-1, 11), real_subfield_d=-1))\n"
+        "    _validate_spec(fake)\n"
         "except NotImaginary:\n"
         "    print('rejected')\n"
     )
@@ -270,17 +279,19 @@ def test_construction_matches_wide_frozen_digest():
 def test_cyclotomic_power_basis_is_maximal():
     # Z[zeta_5] is the maximal order: the conductor-5 basis is the power basis
     k5 = build_cyclic_quartic(5)
-    ident = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(4)) for i in range(4)
-    )
-    assert k5.integral_basis == ident
+    ident = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert k5.integral_basis == (1, ident)
     assert integral_basis_closure_check(k5)
 
 
 def test_basis_contains_one_and_theta(entries):
+    """The basis (D, M) starts with 1 = M[0] / D, and D is the least
+    common denominator of its rows."""
     for entry in entries.values():
         spec = entry.spec
-        assert spec.integral_basis[0] == (1, 0, 0, 0)
+        d, mat = spec.integral_basis
+        assert mat[0] == (d, 0, 0, 0)
+        assert gcd(d, *(x for row in mat for x in row)) == 1
         assert all(isinstance(c, int) for c in spec.theta_coords)
 
 
@@ -335,9 +346,9 @@ def test_construction_is_deterministic():
 
 def test_hash_is_cached_per_object():
     """Two equal specs that are distinct objects hash equal (the builders
-    are memoized, so the distinct one comes from dataclasses.replace); the
-    hash is computed once per object, and a replace copy gets a hash of its
-    own instead of its source's."""
+    are memoized, so the distinct one comes from the constructor); the
+    hash is computed once per object, and a copy gets a hash of its own
+    instead of its source's."""
     a = build_biquadratic(-1, 19)
     b = replace(a)
     assert a is not b and hash(a) == hash(b) and {a: 1}[b] == 1
@@ -346,7 +357,8 @@ def test_hash_is_cached_per_object():
     assert "_hash" not in same.__dict__ and same == a and hash(same) == hash(a)
     other = replace(a, discriminant=a.discriminant * 4)
     assert other != a and hash(other) != hash(a)
-    assert hash(replace(b, integral_basis=other.integral_basis[::-1])) != hash(b)
+    d, mat = other.integral_basis
+    assert hash(replace(b, integral_basis=(d, mat[::-1]))) != hash(b)
 
 
 
@@ -403,7 +415,7 @@ def test_cached_tables_are_immutable():
 
 def test_equality_is_identity_first_then_by_field(gaussian_sqrt11):
     """A spec equals itself without reading a field: an instance with no
-    fields set compares equal to itself.  A dataclasses.replace copy
+    fields set compares equal to itself.  A copy made by the constructor
     equals its source, and a copy with another discriminant does not."""
     bare = object.__new__(FieldSpec)
     assert bare == bare

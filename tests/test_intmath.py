@@ -1,6 +1,9 @@
+import json
 import random
 import signal
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +107,28 @@ def test_squarefree_part():
     assert squarefree_part(-11) == (-11, 1)
     assert squarefree_part(-12) == (-3, 2)
     assert is_squarefree(-1) and is_squarefree(2) and not is_squarefree(4)
+
+
+@pytest.mark.parametrize("coeffs", [(0.5, 1), (Fraction(7, 2), 0, 1), ("3", 1)],
+                         ids=["float", "fraction", "string"])
+def test_intpoly_refuses_non_integer_coefficients(coeffs):
+    """A coefficient that is not an integer raises TypeError; int() would
+    have truncated 0.5 and 7/2 and parsed "3"."""
+    with pytest.raises(TypeError):
+        IntPoly(coeffs)
+
+
+def test_registry_minimal_polynomials_are_unchanged(entries):
+    """The 40 registry minimal polynomials are integer tuples, and are the
+    ones the frozen certificates state."""
+    certs = Path(__file__).resolve().parent.parent / "benchmark" / "data" / "certs"
+    assert len(entries) == 40
+    for label, entry in entries.items():
+        coeffs = entry.spec.theta_minpoly.coeffs
+        assert all(type(c) is int for c in coeffs) and coeffs[-1] == 1, label
+        stated = json.loads((certs / f"{label}.json").read_text())["field"]["minpoly"]
+        assert [str(c) for c in coeffs] == stated, label
+        assert IntPoly(coeffs + (0,)) == entry.spec.theta_minpoly
 
 
 def test_poly_roots_examples():

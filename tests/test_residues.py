@@ -221,12 +221,12 @@ def root_model_primes(spec, p):
     """Reference maps for p coprime to the index: Hensel-lift each root of
     theta's minimal polynomial mod p and evaluate the basis at it mod p^2."""
     f, p2 = spec.theta_minpoly, p * p
+    d, mat = spec.integral_basis
     out = []
     for root in poly_roots_mod_p(f, p):
         c = hensel_lift(f, root, p)
         images = tuple(
-            sum(a.numerator * pow(a.denominator, -1, p2) * c ** i for i, a in enumerate(row)) % p2
-            for row in spec.integral_basis
+            sum(x * pow(d, -1, p2) * c ** i for i, x in enumerate(row)) % p2 for row in mat
         )
         out.append((root, c, images))
     return out
