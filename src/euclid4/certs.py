@@ -5,13 +5,17 @@ files are exact and language-neutral.  Verification never trusts stored
 orders: the field is rebuilt from its defining data (once per process, as
 the builders are memoized) and its descriptor compared in full, the units
 and primes are re-validated, and all five conditions are recomputed from
-scratch.
+scratch.  A stored prime is checked from its own roots: the images of x and
+y under its stored map are a root pair of the field's tower, the four
+primes above p are built from that pair, and the stored one must be the
+one its conjugate index names.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from operator import mul
 
 from .admissible import (
     MAX_CERT_PRIME,
@@ -20,10 +24,20 @@ from .admissible import (
     check_conditions,
 )
 from .elements import NFElement
-from .errors import CapExceeded, ConditionFailed, OracleMismatch, SchemaError
+from .errors import CapExceeded, ConditionFailed, Euclid4Error, OracleMismatch, SchemaError
 from .fields import FieldSpec, build_from_descriptor, field_descriptor, registry_label
+from .intmath import MAX_CF_BITS
 from .residues import DegreeOnePrime, degree_one_primes_above
 from .units import Provenance, UnitData, verify_unit_data
+
+# str() and int() refuse decimal text past sys.get_int_max_str_digits()
+# digits (4,300 by default, never under 640), and a unit coordinate can be
+# longer: an epsilon coordinate of Q(sqrt(-853503), sqrt(-495294)) has 4,740
+# digits.  Integers past _CHUNK digits are written and read _CHUNK digits at
+# a time, and text longer than a 2 MAX_CF_BITS-bit integer is refused unread.
+_CHUNK = 600
+_BASE = 10 ** _CHUNK
+_MAX_DIGITS = 2 * MAX_CF_BITS * 30103 // 100000 + 1
 
 SCHEMA_VERSION = "cert/v1"
 # The one statement a certificate makes: P1, P2 is an admissible pair.
@@ -47,12 +61,23 @@ def _prime_dict(P: DegreeOnePrime) -> dict:
     }
 
 
+def _decimal(n: int) -> str:
+    """str(n), for an int of any length."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _BASE:
+        n, low = divmod(n, _BASE)
+        chunks.append(str(low).zfill(_CHUNK))
+    return str(n) + "".join(reversed(chunks))
+
+
 def units_to_dict(units: UnitData) -> dict:
     """The units block of a certificate, which `euclid4 field info` prints too."""
     return {
         "g": str(units.g),
-        "eta_coords": [str(c) for c in units.eta.coords],
-        "epsilon_coords": [str(c) for c in units.epsilon.coords],
+        "eta_coords": [_decimal(c) for c in units.eta.coords],
+        "epsilon_coords": [_decimal(c) for c in units.epsilon.coords],
         "provenance": units.provenance.value,
     }
 
@@ -126,6 +151,8 @@ def _as_int(value, what: str) -> int:
     the text str() writes back is accepted."""
     if not isinstance(value, str):
         raise SchemaError(f"{what} must be a decimal string, got {type(value).__name__}")
+    if len(value) > _CHUNK:
+        return _as_long_int(value, what)
     try:
         n = int(value)
     except ValueError as exc:
@@ -135,6 +162,22 @@ def _as_int(value, what: str) -> int:
     return n
 
 
+def _as_long_int(value: str, what: str) -> int:
+    """_as_int for text of more than _CHUNK characters: canonical when it is
+    ASCII digits with no leading zero after an optional minus sign."""
+    if len(value) > _MAX_DIGITS:
+        raise SchemaError(f"{what} has more than {_MAX_DIGITS} digits")
+    negative = value.startswith("-")
+    digits = value[negative:]
+    if not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
+        raise SchemaError(f"{what} is not a canonical decimal integer: {value[:40]!r}...")
+    n = 0
+    for i in range(0, len(digits), _CHUNK):
+        chunk = digits[i:i + _CHUNK]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if negative else n
+
+
 def _as_coords(value, what: str) -> tuple[int, int, int, int]:
     if not isinstance(value, list) or len(value) != 4:
         raise SchemaError(f"{what} must be a list of 4 decimal strings")
@@ -142,23 +185,29 @@ def _as_coords(value, what: str) -> tuple[int, int, int, int]:
 
 
 def _load_prime(doc: dict, spec: FieldSpec, what: str) -> DegreeOnePrime:
+    """The prime a certificate stores, once it is one of the four above its
+    p.  The images of x and y under the stored map are a root pair of the
+    tower, from which degree_one_primes_above builds all four."""
     _object(doc, what, _PRIME_KEYS)
     p = _as_int(doc["p"], f"{what}.p")
     if p > MAX_CERT_PRIME:
         raise SchemaError(f"{what}.p = {p} exceeds the certificate cap {MAX_CERT_PRIME}")
     conj = _as_int(doc["conjugate_index"], f"{what}.conjugate_index")
-    try:
-        candidates = degree_one_primes_above(spec, p)
-    except Exception as exc:
-        raise SchemaError(f"{what}: {exc}") from exc
-    if not 0 <= conj < len(candidates):
-        raise SchemaError(f"{what}: conjugate index {conj} out of range")
-    prime = candidates[conj]
     stored = (
         _as_int(doc["root_c"], f"{what}.root_c"),
         _as_int(doc["lifted_c"], f"{what}.lifted_c"),
         _as_coords(doc["basis_images"], f"{what}.basis_images"),
     )
+    _, x, y, _ = spec.tower_rows
+    images = stored[2]
+    root = (sum(map(mul, x, images)), sum(map(mul, y, images)))
+    try:
+        candidates = degree_one_primes_above(spec, p, root)
+    except (ValueError, Euclid4Error) as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
+    if not 0 <= conj < len(candidates):
+        raise SchemaError(f"{what}: conjugate index {conj} out of range")
+    prime = candidates[conj]
     actual = (prime.lifted_c % p, prime.lifted_c, prime.basis_images)
     if stored != actual:
         raise SchemaError(f"{what}: stored prime data does not match recomputation")

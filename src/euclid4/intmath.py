@@ -221,9 +221,10 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
     not a square mod p; a must be a unit mod p.
 
     Tonelli-Shanks mod p (Cohen, A Course in Computational Algebraic Number
-    Theory, 1.5.1), with the non-residue found by scanning up from 2, then a
-    Newton lift.  The root returned is the one whose residue mod p lies in
-    [0, (p-1)/2]; it is the unique root mod p^k above that residue.
+    Theory, 1.5.1), with the non-residue found by scanning up from 2 only
+    when it is used, then a Newton lift.  The root returned is the one whose
+    residue mod p lies in [0, (p-1)/2]; it is the unique root mod p^k above
+    that residue.
     """
     r = a % p
     if r == 0:
@@ -234,10 +235,13 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         e += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    c, t, x = pow(z, q, p), pow(r, q, p), pow(r, (q + 1) // 2, p)
+    t, x = pow(r, q, p), pow(r, (q + 1) // 2, p)
+    # t = 1 at once when e = 1 (p = 3 mod 4), and then no non-residue is used
+    if t != 1:
+        z = 2
+        while legendre(z, p) != -1:
+            z += 1
+        c = pow(z, q, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:

@@ -9,6 +9,9 @@ root t of (Be + Ce s) / e modulo p^2 (Tonelli-Shanks and a Newton lift), two
 signs each.  The integral basis is adj(S) (1, x, y, xy) / D with e and D
 coprime to every such p, so the same two square roots serve whether or not p
 divides the index of theta.  degree_one_primes_above is the one evaluator.
+A map a certificate stores carries its own root pair, the images of x and
+y, so a stored prime is checked with no square root taken in a biquadratic
+field (Ce = 0) and one in a cyclic field.
 
 The primes come from the odd-prime sieve in intmath (odd_primes), which
 also answers is_prime and holds the certificate cap MAX_CERT_PRIME; the
@@ -66,19 +69,27 @@ def split_primes(spec: FieldSpec, bound: int):
     return (p for p in odd if spec.discriminant % p and splits_completely(spec, p))
 
 
-def degree_one_primes_above(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
+def degree_one_primes_above(spec: FieldSpec, p: int,
+                            root: tuple[int, int] | None = None) -> list[DegreeOnePrime]:
     """All primes of residue degree one above an odd prime p: four when p
     splits completely in these Galois fields, else none.
 
     Each prime is a ring map O -> Z/p^2, fixed by the images s, t of x and
     y (see FieldSpec.tower): s^2 = d and e t^2 = Be + Ce s, two signs each.
+    root, when given, is one such pair (s, t), such as the images of x and
+    y under a stored map, and raises ValueError unless both congruences
+    hold mod p^2; without it, s and t are found by Tonelli-Shanks.  For -s
+    the root of (Be - Ce s) / e is taken afresh, unless Ce = 0 (every
+    biquadratic field) and t serves again.  Every root pair gives the same
+    four maps, so the list does not depend on root.
+
     The basis images are adj(S) (1, s, t, st) / D = a + t b, with
     a = adj(S) (1, s, 0, 0) / D and b = adj(S) (0, 0, 1, s) / D formed once
-    for both signs of t.  The primes are numbered
-    in the order of (theta image mod p, basis images), which is the
-    ascending order of the roots of theta's minimal polynomial mod p
-    whenever those are distinct.  Raises ValueError unless p is an odd
-    prime and Ramified when it divides the field discriminant.
+    for both signs of t.  The primes are numbered in the order of (theta
+    image mod p, basis images), which is the ascending order of the roots
+    of theta's minimal polynomial mod p whenever those are distinct.
+    Raises ValueError unless p is an odd prime and Ramified when it divides
+    the field discriminant.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
@@ -89,14 +100,20 @@ def degree_one_primes_above(spec: FieldSpec, p: int) -> list[DegreeOnePrime]:
     d, e, be, ce, det, adj = spec.tower
     p2 = p * p
     inv_det, inv_e = pow(det, -1, p2), pow(e, -1, p2)
-    s0 = sqrt_mod_prime_power(d, p, 2)
+    if root is None:
+        s0 = sqrt_mod_prime_power(d, p, 2)
+        t0 = sqrt_mod_prime_power((be + ce * s0) * inv_e, p, 2)
+    else:
+        s0, t0 = root
+        if (s0 * s0 - d) % p2 or (e * t0 * t0 - be - ce * s0) % p2:
+            raise ValueError(f"({s0}, {t0}) is not a root pair of the tower mod {p}^2")
+    t1 = t0 if ce == 0 else sqrt_mod_prime_power((be - ce * s0) * inv_e, p, 2)
     out = []
     c0, c1, c2, c3 = spec.theta_coords
-    for s in (s0, p2 - s0):
-        t0 = sqrt_mod_prime_power((be + ce * s) * inv_e, p, 2)
+    for s, ts in ((s0, (t0, -t0)), (-s0, (t1, -t1))):
         a0, a1, a2, a3 = [(r0 + r1 * s) * inv_det % p2 for r0, r1, _, _ in adj]
         b0, b1, b2, b3 = [(r2 + r3 * s) * inv_det % p2 for _, _, r2, r3 in adj]
-        for t in (t0, -t0):
+        for t in ts:
             i0, i1, i2, i3 = images = (
                 (a0 + t * b0) % p2, (a1 + t * b1) % p2, (a2 + t * b2) % p2, (a3 + t * b3) % p2)
             out.append(((c0 * i0 + c1 * i1 + c2 * i2 + c3 * i3) % p2, images))

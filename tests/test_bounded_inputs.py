@@ -2,13 +2,16 @@
 raises a typed error, inside a per-example time budget that SIGALRM enforces
 in this process (no thread or process per example)."""
 
+import json
 import signal
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from euclid4.admissible import find_prime_element, search_pair
-from euclid4.errors import Euclid4Error
+from euclid4.certs import certificate_to_json, verify_certificate_json
+from euclid4.errors import Euclid4Error, SchemaError
 from euclid4.fields import build_biquadratic
 from euclid4.intmath import is_squarefree
 from euclid4.residues import degree_one_primes_above, split_primes
@@ -39,9 +42,22 @@ def _entries(m, n):
     if units is None:
         return
     primes = _typed(degree_one_primes_above, spec, next(split_primes(spec, 10 ** 4)))
-    _typed(search_pair, spec, units, 100)
+    cert = _typed(search_pair, spec, units, 100)
+    if cert is not None:
+        _verify_round_trip(cert)
     if primes:
         _typed(find_prime_element, primes[0], 8)
+
+
+def _verify_round_trip(cert):
+    """The certificate verifies from its text, the oracle included, and a
+    copy that names the next conjugate above P1's p is refused."""
+    text = certificate_to_json(cert)
+    assert verify_certificate_json(text, oracle=True)["oracle_checked"] is True
+    doc = json.loads(text)
+    doc["P1"]["conjugate_index"] = str((cert.P1.conjugate_index + 1) % 4)
+    with pytest.raises(SchemaError):
+        verify_certificate_json(json.dumps(doc))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

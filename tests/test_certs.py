@@ -1,15 +1,17 @@
 import json
 import random
 import time
+from operator import mul
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 
-from euclid4 import residues
+from euclid4 import certs, residues
 from euclid4.admissible import search_pair
 from euclid4.certs import (
     _dump,
+    _load_prime,
     _prime_dict,
     certificate_to_dict,
     certificate_to_json,
@@ -17,7 +19,7 @@ from euclid4.certs import (
     verify_certificate_json,
 )
 from euclid4.elements import from_power_coords, inverse_unit
-from euclid4.errors import ConditionFailed, Euclid4Error, OracleMismatch, SchemaError
+from euclid4.errors import ConditionFailed, Euclid4Error, OracleMismatch, Ramified, SchemaError
 from euclid4.fields import build_biquadratic, build_from_descriptor
 from euclid4.intmath import is_squarefree
 from euclid4.residues import degree_one_primes_above
@@ -172,6 +174,63 @@ def test_reproduction_matches_frozen_certificates(reproduction):
         if certificate_to_json(cert, label) != (FROZEN_CERTS / f"{label}.json").read_text()
     ]
     assert differing == []
+
+
+FROZEN_PRIMES = [(path.stem, key) for path in sorted(FROZEN_CERTS.glob("*.json"))
+                 for key in ("P1", "P2")]
+
+
+@pytest.mark.parametrize("label, key", FROZEN_PRIMES, ids=[f"{l}-{k}" for l, k in FROZEN_PRIMES])
+def test_stored_prime_loads_from_its_own_roots(label, key, monkeypatch):
+    """Each of the four primes above a frozen certificate's p loads from its
+    own basis images as that conjugate, with no square root taken in a
+    biquadratic field and one in a cyclic field; a basis image moved by one
+    is refused, and so is a pair (s, t) that is not a root pair."""
+    doc = json.loads((FROZEN_CERTS / f"{label}.json").read_text())
+    spec = build_from_descriptor(doc["field"])
+    p = int(doc[key]["p"])
+    primes = degree_one_primes_above(spec, p)
+    assert _prime_dict(primes[int(doc[key]["conjugate_index"])]) == doc[key]
+    calls = []
+    real = residues.sqrt_mod_prime_power
+    monkeypatch.setattr(residues, "sqrt_mod_prime_power",
+                        lambda *args: calls.append(args) or real(*args))
+    _, x, y, _ = spec.tower_rows
+    for prime in primes:
+        stored = _prime_dict(prime)
+        calls.clear()
+        assert _load_prime(stored, spec, key) == prime
+        assert len(calls) == (spec.kind == "cyclic")
+        for j in range(4):
+            images = list(stored["basis_images"])
+            images[j] = str(prime.basis_images[j] + 1)
+            with pytest.raises(SchemaError):
+                _load_prime(dict(stored, basis_images=images), spec, key)
+        s, t = (sum(map(mul, row, prime.basis_images)) % (p * p) for row in (x, y))
+        if (2 * s + 1) % (p * p) == 0:
+            # s + 1 = -s (s = 12 at p = 5 in K_2), and with Ce = 0 the pair
+            # (-s, t) is the root pair of another of the four maps
+            assert degree_one_primes_above(spec, p, (s + 1, t)) == primes
+            continue
+        with pytest.raises(ValueError):
+            degree_one_primes_above(spec, p, (s + 1, t))
+
+
+@pytest.mark.parametrize("error, reported", [
+    (TypeError("a programming error"), TypeError),
+    (AttributeError("a programming error"), AttributeError),
+    (ValueError("not a root pair"), SchemaError),
+    (Ramified("p divides the discriminant"), SchemaError),
+])
+def test_prime_load_reports_only_certificate_errors(k8_cert, error, reported):
+    """A bad prime is a SchemaError; an error in the code is not one."""
+    def fail(*args, **kwargs):
+        raise error
+
+    text = certificate_to_json(k8_cert, "K_8")
+    with patch.object(certs, "degree_one_primes_above", fail):
+        with pytest.raises(reported):
+            verify_certificate_json(text)
 
 
 def _large_split_prime(doc):
@@ -347,4 +406,36 @@ def test_non_canonical_integer_text_is_schema_error(k8_cert, form, leaf):
     assert text != parent[last] and int(text) == int(parent[last])
     parent[last] = text
     with pytest.raises(SchemaError, match="canonical"):
+        verify_certificate_json(json.dumps(doc))
+
+
+@pytest.fixture(scope="module")
+def long_unit_cert():
+    """An epsilon coordinate of this field has 4,740 digits, past the 4,300
+    that str() and int() accept by default."""
+    spec = build_biquadratic(-853503, -495294)
+    return search_pair(spec, unit_data(spec), 100)
+
+
+def test_long_unit_coordinates_round_trip(long_unit_cert):
+    text = certificate_to_json(long_unit_cert)
+    coords = json.loads(text)["units"]["epsilon_coords"]
+    assert max(len(c.lstrip("-")) for c in coords) == 4740
+    parsed, _ = parse_certificate(json.loads(text))
+    assert parsed.units == long_unit_cert.units
+    assert verify_certificate_json(text)["pair"] == long_unit_cert.pair
+
+
+@pytest.mark.parametrize("form", ["underscore", "sign-and-spaces", "arabic-indic-digits",
+                                  "leading-zeros", "too-long"])
+def test_long_non_canonical_integer_text_is_schema_error(long_unit_cert, form):
+    doc = certificate_to_dict(long_unit_cert)
+    coords = doc["units"]["epsilon_coords"]
+    if form == "too-long":
+        coords[0] = "9" * 20000
+        match = "digits"
+    else:
+        coords[0] = respell(coords[0], form)
+        match = "canonical"
+    with pytest.raises(SchemaError, match=match):
         verify_certificate_json(json.dumps(doc))

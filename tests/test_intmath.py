@@ -170,6 +170,23 @@ def test_sqrt_mod_prime_power_lifts():
         sqrt_mod_prime_power(14, 7, 2)
 
 
+def test_sqrt_mod_prime_power_scans_only_when_needed(monkeypatch):
+    """For p = 3 mod 4 the root is r^((p+1)/4) at once: the one Legendre
+    symbol is the residuosity test of a, and no non-residue is looked for."""
+    calls = []
+    real = intmath.legendre
+    monkeypatch.setattr(intmath, "legendre", lambda a, p: calls.append(p) or real(a, p))
+    for p in (3, 7, 11, 19, 23, 43, 10007, 1000003):
+        for x in (1, 2, 5, 8, p - 1):
+            calls.clear()
+            assert sqrt_mod_prime_power(x * x, p, 2) in (x, p * p - x)
+            assert calls == [p], (x, p)
+    # p = 1 mod 4: a square whose Tonelli-Shanks t is not 1 still scans
+    calls.clear()
+    assert sqrt_mod_prime_power(2, 17, 1) == 6
+    assert len(calls) > 1
+
+
 def test_mult_order_examples():
     assert mult_order(24, 25, 20) == 2
     assert mult_order(1, 25, 20) == 1
