@@ -47,7 +47,10 @@ comparable.  ``start_ms`` holds the medians of ``START_SAMPLES`` cold
 ``python -c pass`` and ``python -S -c pass`` children, alternated: their
 difference is what the host's ``site`` startup hooks (``.pth`` files) add
 to every interpreter, and so to each ``reproduce`` operation, before the
-package is imported.
+package is imported.  ``import_ms`` holds, for the base and the change, the
+median of ``START_SAMPLES`` cold ``python -S -c "import euclid4.cli"``
+children with the bytecode cache off, the two sides alternated: the part
+of each cold ``reproduce`` operation that the package's import costs.
 
 ``--base HEAD`` on a clean working tree compares the code with itself: an
 A/A pass that shows the side bias and the host drift of the method.
@@ -119,6 +122,25 @@ def start_ms(run=subprocess.run, clock=time.perf_counter, samples=START_SAMPLES)
             run([sys.executable, *flags], check=True)
             times[name].append((clock() - start) * 1000)
     return {name: statistics.median(ms) for name, ms in times.items()}
+
+
+def import_ms(checkouts: dict[str, Path], run=subprocess.run, clock=time.perf_counter,
+              samples=START_SAMPLES) -> dict:
+    """Median, in ms, of cold ``python -S -c "import euclid4.cli"`` children
+    for each checkout, importing from its ``src`` with no bytecode written
+    or read; the sides take turns going first.  run and clock are
+    injectable for the tests."""
+    times: dict[str, list[float]] = {side: [] for side in checkouts}
+    order = list(checkouts)
+    for _ in range(samples):
+        for side in order:
+            env = {**os.environ, "PYTHONPATH": str(checkouts[side] / "src"),
+                   "PYTHONDONTWRITEBYTECODE": "1"}
+            start = clock()
+            run([sys.executable, "-S", "-c", "import euclid4.cli"], check=True, env=env)
+            times[side].append((clock() - start) * 1000)
+        order.reverse()
+    return {side: statistics.median(ms) for side, ms in times.items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -203,6 +225,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_dir = Path(tmp)
         base_commit = export_commit(args.base, base_dir)
+        package_import = import_ms({"base": base_dir, "change": ROOT})
         for seed in args.seeds:
             order = ("base", "change") if seed % 2 else ("change", "base")
             for w in workloads:
@@ -238,7 +261,7 @@ def main(argv=None) -> int:
         "interpreter": {"version": sys.version, "numpy": numpy_version,
                         "cpu_count": os.cpu_count(),
                         "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
-                        "start_ms": interpreter_start},
+                        "start_ms": interpreter_start, "import_ms": package_import},
         "summary": summary,
         "runs": runs,
     }

@@ -1,138 +1,55 @@
-"""Certificate persistence and independent re-verification.
+"""Certificate re-verification.
 
-Schema "cert/v1".  Every integer is serialized as a decimal string so the
-files are exact and language-neutral.  Verification never trusts stored
-orders: the field is rebuilt from its defining data (once per process, as
-the builders are memoized) and its descriptor compared in full, the units
-and primes are re-validated, and all five conditions are recomputed from
-scratch.  A stored prime is checked from its own roots: the images of x and
-y under its stored map are a root pair of the field's tower, the four
-primes above p are built from that pair, and the stored one must be the
-one its conjugate index names.
+Verification never trusts stored orders: the field is rebuilt from its
+defining data (once per process, as the builders are memoized) and its
+descriptor compared in full, the units and primes are re-validated, and all
+five conditions are recomputed from scratch.  A stored prime is checked
+from its own roots: the images of x and y under its stored map are a root
+pair of the field's tower, the four primes above p are built from that
+pair, and the stored one must be the one its conjugate index names.
+
+The writer lives in certtext, which the table run loads without this
+module; its public names are re-exported here.  The surjectivity oracle is
+imported only by a verification that asks for it.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _quote
 from operator import mul
 
-from .admissible import (
-    MAX_CERT_PRIME,
-    AdmissibleCertificate,
-    brute_force_surjectivity,
-    check_conditions,
+from . import admissible
+from .admissible import AdmissibleCertificate, check_conditions
+from .certtext import (
+    _CHUNK,
+    _KEYS,
+    _ORDER_KEYS,
+    _PRIME_KEYS,
+    _UNIT_KEYS,
+    CONCLUSION,
+    SCHEMA_VERSION,
 )
+# The writer's public names, re-exported: the benchmark traces
+# certs.certificate_to_json.
+from .certtext import certificate_to_dict, certificate_to_json, units_to_dict  # noqa: F401
 from .elements import NFElement
 from .errors import CapExceeded, ConditionFailed, Euclid4Error, OracleMismatch, SchemaError
 from .fields import FieldSpec, build_from_descriptor, field_descriptor, registry_label
 from .intmath import MAX_CF_BITS
-from .residues import DegreeOnePrime, degree_one_primes_above
+from .residues import MAX_CERT_PRIME, DegreeOnePrime, degree_one_primes_above
 from .units import Provenance, UnitData, verify_unit_data
 
-# str() and int() refuse decimal text past sys.get_int_max_str_digits()
-# digits (4,300 by default, never under 640), and a unit coordinate can be
-# longer: an epsilon coordinate of Q(sqrt(-853503), sqrt(-495294)) has 4,740
-# digits.  Integers past _CHUNK digits are written and read _CHUNK digits at
-# a time, and text longer than a 2 MAX_CF_BITS-bit integer is refused unread.
-_CHUNK = 600
-_BASE = 10 ** _CHUNK
+# Text longer than a 2 MAX_CF_BITS-bit integer is refused unread.
 _MAX_DIGITS = 2 * MAX_CF_BITS * 30103 // 100000 + 1
 
-SCHEMA_VERSION = "cert/v1"
-# The one statement a certificate makes: P1, P2 is an admissible pair.
-CONCLUSION = "AdmissiblePair"
-
-# The keys of each object, exactly as certificate_to_dict writes them; the
-# top level may also hold a label, the registry label of the field.
-_KEYS = frozenset({"version", "field", "units", "P1", "P2", "orders", "gcds", "conclusion"})
-_UNIT_KEYS = frozenset({"g", "eta_coords", "epsilon_coords", "provenance"})
-_PRIME_KEYS = frozenset({"p", "root_c", "lifted_c", "conjugate_index", "basis_images"})
-_ORDER_KEYS = frozenset({"ord_eps_P1", "ord_eta_P1", "ord_eps_P2"})
-
-
-def _prime_dict(P: DegreeOnePrime) -> dict:
-    return {
-        "p": str(P.p),
-        "root_c": str(P.lifted_c % P.p),
-        "lifted_c": str(P.lifted_c),
-        "conjugate_index": str(P.conjugate_index),
-        "basis_images": [str(v) for v in P.basis_images],
-    }
-
-
-def _decimal(n: int) -> str:
-    """str(n), for an int of any length."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    chunks = []
-    while n >= _BASE:
-        n, low = divmod(n, _BASE)
-        chunks.append(str(low).zfill(_CHUNK))
-    return str(n) + "".join(reversed(chunks))
-
-
-def units_to_dict(units: UnitData) -> dict:
-    """The units block of a certificate, which `euclid4 field info` prints too."""
-    return {
-        "g": str(units.g),
-        "eta_coords": [_decimal(c) for c in units.eta.coords],
-        "epsilon_coords": [_decimal(c) for c in units.epsilon.coords],
-        "provenance": units.provenance.value,
-    }
-
-
-def certificate_to_dict(cert: AdmissibleCertificate, label: str | None = None) -> dict:
-    doc = {
-        "version": SCHEMA_VERSION,
-        "field": field_descriptor(cert.spec),
-        "units": units_to_dict(cert.units),
-        "P1": _prime_dict(cert.P1),
-        "P2": _prime_dict(cert.P2),
-        "orders": {
-            "ord_eps_P1": str(cert.ord_eps_P1),
-            "ord_eta_P1": str(cert.ord_eta_P1),
-            "ord_eps_P2": str(cert.ord_eps_P2),
-        },
-        "gcds": [True, True],
-        "conclusion": CONCLUSION,
-    }
-    if label is not None:
-        doc["label"] = label
-    return doc
-
-
-def _dump(node, pad: str) -> str:
-    """node as json.dumps(node, indent=2, sort_keys=True) writes it at
-    indentation pad, for str, bool, list and str-keyed dict nodes only;
-    any other type raises TypeError.  With indent set, json.dumps runs its
-    pure-Python encoder; this writer quotes with the C-accelerated one, and
-    quotes a str child in place instead of recursing into it."""
-    inner = pad + "  "
-    if isinstance(node, list):
-        items = [_quote(v) if isinstance(v, str) else _dump(v, inner) for v in node]
-        opening, closing = "[", "]"
-    elif isinstance(node, dict):
-        items = [_quote(k) + ": " + (_quote(v) if isinstance(v, str) else _dump(v, inner))
-                 for k, v in sorted(node.items())]
-        opening, closing = "{", "}"
-    elif node is True:
-        return "true"
-    elif node is False:
-        return "false"
-    elif isinstance(node, str):
-        return _quote(node)
-    else:
-        raise TypeError(f"a certificate holds no {type(node).__name__}")
-    if not items:
-        return opening + closing
-    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closing
-
-
-def certificate_to_json(cert: AdmissibleCertificate, label: str | None = None) -> str:
-    """The certificate text: byte for byte json.dumps(certificate_to_dict(
-    cert, label), indent=2, sort_keys=True) + "\\n"."""
-    return _dump(certificate_to_dict(cert, label), "") + "\n"
+# The entries of a field descriptor (fields.field_descriptor) from which
+# each kind of field is built, and all of its keys.
+_FIELD_NAMES = {"biquadratic": ("m", "n"), "cyclic": ("conductor",)}
+_FIELD_KEYS = {
+    kind: frozenset({"kind", "minpoly", "basis", "discriminant", "index", "real_subfield_d",
+                     *names})
+    for kind, names in _FIELD_NAMES.items()
+}
 
 
 def _object(doc, what: str, keys: frozenset, optional: frozenset = frozenset()) -> dict:
@@ -218,7 +135,10 @@ def parse_certificate(doc: dict) -> tuple[AdmissibleCertificate, str | None]:
     """Validate a certificate document and re-verify everything it claims.
 
     Raises SchemaError for structural problems, ConditionFailed(n) when a
-    recomputed condition or stored order disagrees.
+    recomputed condition or stored order disagrees.  The field descriptor's
+    shape is checked before the field is built, and only a ValueError or a
+    package error from the build is a SchemaError: any other exception is a
+    fault of the program, and passes through.
     """
     _object(doc, "certificate", _KEYS, frozenset({"label"}))
     if doc["version"] != SCHEMA_VERSION:
@@ -227,9 +147,17 @@ def parse_certificate(doc: dict) -> tuple[AdmissibleCertificate, str | None]:
         raise SchemaError(f"unknown conclusion {doc['conclusion']!r}")
 
     fdesc = doc["field"]
+    if not isinstance(fdesc, dict):
+        raise SchemaError("field must be a JSON object")
+    kind = fdesc.get("kind")
+    if not isinstance(kind, str) or kind not in _FIELD_NAMES:
+        raise SchemaError(f"unknown field kind {kind!r}")
+    _object(fdesc, "field", _FIELD_KEYS[kind])
+    for key in _FIELD_NAMES[kind]:
+        _as_int(fdesc[key], f"field.{key}")
     try:
         spec = build_from_descriptor(fdesc)
-    except Exception as exc:
+    except (ValueError, Euclid4Error) as exc:
         raise SchemaError(f"field rebuild failed: {exc}") from exc
     if field_descriptor(spec) != fdesc:
         raise SchemaError("field descriptor does not match the rebuilt field")
@@ -294,7 +222,9 @@ def verify_certificate_json(text: str, oracle: bool = False) -> dict:
     }
     if oracle:
         try:
-            ok = brute_force_surjectivity(cert.spec, cert.units, cert.P1, cert.P2, 2, 2)
+            # admissible imports the oracle on first use (admissible._LAZY)
+            ok = admissible.brute_force_surjectivity(
+                cert.spec, cert.units, cert.P1, cert.P2, 2, 2)
         except CapExceeded:
             ok = None
         if ok is False:

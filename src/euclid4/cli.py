@@ -13,7 +13,7 @@ import sys
 import time
 
 from .admissible import PairAttempts, search_pair
-from .certs import certificate_to_json, units_to_dict, verify_certificate_json
+from .certtext import certificate_to_json, units_to_dict
 from .errors import (
     CapExceeded,
     ConditionFailed,
@@ -149,6 +149,8 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     """Verify every named certificate and report each one; 2 when a file
     cannot be read, else 1 when one fails, else 0."""
+    from .certs import verify_certificate_json
+
     unreadable = failed = False
     for path in args.certificate:
         try:

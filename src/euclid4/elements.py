@@ -2,19 +2,17 @@
 
 An element is an integer coordinate vector; integrality is therefore a
 representation invariant, which keeps every residue computation
-denominator-free.  norm_solutions solves x conj(x) = alpha in a lattice of
-the ring; it serves the prime generators (admissible._least_generators).
-The square roots of units are written in closed form (units.sqrt_in_ring).
+denominator-free.  The square roots of units are written in closed form
+(units.sqrt_in_ring); the lattice search for elements of a given relative
+norm serves only the prime generators, and lives with them in generators.
 """
 
 from __future__ import annotations
 
-from operator import mul
-
 from .errors import DegenerateField, FieldMismatch, NotAUnit
 from .fields import UNIT_VECTORS, FieldSpec, basis_mul
 from .intmath import Record
-from .linalg import adjugate_int, box_vectors, lll_reduce
+from .linalg import adjugate_int
 
 
 class NFElement(Record):
@@ -151,47 +149,3 @@ def _value(gram, c):
     return (c0 * (g00 * c0 + 2 * (g01 * c1 + g02 * c2 + g03 * c3))
             + c1 * (g11 * c1 + 2 * (g12 * c2 + g13 * c3))
             + c2 * (g22 * c2 + 2 * g23 * c3) + g33 * c3 * c3)
-
-
-def _times(rows, basis):
-    """The vectors whose coordinates over the 4 x 4 basis rows are the
-    rows: rows basis, as tuples."""
-    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = basis
-    return [(c0 * b00 + c1 * b10 + c2 * b20 + c3 * b30,
-             c0 * b01 + c1 * b11 + c2 * b21 + c3 * b31,
-             c0 * b02 + c1 * b12 + c2 * b22 + c3 * b32,
-             c0 * b03 + c1 * b13 + c2 * b23 + c3 * b33) for c0, c1, c2, c3 in rows]
-
-
-def _congruent(gram, rows):
-    """rows gram rows^T: the Gram matrix of the rows under gram."""
-    return [[sum(map(mul, a, b)) for b in rows] for a in _times(rows, gram)]
-
-
-def norm_solutions(spec: FieldSpec, lattice, a: int, b: int) -> list[tuple[int, ...]]:
-    """Every x of the lattice (rows: the coordinates of a basis) with
-    x conj(x) = alpha = (a + b sqrt(d)) / h, as coordinate tuples, where
-    d = real_subfield_d and h = 2 when d = 1 mod 4, else 1; [] unless alpha
-    is totally positive.
-
-    x conj(x) = (U + V sqrt(d)) / (e D^2) (FieldSpec.norm_forms), and the
-    form Q = a U - b d V = (h e D^2 / 2) Tr(alpha' x conj(x)) has
-    Q(x) >= h e D^2 sqrt(N(alpha) N(x)) by AM-GM over the two real
-    embeddings, with equality where x conj(x) = alpha.  So LLL reduction
-    under 2Q (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.6.7) and the box 2Q(y) <= 2 h e D^2 N(alpha) find every
-    solution, each checked exactly; when |N(x)| >= N(alpha) on the lattice
-    (a prime of norm N(alpha)), every nonzero y of the box is one.
-    """
-    d, e, _, _, det, _ = spec.tower
-    h = 2 if d % 4 == 1 else 1
-    if a <= 0 or a * a <= d * b * b:
-        return []
-    gu, gv = spec.norm_forms
-    scale = e * det * det
-    form = [[a * x - b * d * y for x, y in zip(ru, rv)] for ru, rv in zip(gu, gv)]
-    basis = _times(lll_reduce(_congruent(form, lattice)), lattice)
-    bound = 2 * scale * (a * a - d * b * b) // h
-    found = _times([y for y in box_vectors(_congruent(form, basis), bound) if any(y)], basis)
-    return [x for x in found
-            if h * _value(gu, x) == 2 * scale * a and h * _value(gv, x) == 2 * scale * b]

@@ -1,5 +1,5 @@
 """Naive brute-force oracles, used by the tests only (the --oracle CLI path
-runs admissible.brute_force_surjectivity, not this module).
+runs surjectivity.brute_force_surjectivity, not this module).
 
 Deliberately primitive implementations with their own local polynomial
 arithmetic: no Hensel lifting, no order-factoring shortcuts, no shared code

@@ -29,8 +29,9 @@ from .errors import NotCoprime, Ramified
 from .fields import FieldSpec, splits_completely
 from .intmath import Record, factorize, is_prime, mult_order, odd_primes, sqrt_mod_prime_power
 
-# The certificate cap lives with the sieve in intmath; admissible, certs and
-# the tests import it from here, as they import splits_completely.
+# The certificate cap lives with the sieve in intmath; admissible, certs,
+# generators and the tests import it from here, as they import
+# splits_completely.
 from .intmath import MAX_CERT_PRIME  # noqa: F401
 
 # Not called here: benchmark/test_gate.py checks that tracing patches this

@@ -9,16 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from euclid4 import admissible, residues
+from euclid4 import admissible, generators, residues, surjectivity
 from euclid4.admissible import (
     MAX_CERT_PRIME,
     MAX_COORD_BOUND,
     AdmissibleCertificate,
     UnitWalk,
-    _box_hits,
-    _field_generators,
-    _least_generators,
-    _prime_below,
     brute_force_surjectivity,
     check_conditions,
     construct_witness,
@@ -35,6 +31,7 @@ from euclid4.errors import (
     SearchExhausted,
 )
 from euclid4.fields import _forms, build_biquadratic, build_from_descriptor
+from euclid4.generators import _box_hits, _field_generators, _least_generators, _prime_below
 from euclid4.intmath import is_prime
 from euclid4.residues import (
     DegreeOnePrime,
@@ -587,15 +584,15 @@ def test_orbit_walk_is_independent_of_its_start(monkeypatch, entries, shift):
     primes = [degree_one_primes_above(entries[label].spec, p)[0]
               for label, p in (("K_1", 29), ("13", 29), ("K_19", 37), ("5", 11))]
     expected = [_box_hits(prime, 4) for prime in primes]
-    least = admissible._least_generators
+    least = generators._least_generators
 
     def shifted(prime, data):
         found = least(prime, data)
         for _ in range(abs(shift)):
-            found = admissible._times(found, data.steps[shift < 0])
+            found = generators._times(found, data.steps[shift < 0])
         return found
 
-    monkeypatch.setattr(admissible, "_least_generators", shifted)
+    monkeypatch.setattr(generators, "_least_generators", shifted)
     assert all(expected)
     assert [_box_hits(prime, 4) for prime in primes] == expected
 
@@ -768,7 +765,7 @@ def test_subgroup_order_is_the_crt_on_exponents(eta):
             for x2 in range(1, m2):
                 gcds.add(gcd(UnitWalk(x1, p1, 2).order, UnitWalk(x2, 13, 1).order))
                 want = len(_closure([eta, (x1, x2)], m1, m2))
-                got = admissible._subgroup_order(eta, (x1, x2), p1, 2, 13, 1)
+                got = surjectivity._subgroup_order(eta, (x1, x2), p1, 2, 13, 1)
                 assert got == want, (m1, x1, x2)
     assert gcds == {1, 2, 3, 4, 6}
 
@@ -789,7 +786,7 @@ def test_subgroup_order_matches_closure_on_random_units():
             m1, m2 = p1 ** a1, p2 ** a2
             eta, eps = (unit(m1), unit(m2)), (unit(m1), unit(m2))
             want = len(_closure([eta, eps], m1, m2))
-            assert admissible._subgroup_order(eta, eps, p1, a1, p2, a2) == want, (m1, m2, eta, eps)
+            assert surjectivity._subgroup_order(eta, eps, p1, a1, p2, a2) == want, (m1, m2, eta, eps)
 
 
 def test_unit_walk_rejects_non_unit():

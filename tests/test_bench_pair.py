@@ -113,3 +113,25 @@ def test_start_ms_alternates_the_two_children():
     got = bench_pair.start_ms(run=run, clock=lambda: now[0], samples=3)
     assert got == pytest.approx({"python -c pass": 57.0, "python -S -c pass": 12.0})
     assert calls == [["-c", "pass"], ["-S", "-c", "pass"]] * 3
+
+
+def test_import_ms_alternates_the_two_checkouts(tmp_path):
+    """import_ms times a cold, cacheless import of euclid4.cli from each
+    checkout's src with the injected clock, the sides taking turns going
+    first; no interpreter is started."""
+    base, change = tmp_path / "base", tmp_path / "change"
+    cost = {str(base / "src"): 0.040, str(change / "src"): 0.035}
+    now = [0.0]
+    calls = []
+
+    def run(argv, check, env):
+        assert check and argv[1:] == ["-S", "-c", "import euclid4.cli"]
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        calls.append(env["PYTHONPATH"])
+        now[0] += cost[env["PYTHONPATH"]]
+
+    got = bench_pair.import_ms({"base": base, "change": change}, run=run,
+                               clock=lambda: now[0], samples=3)
+    assert got == pytest.approx({"base": 40.0, "change": 35.0})
+    b, c = str(base / "src"), str(change / "src")
+    assert calls == [b, c, c, b, b, c]

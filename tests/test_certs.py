@@ -10,14 +10,13 @@ import pytest
 from euclid4 import certs, residues
 from euclid4.admissible import search_pair
 from euclid4.certs import (
-    _dump,
     _load_prime,
-    _prime_dict,
     certificate_to_dict,
     certificate_to_json,
     parse_certificate,
     verify_certificate_json,
 )
+from euclid4.certtext import _dump, _prime_dict
 from euclid4.elements import from_power_coords, inverse_unit
 from euclid4.errors import ConditionFailed, Euclid4Error, OracleMismatch, Ramified, SchemaError
 from euclid4.fields import build_biquadratic, build_from_descriptor
@@ -279,6 +278,39 @@ def test_malformed_certificate_is_schema_error(k8_cert, damage):
     damage(doc)
     with pytest.raises(SchemaError):
         verify_certificate_json(json.dumps(doc))
+
+
+# The field descriptor's shape is checked before the field is built.
+MALFORMED_FIELD = {
+    "field-not-an-object": lambda doc: doc.update(field=["biquadratic", "-1", "2"]),
+    "field.m-missing": lambda doc: doc["field"].pop("m"),
+    "field.m-a-list": lambda doc: doc["field"].update(m=["-1"]),
+    "field.m-not-decimal": lambda doc: doc["field"].update(m="x"),
+    "field.m-not-canonical": lambda doc: doc["field"].update(m="+2"),
+    "field.kind-unknown": lambda doc: doc["field"].update(kind="sextic"),
+    "field.kind-a-list": lambda doc: doc["field"].update(kind=["biquadratic"]),
+    "field.conductor-on-biquadratic": lambda doc: doc["field"].update(conductor="5"),
+}
+
+
+@pytest.mark.parametrize("damage", MALFORMED_FIELD.values(), ids=MALFORMED_FIELD.keys())
+def test_malformed_field_descriptor_is_schema_error(k8_cert, damage):
+    doc = certificate_to_dict(k8_cert, "K_8")
+    damage(doc)
+    with pytest.raises(SchemaError):
+        verify_certificate_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("error", [TypeError, AttributeError])
+def test_field_build_fault_is_not_a_schema_error(k8_cert, monkeypatch, error):
+    """A fault of the program in building a well-formed field passes
+    through; it is not reported as a malformed certificate."""
+    def broken(desc):
+        raise error("a fault in the field builder")
+
+    monkeypatch.setattr(certs, "build_from_descriptor", broken)
+    with pytest.raises(error, match="field builder"):
+        verify_certificate_json(certificate_to_json(k8_cert, "K_8"))
 
 
 def test_large_unit_verifies_quickly(k8_cert):

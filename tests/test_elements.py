@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from euclid4.elements import (
     NFElement,
-    _times,
     _value,
     from_power_coords,
     inverse_unit,
@@ -20,6 +19,7 @@ from euclid4.elements import (
 )
 from euclid4.errors import DegenerateField, FieldMismatch, NotAUnit
 from euclid4.fields import build_biquadratic, build_cyclic_quartic
+from euclid4.generators import _times
 from euclid4.linalg import det_int
 
 coords_strategy = st.tuples(*[st.integers(min_value=-40, max_value=40)] * 4)

@@ -1,6 +1,7 @@
 """The package's records are plain classes: what a cold import loads, and
 how the records compare, hash, pickle and refuse assignment."""
 
+import json
 import os
 import pickle
 import subprocess
@@ -9,10 +10,10 @@ import sys
 import pytest
 
 import euclid4
-from euclid4.admissible import WitnessResult, _FieldGenerators
 from euclid4.cli import RunReport
 from euclid4.elements import NFElement, one, theta
 from euclid4.fields import FieldRegistryEntry, FieldSpec
+from euclid4.generators import WitnessResult, _FieldGenerators
 from euclid4.intmath import IntPoly
 from euclid4.residues import DegreeOnePrime, degree_one_primes_above
 from euclid4.units import unit_data
@@ -37,6 +38,48 @@ def test_cold_cli_import_loads_no_fractions_and_one_dataclass():
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["[]", "['euclid4.admissible.AdmissibleCertificate']"]
+
+
+# Loaded on first use only: the oracle, the witness with the prime
+# generators, and the certificate reader.
+LAZY_MODULES = ("euclid4.certs", "euclid4.generators", "euclid4.surjectivity")
+FROZEN_K8 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "benchmark", "data", "certs", "K_8.json")
+
+
+def _lazy_loaded_after(argv) -> list[list[str]]:
+    """The modules of LAZY_MODULES that a python -S child holds once it has
+    imported euclid4.cli, and again once cli.main(argv) has returned 0."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import euclid4.cli\n"
+        f"lazy = set({LAZY_MODULES!r})\n"
+        "loaded = [sorted(lazy & set(sys.modules))]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert euclid4.cli.main({argv!r}) == 0\n"
+        "loaded.append(sorted(lazy & set(sys.modules)))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(euclid4.__file__))}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_cold_table_run_loads_no_oracle_generators_or_reader(tmp_path):
+    """Neither importing euclid4.cli nor a whole reproduce-tables run loads
+    the oracle, the generators or the certificate reader."""
+    argv = ["reproduce-tables", "--out", str(tmp_path), "--jobs", "1"]
+    assert _lazy_loaded_after(argv) == [[], []]
+    assert (tmp_path / "summary.json").exists()
+
+
+def test_verify_with_the_oracle_loads_no_generators():
+    """verify --oracle loads the reader and the oracle, and not the
+    generators."""
+    loaded = _lazy_loaded_after(["verify", FROZEN_K8, "--oracle"])
+    assert loaded == [[], ["euclid4.certs", "euclid4.surjectivity"]]
 
 
 @pytest.fixture(scope="module")

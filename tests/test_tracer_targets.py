@@ -2,11 +2,14 @@
 
 Tracer.install skips a (module, name) target the package no longer defines,
 so a renamed or deleted function would leave its per-layer metrics reading 0
-without any error.  The tracer is loaded from its file; one test installs
-it and removes it again, and none runs a workload."""
+without any error.  The names admissible and the package serve on first use
+(admissible._LAZY) must resolve to the defining module's object and be
+wrapped where they are served.  The tracer is loaded from its file; two
+tests install it and remove it again, and none runs a workload."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,54 @@ def test_prime_loading_runs_under_the_traced_layer():
         t.uninstall()
     assert certs.degree_one_primes_above is original
     assert admissible.degree_one_primes_above is original
+
+
+LAZY = [(module, name) for module in ("euclid4", "euclid4.admissible")
+        for name in admissible._LAZY]
+
+
+@pytest.mark.parametrize("module_name, name", LAZY, ids=[f"{m}.{n}" for m, n in LAZY])
+def test_lazy_name_is_the_defining_modules_object(monkeypatch, module_name, name):
+    """A name served on first use is the very object its defining module
+    binds, and is then bound in the serving module.  The binding an earlier
+    access left is removed first, so that __getattr__ runs."""
+    module = importlib.import_module(module_name)
+    monkeypatch.delitem(vars(module), name, raising=False)
+    value = getattr(module, name)
+    defining = importlib.import_module(f"euclid4.{admissible._LAZY[name]}")
+    assert value is vars(defining)[name]
+    assert vars(module)[name] is value
+
+
+@pytest.mark.parametrize("module_name", ["euclid4", "euclid4.admissible"])
+def test_unknown_name_imports_nothing(module_name, monkeypatch):
+    """Any other name is an AttributeError at once, with no import tried."""
+    module = importlib.import_module(module_name)
+
+    def refuse(name, package=None):
+        raise AssertionError(f"import of {name} tried")
+
+    monkeypatch.setattr(importlib, "import_module", refuse)
+    before = set(sys.modules)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+    assert set(sys.modules) == before
+
+
+def test_tracer_wraps_the_lazy_names(monkeypatch):
+    """Install binds the lazily served targets, when not yet accessed, and
+    wraps them at their old addresses; uninstall restores them."""
+    targets = [(admissible, "find_prime_element"), (admissible, "brute_force_surjectivity"),
+               (certs, "certificate_to_json")]
+    originals = [getattr(module, name) for module, name in targets]
+    for module, name in targets[:2]:
+        monkeypatch.delitem(vars(module), name)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for (module, name), original in zip(targets, originals):
+            wrapper = getattr(module, name)
+            assert wrapper is not original and wrapper.__wrapped__ is original
+    finally:
+        t.uninstall()
+    assert [getattr(module, name) for module, name in targets] == originals

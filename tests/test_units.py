@@ -6,9 +6,10 @@ import pytest
 
 from euclid4 import linalg, units
 from euclid4.errors import Euclid4Error, NotAUnit
-from euclid4.elements import NFElement, _value, inverse_unit, norm, norm_solutions, one, sqrt_radicand
+from euclid4.elements import NFElement, _value, inverse_unit, norm, one, sqrt_radicand
 from euclid4.intmath import factorize, is_squarefree
 from euclid4.fields import build_biquadratic, build_cyclic_quartic
+from euclid4.generators import norm_solutions
 from euclid4.intmath import continued_fraction_fundamental_unit
 from euclid4.units import (
     Provenance,
