@@ -2,7 +2,8 @@
 
 Verification never trusts stored orders: the field is rebuilt from its
 defining data (once per process, as the builders are memoized) and its
-descriptor compared in full, the units and primes are re-validated, and all
+descriptor compared in full with the one the writer renders once per field
+(certtext._field_block), the units and primes are re-validated, and all
 five conditions are recomputed from scratch.  A stored prime is checked
 from its own roots: the images of x and y under its stored map are a root
 pair of the field's tower, the four primes above p are built from that
@@ -28,13 +29,14 @@ from .certtext import (
     _UNIT_KEYS,
     CONCLUSION,
     SCHEMA_VERSION,
+    _field_block,
 )
 # The writer's public names, re-exported: the benchmark traces
 # certs.certificate_to_json.
 from .certtext import certificate_to_dict, certificate_to_json, units_to_dict  # noqa: F401
 from .elements import NFElement
 from .errors import CapExceeded, ConditionFailed, Euclid4Error, OracleMismatch, SchemaError
-from .fields import FieldSpec, build_from_descriptor, field_descriptor, registry_label
+from .fields import FieldSpec, build_from_descriptor, registry_label
 from .intmath import MAX_CF_BITS
 from .residues import MAX_CERT_PRIME, DegreeOnePrime, degree_one_primes_above
 from .units import Provenance, UnitData, verify_unit_data
@@ -135,10 +137,11 @@ def parse_certificate(doc: dict) -> tuple[AdmissibleCertificate, str | None]:
     """Validate a certificate document and re-verify everything it claims.
 
     Raises SchemaError for structural problems, ConditionFailed(n) when a
-    recomputed condition or stored order disagrees.  The field descriptor's
-    shape is checked before the field is built, and only a ValueError or a
-    package error from the build is a SchemaError: any other exception is a
-    fault of the program, and passes through.
+    recomputed condition or stored order disagrees; gcds must be a list of
+    two JSON booleans, and [true, false] is ConditionFailed(2).  The field
+    descriptor's shape is checked before the field is built, and only a
+    ValueError or a package error from the build is a SchemaError: any
+    other exception is a fault of the program, and passes through.
     """
     _object(doc, "certificate", _KEYS, frozenset({"label"}))
     if doc["version"] != SCHEMA_VERSION:
@@ -159,7 +162,7 @@ def parse_certificate(doc: dict) -> tuple[AdmissibleCertificate, str | None]:
         spec = build_from_descriptor(fdesc)
     except (ValueError, Euclid4Error) as exc:
         raise SchemaError(f"field rebuild failed: {exc}") from exc
-    if field_descriptor(spec) != fdesc:
+    if _field_block(spec)[0] != fdesc:
         raise SchemaError("field descriptor does not match the rebuilt field")
     # a label, the one value not re-derived below, must name this field's row
     if "label" in doc and doc["label"] != registry_label(spec):
@@ -193,7 +196,8 @@ def parse_certificate(doc: dict) -> tuple[AdmissibleCertificate, str | None]:
         if _as_int(stored_orders[key], key) != value:
             raise ConditionFailed(cond, f"stored {key} disagrees with recomputed {value}")
     gcds = doc["gcds"]
-    if not isinstance(gcds, list):
+    # 1 == True in Python, so the type of each flag is checked first
+    if not (isinstance(gcds, list) and len(gcds) == 2 and all(type(v) is bool for v in gcds)):
         raise SchemaError("gcds must be a list of two booleans")
     if gcds != [True, True]:
         raise ConditionFailed(2, "stored gcd flags are not both true")

@@ -6,14 +6,21 @@ indent=2, sort_keys=True) writes.  The key sets below are the schema: the
 reader (certs) refuses any key the writer does not emit.  This module is
 all that `reproduce-tables` and `search` load of the certificate code;
 certs, which re-verifies a certificate, loads on `verify`.
+
+The layout is fixed, so certificate_to_json fills one template with decimal
+strings and the field block.  The field block is rendered once per field
+(_field_block, which the reader's descriptor check shares); its dict never
+leaves this module, and field_descriptor and certificate_to_dict return
+fresh dicts.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .admissible import AdmissibleCertificate
-from .fields import field_descriptor
+from .fields import FieldSpec, field_descriptor
 from .residues import DegreeOnePrime
 from .units import UnitData
 
@@ -115,7 +122,88 @@ def _dump(node, pad: str) -> str:
     return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + closing
 
 
+@lru_cache(maxsize=128)
+def _field_block(spec: FieldSpec) -> tuple[dict, str]:
+    """The field's descriptor and its text at a certificate's indentation,
+    memoized in an LRU of 128 like the builders' and units.unit_data's.
+    The dict is the reader's to compare with and no one's to change."""
+    desc = field_descriptor(spec)
+    return desc, _dump(desc, "  ")
+
+
+# The text of certificate_to_dict(cert, label) with its keys sorted; a %s
+# slot takes a decimal string, a quoted string, the field block or the
+# label line.
+_PRIME = """{
+    "basis_images": [
+      "%s",
+      "%s",
+      "%s",
+      "%s"
+    ],
+    "conjugate_index": "%s",
+    "lifted_c": "%s",
+    "p": "%s",
+    "root_c": "%s"
+  }"""
+_CERTIFICATE = """{
+  "P1": %s,
+  "P2": %s,
+  "conclusion": %s,
+  "field": %s,
+  "gcds": [
+    true,
+    true
+  ],%s
+  "orders": {
+    "ord_eps_P1": "%s",
+    "ord_eps_P2": "%s",
+    "ord_eta_P1": "%s"
+  },
+  "units": {
+    "epsilon_coords": [
+      "%s",
+      "%s",
+      "%s",
+      "%s"
+    ],
+    "eta_coords": [
+      "%s",
+      "%s",
+      "%s",
+      "%s"
+    ],
+    "g": "%s",
+    "provenance": %s
+  },
+  "version": %s
+}
+"""
+_QUOTED_CONCLUSION = _quote(CONCLUSION)
+_QUOTED_VERSION = _quote(SCHEMA_VERSION)
+
+
+def _prime_text(P: DegreeOnePrime) -> str:
+    return _PRIME % (*P.basis_images, P.conjugate_index, P.lifted_c, P.p, P.lifted_c % P.p)
+
+
 def certificate_to_json(cert: AdmissibleCertificate, label: str | None = None) -> str:
     """The certificate text: byte for byte json.dumps(certificate_to_dict(
-    cert, label), indent=2, sort_keys=True) + "\\n"."""
-    return _dump(certificate_to_dict(cert, label), "") + "\n"
+    cert, label), indent=2, sort_keys=True) + "\\n".  A label that is not a
+    str raises TypeError."""
+    units = cert.units
+    return _CERTIFICATE % (
+        _prime_text(cert.P1),
+        _prime_text(cert.P2),
+        _QUOTED_CONCLUSION,
+        _field_block(cert.spec)[1],
+        "" if label is None else '\n  "label": ' + _quote(label) + ",",
+        cert.ord_eps_P1,
+        cert.ord_eps_P2,
+        cert.ord_eta_P1,
+        *map(_decimal, units.epsilon.coords),
+        *map(_decimal, units.eta.coords),
+        units.g,
+        _quote(units.provenance.value),
+        _QUOTED_VERSION,
+    )

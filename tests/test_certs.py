@@ -16,10 +16,10 @@ from euclid4.certs import (
     parse_certificate,
     verify_certificate_json,
 )
-from euclid4.certtext import _dump, _prime_dict
+from euclid4.certtext import _dump, _field_block, _prime_dict
 from euclid4.elements import from_power_coords, inverse_unit
 from euclid4.errors import ConditionFailed, Euclid4Error, OracleMismatch, Ramified, SchemaError
-from euclid4.fields import build_biquadratic, build_from_descriptor
+from euclid4.fields import build_biquadratic, build_from_descriptor, field_descriptor
 from euclid4.intmath import is_squarefree
 from euclid4.residues import degree_one_primes_above
 from euclid4.units import unit_data
@@ -148,6 +148,24 @@ def test_verify_with_oracle_on_frozen_certificates():
     assert checked.count(False) == 0
 
 
+def test_field_memo_is_never_handed_out():
+    """The writer and the reader share one rendering per field; changing the
+    descriptors that field_descriptor and certificate_to_dict return
+    changes neither what is written next nor what verifies."""
+    text = (FROZEN_CERTS / "K_1.json").read_text()
+    cert, label = parse_certificate(json.loads(text))
+    assert certificate_to_json(cert, label) == text
+    for desc in (field_descriptor(cert.spec), certificate_to_dict(cert, label)["field"]):
+        desc["basis"][1][0] = "1/3"
+        desc["minpoly"].append("1")
+    assert certificate_to_json(cert, label) == text
+    assert verify_certificate_json(text)["label"] == "K_1"
+    doc = json.loads(text)
+    doc["field"]["minpoly"].append("1")
+    with pytest.raises(SchemaError, match="descriptor does not match"):
+        verify_certificate_json(json.dumps(doc))
+
+
 def test_memoized_field_still_checks_the_descriptor():
     """Once K_1 has verified, its field is held by the builders' memo; a
     copy with one basis entry changed, or naming another field's (m, n),
@@ -252,6 +270,9 @@ MALFORMED = {
     "units-not-an-object": lambda doc: doc.update(units=5),
     "P1-not-an-object": lambda doc: doc.update(P1=7),
     "gcds-not-a-list": lambda doc: doc.update(gcds=1),
+    # 1 == 1.0 == True in Python, but the flags are JSON booleans
+    "gcds-ints": lambda doc: doc.update(gcds=[1, 1]),
+    "gcds-float": lambda doc: doc.update(gcds=[1.0, True]),
     "large-prime-radicands": lambda doc: doc["field"].update(m="-1000000007", n="1000000009"),
     "radicand-above-cap": lambda doc: doc["field"].update(m="-1", n=str(10 ** 12 + 39)),
     # a strong pseudoprime to the first twelve prime bases, and a large
@@ -387,6 +408,21 @@ def test_writer_matches_json_dumps_on_awkward_labels(k8_cert, label):
     assert certificate_to_json(k8_cert, label) == reference_text(certificate_to_dict(k8_cert, label))
 
 
+def test_field_block_matches_json_dumps(construction_specs):
+    """The memoized field block of the 274 construction fields, both kinds,
+    is the "field" value as json.dumps writes it inside a certificate."""
+    assert {spec.kind for spec in construction_specs} == {"biquadratic", "cyclic"}
+    for spec in construction_specs:
+        expected = json.dumps({"field": field_descriptor(spec)}, indent=2, sort_keys=True)
+        assert '{\n  "field": ' + _field_block(spec)[1] + "\n}" == expected, spec.name()
+
+
+@pytest.mark.parametrize("label", [3, 8.0, b"K_8", True, ["K_8"]])
+def test_writer_refuses_a_label_that_is_not_a_string(k8_cert, label):
+    with pytest.raises(TypeError):
+        certificate_to_json(k8_cert, label)
+
+
 @pytest.mark.parametrize("doc", [3, None, ["1", 2], {"a": None}, {"a": ["b", {"c": 0}]},
                                  ("1", "2"), {1: "a"}])
 def test_writer_refuses_other_types(doc):
@@ -456,6 +492,11 @@ def test_long_unit_coordinates_round_trip(long_unit_cert):
     parsed, _ = parse_certificate(json.loads(text))
     assert parsed.units == long_unit_cert.units
     assert verify_certificate_json(text)["pair"] == long_unit_cert.pair
+
+
+def test_writer_matches_json_dumps_on_long_unit_coordinates(long_unit_cert):
+    """The 4,740-digit coordinate is written _CHUNK digits at a time."""
+    assert certificate_to_json(long_unit_cert) == reference_text(certificate_to_dict(long_unit_cert))
 
 
 @pytest.mark.parametrize("form", ["underscore", "sign-and-spaces", "arabic-indic-digits",
