@@ -214,7 +214,9 @@ def verify_certificate_json(text: str, oracle: bool = False) -> dict:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal past the interpreter's digit
+        # limit, or nesting deeper than the decoder's recursion limit
         raise SchemaError(f"not valid JSON: {exc}") from exc
     cert, label = parse_certificate(doc)
     report = {

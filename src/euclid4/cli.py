@@ -1,7 +1,8 @@
 """Command-line interface: field inspection, pair search, certificate
 verification, and the full table-reproduction run.
 
-Exit codes: 0 success, 1 verification/search failure, 2 usage error.
+Exit codes: 0 success, 1 verification/search failure, 2 usage error,
+among them an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -285,7 +286,10 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "reproduce-tables":
             return cmd_reproduce_tables(args)
-    except (UnknownLabel, CapExceeded) as exc:
+    except (UnknownLabel, CapExceeded, OSError) as exc:
+        # cmd_verify reports the certificates it cannot read itself, so an
+        # OSError here comes from writing output: an --out or --emit path
+        # that is a file or lies below one, or an unwritable directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser.error("unknown command")

@@ -12,8 +12,8 @@ it is the classical one (K. S. Williams, Integers of biquadratic fields,
 Canad. Math. Bull. 13 (1970)): the products of subsets of
 {w_m, w_n, w_k}, with w_r = (1 + sqrt(r))/2 for r = 1 (mod 4) and sqrt(r)
 otherwise, and (sqrt(a) + sqrt(b))/2 when two radicands a, b are 2 (mod 4).
-For the supported cyclic conductors the span of the Gauss periods (the power
-basis for conductor 16) is already maximal.  The generators are reduced to a
+For a prime cyclic conductor it is the span of the four Gauss periods, and
+for conductor 16 the power basis.  The generators are reduced to a
 Hermite normal form, and maximality is certified, not assumed: the basis
 must be closed under multiplication and its discriminant, the determinant of
 the trace form Tr(b_i b_j) read off the multiplication table (Cohen, A Course
@@ -23,14 +23,15 @@ certified totally imaginary from its tower Q(x, y): y^2 is negative at both
 real values of x = sqrt(d).  Every check raises a typed error, so none is
 lost under python -O.
 
-Each field is built in a 4-dimensional ambient Q-algebra: the basis
-1, sqrt(m), sqrt(n), sqrt(m) sqrt(n) for Q(sqrt(m), sqrt(n)), the Gauss
-periods for a prime conductor, whose products are read off the group ring of
-Z[zeta_f] once per field, and the tower 1, x, y, xy for conductor 16, whose
-periods are dependent.  Every ambient is a structure table, as is the
-power basis of theta (_power_table), and basis_mul is the one product over
-them all.  The square matrix of theta^0..theta^3 in the ambient is
-inverted once by its adjugate.
+Every field is built in one ambient Q-algebra, the tower Q<1, x, y, xy>
+with x^2 = d and y^2 = B + C x (_tower_table): B = n and C = 0 with
+x = sqrt(m) and y = sqrt(n) for Q(sqrt(m), sqrt(n)); B = -2f and C = 2a for
+a prime conductor f = a^2 + 4 b^2, with x the Gauss sum sqrt(f) and y twice
+a difference of two Gauss periods, so that every period is written in
+closed form over x and y; and B = -2, C = 1 with x = sqrt(2) for conductor
+16.  The power basis of theta is a structure table too (_power_table), and
+basis_mul is the one product over them all.  The square matrix of
+theta^0..theta^3 in the ambient is inverted once by its adjugate.
 
 Construction is integer arithmetic.  A rational vector is carried as
 (nums, den), integer numerators over one positive denominator, from the
@@ -52,7 +53,7 @@ every call, as lru_cache keeps no exception.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import attrgetter
 
 from .errors import (
@@ -409,33 +410,36 @@ def _adjugate_det(rows):
     return adj, sum(a * r[0] for a, r in zip(adj[0], rows))
 
 
-def _power_basis(one, theta, table):
-    """Minimal polynomial of theta and the map to power coordinates, from
-    theta^0..theta^4 computed in a 4-dimensional ambient Q-algebra with
-    structure constants table.
+def _power_basis(theta, table):
+    """Minimal polynomial of theta = vec / s, given as (vec, s), and the map
+    to power coordinates, from the integer powers vec^0..vec^4 computed in a
+    4-dimensional ambient Q-algebra with structure constants table, whose
+    first basis element is 1.
 
     Rational vectors are (nums, den): integer numerators over one positive
-    denominator.  The columns of the square matrix T are theta^0..theta^3 in
-    ambient coordinates, inverted once: the power coordinates of v are
-    x = adj(T) v / det(T), so to_power(ints, den) returns
-    (adj(T) ints, den |det(T)|), the sign of det(T) moved into adj(T).
+    denominator.  The columns of the square matrix T are vec^0..vec^3 in
+    ambient coordinates, inverted once: as theta^k = vec^k / s^k, the k-th
+    power coordinate of v is s^k (adj(T) v)_k / det(T), so to_power(ints,
+    den) returns (adj'(T) ints, den |det(T)|), where row k of adj'(T) is
+    row k of adj(T) times s^k and the sign of det(T).
     Raises DegenerateField when det(T) = 0, that is when theta does not
     generate the ambient algebra.
     """
-    powers = [one]
+    vec, scale = theta
+    powers = [UNIT_VECTORS[0]]
     for _ in range(4):
-        powers.append(basis_mul(table, powers[-1], theta))
+        powers.append(basis_mul(table, powers[-1], vec))
     adj, det = _adjugate_det(list(zip(*powers[:4])))
     if det == 0:
         raise DegenerateField("theta does not generate the ambient algebra")
-    if det < 0:
-        adj, det = [[-a for a in row] for row in adj], -det
+    sign = 1 if det > 0 else -1
+    adj, det = [[sign * scale ** k * a for a in row] for k, row in enumerate(adj)], abs(det)
 
     def to_power(ints, den=1):
         v0, v1, v2, v3 = ints
         return tuple(a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3 for a0, a1, a2, a3 in adj), den * det
 
-    nums, den = to_power(powers[4])
+    nums, den = to_power(powers[4], scale ** 4)
     if any(c % den for c in nums):
         raise DegenerateField("theta is not integral")
     minpoly = IntPoly(tuple(-c // den for c in nums) + (1,))
@@ -496,7 +500,7 @@ def _biquadratic(m: int, n: int) -> FieldSpec:
     # the ambient Q<1, A, B, AB> with A^2 = m and B^2 = n
     table = _tower_table(m, n, 0)
     one = (1, 0, 0, 0)
-    minpoly, to_power = _power_basis(one, (0, 1, 1, 0), table)
+    minpoly, to_power = _power_basis(((0, 1, 1, 0), 1), table)
     if minpoly.coeffs != ((m - n) ** 2, 0, -2 * (m + n), 0, 1):
         raise DegenerateField(f"({m}, {n}): theta has the wrong minimal polynomial")
 
@@ -533,84 +537,50 @@ _other_biquadratic = lru_cache(maxsize=128, typed=True)(_biquadratic)
 SUPPORTED_CONDUCTORS = (5, 13, 16, 29, 37, 53, 61)
 
 
-def _primitive_root(f: int) -> int:
-    phi = f - 1
-    qs = list(factorize(phi))
-    for g in range(2, f):
-        if all(pow(g, phi // q, f) != 1 for q in qs):
-            return g
-    raise UnsupportedConductor(f"{f} has no primitive root")
-
-
-def _period_table(f: int):
-    """Structure constants of the Gauss periods eta_t = sum over h in H of
-    zeta^(g^t h), t = 0..3, for a prime conductor f, primitive root g and
-    the index-4 subgroup H of (Z/f)*: table[i][j] holds the period
-    coordinates of eta_i eta_j.
-
-    eta_0 eta_j = sum a_e zeta^e is the group-ring product, |H|^2 terms.
-    As 1 + zeta + ... + zeta^(f-1) = 0 it is sum (a_e - a_0) zeta^e over
-    the basis zeta..zeta^(f-1), so it lies in the period span iff a_e - a_0
-    is constant on every coset g^t H, and that constant is its eta_t
-    coordinate.  The difference of the two sides is checked to vanish
-    exactly, and DegenerateField is raised otherwise.  sigma: zeta ->
-    zeta^g sends eta_t to eta_(t+1), so eta_i eta_j = sigma^i(eta_0
-    eta_(j-i)) completes the table.
-    """
-    g = _primitive_root(f)
-    subgroup = [pow(g, 4 * k, f) for k in range((f - 1) // 4)]
-    cosets = [[pow(g, t, f) * h % f for h in subgroup] for t in range(4)]
-    rows = []
-    for coset in cosets:
-        a = [0] * f
-        for u in subgroup:
-            for v in coset:
-                a[(u + v) % f] += 1
-        row = [a[c[0]] - a[0] for c in cosets]
-        rest = [x - a[0] for x in a]
-        for r, c in zip(row, cosets):
-            for e in c:
-                rest[e] -= r
-        if any(rest):
-            raise DegenerateField(f"conductor {f}: a period product leaves the period span")
-        rows.append(row)
-    return [[[rows[(j - i) % 4][(k - i) % 4] for k in range(4)] for j in range(4)]
-            for i in range(4)]
+def _two_squares(f: int):
+    """(a, b) with f = a^2 + 4 b^2, b > 0 and a = 3 (mod 4), for a prime
+    f = 1 (mod 4), where the representation is unique."""
+    for b in range(1, isqrt(f // 4) + 1):
+        a = isqrt(f - 4 * b * b)
+        if a * a + 4 * b * b == f:
+            return (a if a % 4 == 3 else -a), b
 
 
 @lru_cache(maxsize=None, typed=True)
 def build_cyclic_quartic(f: int) -> FieldSpec:
-    """The imaginary cyclic quartic field inside Q(zeta_f).
+    """The imaginary cyclic quartic field inside Q(zeta_f), in the tower
+    1, x, y, xy of _tower_table.
 
-    For a prime conductor the ambient is the Gauss-period basis
-    eta_0..eta_3 of _period_table, with one = -(eta_0 + ... + eta_3),
-    theta = eta_0, sqrt(f) = eta_0 - eta_1 + eta_2 - eta_3 (the quadratic
-    Gauss sum, as f = 1 mod 4) and y = eta_0 - eta_2; the periods are the
-    generators of the basis.  The periods of conductor 16 are dependent
-    (eta_2 = -eta_0), so it works in the tower 1, x, y, xy of
-    _tower_table(2, -2, 1), x = sqrt(2) = zeta^2 + zeta^-2, with
-    theta = y = zeta - zeta^-1, whose powers generate the maximal order.
+    For a prime conductor f = a^2 + 4 b^2 (_two_squares), x = sqrt(f) is the
+    quadratic Gauss sum eta_0 - eta_1 + eta_2 - eta_3 of the Gauss periods
+    eta_t, and y = 2 (eta_0 - eta_2) has y^2 = 2a x - 2f (Berndt, Evans and
+    Williams, Gauss and Jacobi Sums, ch. 4; Hudson and Williams, Rocky
+    Mountain J. Math. 20 (1990)).  Then theta = eta_0 = (-1 + x + y)/4, the
+    periods (-1 + x +- y)/4 and (-2b - 2b x +- (a + x) y)/8b generate the
+    maximal order, and the tower's y is eta_0 - eta_2 = y/2.  For conductor
+    16, x = sqrt(2) = zeta^2 + zeta^-2 and theta = y = zeta - zeta^-1 with
+    y^2 = x - 2, whose powers generate the maximal order.
     """
     if f not in SUPPORTED_CONDUCTORS:
         raise UnsupportedConductor(f"conductor {f} is not in {SUPPORTED_CONDUCTORS}")
 
-    unit = UNIT_VECTORS
+    _, x, y, _ = UNIT_VECTORS
     if f == 16:
-        one, sqrt_vec, y, _ = unit
-        real_d, table, theta = 2, _tower_table(2, -2, 1), y
+        real_d, table, theta, y_den = 2, _tower_table(2, -2, 1), (y, 1), 1
+        generators = [(u, 1) for u in UNIT_VECTORS]
     else:
-        real_d, table, one, sqrt_vec, y = (
-            f, _period_table(f), (-1, -1, -1, -1), (1, -1, 1, -1), (1, 0, -1, 0))
-        theta = unit[0]
-    minpoly, to_power = _power_basis(one, theta, table)
-    generators = [(u, 1) for u in unit] if f == 16 else [to_power(u) for u in unit]
+        a, b = _two_squares(f)
+        real_d, table, theta, y_den = f, _tower_table(f, -2 * f, 2 * a), ((-1, 1, 1, 0), 4), 2
+        generators = [((-1, 1, s, 0), 4) for s in (1, -1)]
+        generators += [((-2 * b, -2 * b, s * a, s), 8 * b) for s in (1, -1)]
+    minpoly, to_power = _power_basis(theta, table)
 
     return _finish(
-        "cyclic", None, None, f, minpoly, generators,
+        "cyclic", None, None, f, minpoly, [to_power(*g) for g in generators],
         target=f * f * quadratic_discriminant(real_d),
         real_d=real_d,
-        sqrt_power=[(real_d, to_power(sqrt_vec))],
-        tower_y=to_power(y),
+        sqrt_power=[(real_d, to_power(x))],
+        tower_y=to_power(y, y_den),
     )
 
 

@@ -301,6 +301,22 @@ def test_malformed_certificate_is_schema_error(k8_cert, damage):
         verify_certificate_json(json.dumps(doc))
 
 
+# Text that the JSON decoder refuses with something other than a
+# JSONDecodeError.
+MALFORMED_TEXT = {
+    # the decoder recurses once per level, far past the recursion limit
+    "deep-nesting": "[" * 200_000,
+    # a JSON integer past the interpreter's 4,300-digit limit on int(str)
+    "long-integer-literal": "7" * 5000,
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_TEXT.values(), ids=MALFORMED_TEXT.keys())
+def test_malformed_text_is_schema_error(text):
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        verify_certificate_json(text)
+
+
 # The field descriptor's shape is checked before the field is built.
 MALFORMED_FIELD = {
     "field-not-an-object": lambda doc: doc.update(field=["biquadratic", "-1", "2"]),

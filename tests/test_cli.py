@@ -137,6 +137,36 @@ def test_verify_many_with_missing_file(tmp_path, capsys):
     assert err[1].startswith("verification failed for ")
 
 
+def test_verify_hostile_json_reports_every_file(tmp_path, capsys):
+    """Nesting past the recursion limit and an integer literal past the
+    digit limit each fail verification in one line, and the valid file
+    after them is still reported."""
+    deep, long_int = tmp_path / "deep.json", tmp_path / "long.json"
+    deep.write_text("[" * 200_000)
+    long_int.write_text("7" * 5000)
+    assert main(["verify", str(deep), str(long_int), str(FROZEN[0])]) == 1
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"valid certificate {FROZEN[0]} for ")
+    err = out.err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith(f"verification failed for {deep}: not valid JSON")
+    assert err[1].startswith(f"verification failed for {long_int}: not valid JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-tables", "--out", "{file}"],
+    ["search", "K_20", "--bound", "200", "--emit", "{file}/x.json"],
+])
+def test_output_path_through_a_file_is_a_usage_error(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([a.format(file=taken) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
+    assert taken.read_text() == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

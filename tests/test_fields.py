@@ -22,10 +22,10 @@ from euclid4.errors import (
 from euclid4.fields import (
     FieldSpec,
     _finish,
-    _period_table,
     _power_basis,
     _power_table,
     _tower_table,
+    _two_squares,
     _validate_spec,
     basis_mul,
     build_biquadratic,
@@ -178,7 +178,7 @@ def test_real_field_is_rejected_by_the_tower():
     # (sqrt 2 + sqrt 6)/2, through the shared build path that
     # build_biquadratic refuses to enter for two positive radicands
     one = (1, 0, 0, 0)
-    minpoly, to_power = _power_basis(one, (0, 1, 1, 0), _tower_table(2, 3, 0))
+    minpoly, to_power = _power_basis(((0, 1, 1, 0), 1), _tower_table(2, 3, 0))
     sqrt2, sqrt3 = to_power((0, 1, 0, 0)), to_power((0, 0, 1, 0))
     generators = [to_power(one), sqrt2, sqrt3, to_power((0, 0, 0, 1)), to_power((0, 1, 0, 1), 2)]
     with pytest.raises(NotImaginary):
@@ -449,9 +449,17 @@ def _cyclo_combination(coeffs, vectors):
     return [sum(c * v[e] for c, v in zip(coeffs, vectors)) for e in range(len(vectors[0]))]
 
 
-@pytest.mark.parametrize("f", [5, 13, 29, 37, 53, 61])
-def test_period_table_matches_products_in_the_cyclotomic_field(f):
-    # the periods, the Gauss sum and the products taken directly in Z[zeta_f]
+# f = a^2 + 4 b^2 with b > 0 and a = 3 (mod 4), for each prime conductor
+TWO_SQUARES = {5: (-1, 1), 13: (3, 1), 29: (-5, 1), 37: (-1, 3), 53: (7, 1), 61: (-5, 3)}
+
+
+@pytest.mark.parametrize("f", sorted(TWO_SQUARES))
+def test_prime_conductor_tower_matches_products_in_the_cyclotomic_field(f):
+    # the closed form that build_cyclic_quartic builds, checked in Z[zeta_f]:
+    # with x the Gauss sum and y = 2 (eta_0 - eta_2), y^2 = 2a x - 2f, and
+    # the periods are (-1 + x +- y)/4 and (-2b - 2b x +- (a + x) y)/8b
+    a, b = TWO_SQUARES[f]
+    assert _two_squares(f) == (a, b)
     g = next(g for g in range(2, f) if len({pow(g, k, f) for k in range(f - 1)}) == f - 1)
     subgroup = {pow(g, 4 * k, f) for k in range((f - 1) // 4)}
     periods = []
@@ -460,17 +468,25 @@ def test_period_table_matches_products_in_the_cyclotomic_field(f):
         for h in subgroup:
             vec[pow(g, t, f) * h % f] += 1
         periods.append(_cyclo_reduce(vec, f))
-    table = _period_table(f)
-    for i in range(4):
-        for j in range(4):
-            assert _cyclo_mul(periods[i], periods[j], f) == _cyclo_combination(
-                table[i][j], periods), (f, i, j)
     one = _cyclo_reduce([1] + [0] * (f - 1), f)
-    assert _cyclo_combination((-1, -1, -1, -1), periods) == one
-    residues = {a * a % f for a in range(1, f)}
-    gauss_sum = _cyclo_reduce([0] + [1 if a in residues else -1 for a in range(1, f)], f)
-    assert _cyclo_combination((1, -1, 1, -1), periods) == gauss_sum
-    assert _cyclo_mul(gauss_sum, gauss_sum, f) == _cyclo_combination([f], [one])
+    residues = {r * r % f for r in range(1, f)}
+    x = _cyclo_reduce([0] + [1 if r in residues else -1 for r in range(1, f)], f)
+    y = _cyclo_combination((2, -2), [periods[0], periods[2]])
+    assert _cyclo_mul(x, x, f) == _cyclo_combination([f], [one])
+    assert _cyclo_mul(y, y, f) == _cyclo_combination((2 * a, -2 * f), [x, one])
+
+    def scaled(k, *pair):
+        return sorted(_cyclo_combination([k], [p]) for p in pair)
+
+    basis = [one, x, y, _cyclo_mul(x, y, f)]
+    assert scaled(4, periods[0], periods[2]) == sorted(
+        _cyclo_combination((-1, 1, s, 0), basis) for s in (1, -1))
+    assert scaled(8 * b, periods[1], periods[3]) == sorted(
+        _cyclo_combination((-2 * b, -2 * b, s * a, s), basis) for s in (1, -1))
+    # the spec's tower element is eta_0 - eta_2 = y/2, whose square is
+    # (-f + a x)/2
+    d, e, be, ce, _, _ = build_cyclic_quartic(f).tower
+    assert (d, Fraction(be, e), Fraction(ce, e)) == (f, Fraction(-f, 2), Fraction(a, 2))
 
 
 def test_conductor_16_tower_matches_products_in_the_cyclotomic_field():
@@ -537,11 +553,3 @@ def test_tower_table_is_the_biquadratic_product(m, n):
             assert list(table[i][j]) == _biquadratic_product(unit[i], unit[j], m, n), (i, j)
     u, v = (3, -1, 4, 1), (-5, 9, 2, -6)
     assert basis_mul(table, u, v) == _biquadratic_product(u, v, m, n)
-
-
-def test_period_product_outside_the_period_span_is_degenerate(monkeypatch):
-    # 3 has order 3 modulo 13, so its "periods" all equal zeta + zeta^3 +
-    # zeta^9, whose square has a zeta^2 term outside their span
-    monkeypatch.setattr(fields, "_primitive_root", lambda f: 3)
-    with pytest.raises(DegenerateField, match="period span"):
-        _period_table(13)
