@@ -20,7 +20,7 @@ class NotImaginary(Euclid4Error):
 
 
 class UnsupportedConductor(Euclid4Error):
-    """Conductor outside the supported class-number-one list."""
+    """Cyclic conductor that is neither 16 nor a prime = 5 (mod 8)."""
 
 
 class FieldMismatch(Euclid4Error):

@@ -1,8 +1,7 @@
 """Construction of the imaginary Galois quartic fields.
 
 Two families are supported: imaginary biquadratic fields Q(sqrt(m), sqrt(n))
-and the class-number-one imaginary cyclic quartic fields of conductor
-5, 13, 16, 29, 37, 53 or 61.
+and imaginary cyclic quartic fields of conductor 16 or a prime = 5 (mod 8).
 
 A field is represented by a monic quartic defining polynomial for a primitive
 integral generator theta together with an exact integral basis written over
@@ -40,19 +39,19 @@ form.  The stored integral basis is (D, M) too: the integer matrix M over
 its least common denominator D, which the field descriptor renders as
 reduced fractions.
 
-Both builders are memoized (functools.lru_cache), so a field is built and
-certified once per process: the registry, a certificate's descriptor and
-every other caller of build_biquadratic(m, n) or build_cyclic_quartic(f)
-share one FieldSpec.  The registry's fields are never evicted; other
-biquadratic fields share an LRU of 128.  What a spec caches is therefore
-held in tuples, not lists.  The memo is keyed by argument type too, so
--1.0 is still refused after -1 has built, and a refused input raises on
-every call, as lru_cache keeps no exception.
+Both builders share one memo (_memoized), so a field is built and certified
+once per process: the registry, a certificate's descriptor and every other
+caller of build_biquadratic(m, n) or build_cyclic_quartic(f) share one
+FieldSpec, and what a spec caches is held in tuples, not lists.  The
+registry's fields are never evicted, and any other goes into an LRU of 128.
+The memo is keyed by argument type too, so -1.0 is still refused after -1
+has built, and a refused input raises on every call, as lru_cache keeps no
+exception.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import gcd, isqrt, lcm
 from operator import attrgetter
 
@@ -63,7 +62,7 @@ from .errors import (
     UnknownLabel,
     UnsupportedConductor,
 )
-from .intmath import IntPoly, Record, factorize, is_squarefree, legendre
+from .intmath import IntPoly, Record, is_prime, is_squarefree, legendre
 from .linalg import adjugate_int, det_int, hnf_rows
 
 # Radicands are tested for squarefreeness by trial division, which takes
@@ -264,11 +263,8 @@ class FieldSpec:
         x^2 = d and e y^2 = Be + Ce x with integers e > 0, Be, Ce, where e is
         the least one that clears the denominators.  The rows of S are the
         integral-basis coordinates of 1, x, y, xy (tower_rows) and D = det S,
-        so the basis is adj(S) (1, x, y, xy) / D.  Every odd prime dividing
-        e D is certified to be ramified or not to split completely, so e and
-        D are units modulo every odd completely split prime.  Raises
-        DegenerateField when y^2 is not in Q(x), when D = 0, or when that
-        certificate fails.
+        so the basis is adj(S) (1, x, y, xy) / D.  Raises DegenerateField
+        when y^2 is not in Q(x) or when D = 0.
         """
         d = self.real_subfield_d
         rows = self.tower_rows
@@ -284,12 +280,6 @@ class FieldSpec:
         adj, det = _adjugate_det(rows)
         if det == 0:
             raise DegenerateField(f"{self.name()}: 1, x, y, xy are linearly dependent")
-        rest = abs(e * det)
-        while (g := gcd(rest, 2 * self.discriminant)) > 1:
-            rest //= g
-        if any(splits_completely(self, q) for q in factorize(rest)):
-            raise DegenerateField(f"{self.name()}: e det(S) = {e * det} is divisible "
-                                  "by a completely split prime")
         return d, e, be, ce, det, adj
 
     @cached_property
@@ -420,8 +410,8 @@ def _power_basis(theta, table):
     denominator.  The columns of the square matrix T are vec^0..vec^3 in
     ambient coordinates, inverted once: as theta^k = vec^k / s^k, the k-th
     power coordinate of v is s^k (adj(T) v)_k / det(T), so to_power(ints,
-    den) returns (adj'(T) ints, den |det(T)|), where row k of adj'(T) is
-    row k of adj(T) times s^k and the sign of det(T).
+    den) returns (adj'(T) ints, den |det(T)|) in lowest terms, where row k
+    of adj'(T) is row k of adj(T) times s^k and the sign of det(T).
     Raises DegenerateField when det(T) = 0, that is when theta does not
     generate the ambient algebra.
     """
@@ -437,7 +427,9 @@ def _power_basis(theta, table):
 
     def to_power(ints, den=1):
         v0, v1, v2, v3 = ints
-        return tuple(a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3 for a0, a1, a2, a3 in adj), den * det
+        nums = [a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3 for a0, a1, a2, a3 in adj]
+        g = gcd(den * det, *nums)
+        return tuple(x // g for x in nums), den * det // g
 
     nums, den = to_power(powers[4], scale ** 4)
     if any(c % den for c in nums):
@@ -470,17 +462,23 @@ def _finish(kind, m, n, conductor, minpoly, generators, target, real_d, sqrt_pow
 # biquadratic construction
 
 
+def _memoized(build):
+    """The builders' one memo: a registry row's arguments (_REGISTRY_ARGS)
+    are kept for the process and any others in an LRU of 128, so no number
+    of other builds evicts a registry field; __wrapped__ is the raw build."""
+    pinned = lru_cache(maxsize=None, typed=True)(build)
+    other = lru_cache(maxsize=128, typed=True)(build)
+
+    @wraps(build)
+    def memo(*args):
+        return (pinned if args in _REGISTRY_ARGS else other)(*args)
+
+    return memo
+
+
+@_memoized
 def build_biquadratic(m: int, n: int) -> FieldSpec:
-    """The imaginary biquadratic field Q(sqrt(m), sqrt(n)), theta = sqrt(m)+sqrt(n).
-
-    A registry row's field is kept for the life of the process and any other
-    field in an LRU of 128, so no number of other builds evicts a registry
-    field."""
-    memo = _pinned_biquadratic if (m, n) in _REGISTRY_RADICANDS else _other_biquadratic
-    return memo(m, n)
-
-
-def _biquadratic(m: int, n: int) -> FieldSpec:
+    """The imaginary biquadratic field Q(sqrt(m), sqrt(n)), theta = sqrt(m)+sqrt(n)."""
     if max(abs(m), abs(n)) > MAX_RADICAND:
         raise CapExceeded(f"({m}, {n}): radicands above {MAX_RADICAND} are not supported")
     if m in (0, 1) or n in (0, 1) or not (is_squarefree(m) and is_squarefree(n)):
@@ -527,14 +525,8 @@ def _biquadratic(m: int, n: int) -> FieldSpec:
     )
 
 
-_pinned_biquadratic = lru_cache(maxsize=None, typed=True)(_biquadratic)
-_other_biquadratic = lru_cache(maxsize=128, typed=True)(_biquadratic)
-
-
 # ---------------------------------------------------------------------------
 # cyclic quartic construction
-
-SUPPORTED_CONDUCTORS = (5, 13, 16, 29, 37, 53, 61)
 
 
 def _two_squares(f: int):
@@ -546,10 +538,12 @@ def _two_squares(f: int):
             return (a if a % 4 == 3 else -a), b
 
 
-@lru_cache(maxsize=None, typed=True)
+@_memoized
 def build_cyclic_quartic(f: int) -> FieldSpec:
     """The imaginary cyclic quartic field inside Q(zeta_f), in the tower
-    1, x, y, xy of _tower_table.
+    1, x, y, xy of _tower_table; any f but 16 and the primes = 5 (mod 8) is
+    UnsupportedConductor (f = 1 (mod 8) gives a real field), and a prime
+    above MAX_CERT_PRIME is CapExceeded.
 
     For a prime conductor f = a^2 + 4 b^2 (_two_squares), x = sqrt(f) is the
     quadratic Gauss sum eta_0 - eta_1 + eta_2 - eta_3 of the Gauss periods
@@ -561,8 +555,8 @@ def build_cyclic_quartic(f: int) -> FieldSpec:
     16, x = sqrt(2) = zeta^2 + zeta^-2 and theta = y = zeta - zeta^-1 with
     y^2 = x - 2, whose powers generate the maximal order.
     """
-    if f not in SUPPORTED_CONDUCTORS:
-        raise UnsupportedConductor(f"conductor {f} is not in {SUPPORTED_CONDUCTORS}")
+    if f != 16 and (f % 8 != 5 or not is_prime(f)):
+        raise UnsupportedConductor(f"conductor {f} is neither 16 nor a prime = 5 (mod 8)")
 
     _, x, y, _ = UNIT_VECTORS
     if f == 16:
@@ -632,8 +626,6 @@ _BIQUADRATIC_TABLE = (
     ("K_33", -67, -163, 47, 167),
 )
 
-_REGISTRY_RADICANDS = frozenset(row[1:3] for row in _BIQUADRATIC_TABLE)
-
 _CYCLIC_TABLE = (
     ("5", 5, 11, 31),
     ("13", 13, 79, 29),
@@ -643,6 +635,9 @@ _CYCLIC_TABLE = (
     ("53", 53, 107, 89),
     ("61", 61, 47, 73),
 )
+
+# (m, n) or (f): the arguments between a row's label and its prime pair
+_REGISTRY_ARGS = frozenset(row[1:-2] for row in _BIQUADRATIC_TABLE + _CYCLIC_TABLE)
 
 
 def registry_label(spec: FieldSpec) -> str | None:

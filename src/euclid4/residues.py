@@ -6,9 +6,9 @@ a tower of two square roots, K = Q(x, y) with x = sqrt(d) real and
 e y^2 = Be + Ce x (FieldSpec.tower), so at an odd prime that splits
 completely each map O -> Z/p^2 is fixed by a square root s of d and a square
 root t of (Be + Ce s) / e modulo p^2 (Tonelli-Shanks and a Newton lift), two
-signs each.  The integral basis is adj(S) (1, x, y, xy) / D with e and D
-coprime to every such p, so the same two square roots serve whether or not p
-divides the index of theta.  degree_one_primes_above is the one evaluator.
+signs each.  The integral basis is adj(S) (1, x, y, xy) / D, so the same two
+square roots serve whether or not p divides the index of theta, once p is
+prime to e D.  degree_one_primes_above is the one evaluator.
 A map a certificate stores carries its own root pair, the images of x and
 y, so a stored prime is checked with no square root taken in a biquadratic
 field (Ce = 0) and one in a cyclic field.
@@ -64,10 +64,13 @@ class DegreeOnePrime(Record):
 
 
 def split_primes(spec: FieldSpec, bound: int):
-    """The odd unramified primes up to bound that split completely, ascending,
-    read off the shared sieve; a bound above MAX_CERT_PRIME is CapExceeded."""
+    """The odd primes up to bound that split completely, ascending, read off
+    the shared sieve, except those dividing the discriminant or e D of
+    FieldSpec.tower, whose residue maps degree_one_primes_above cannot give;
+    a bound above MAX_CERT_PRIME is CapExceeded."""
+    bad = spec.discriminant * spec.tower[1] * spec.tower[4]
     odd = compress(range(1, bound + 1, 2), odd_primes(bound))
-    return (p for p in odd if spec.discriminant % p and splits_completely(spec, p))
+    return (p for p in odd if bad % p and splits_completely(spec, p))
 
 
 def degree_one_primes_above(spec: FieldSpec, p: int,
@@ -89,8 +92,9 @@ def degree_one_primes_above(spec: FieldSpec, p: int,
     for both signs of t.  The primes are numbered in the order of (theta
     image mod p, basis images), which is the ascending order of the roots
     of theta's minimal polynomial mod p whenever those are distinct.
-    Raises ValueError unless p is an odd prime and Ramified when it divides
-    the field discriminant.
+    Raises ValueError unless p is an odd prime, Ramified when it divides
+    the field discriminant, and ValueError when it splits completely and
+    divides e D (split_primes skips such a p).
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")

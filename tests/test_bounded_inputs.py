@@ -1,6 +1,6 @@
-"""Every public entry on a random bounded biquadratic input returns or
-raises a typed error, inside a per-example time budget that SIGALRM enforces
-in this process (no thread or process per example)."""
+"""Every public entry on a random bounded biquadratic or cyclic input
+returns or raises a typed error, inside a per-example time budget that
+SIGALRM enforces in this process (no thread or process per example)."""
 
 import json
 import signal
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from euclid4.admissible import find_prime_element, search_pair
 from euclid4.certs import certificate_to_json, verify_certificate_json
 from euclid4.errors import Euclid4Error, SchemaError
-from euclid4.fields import build_biquadratic
-from euclid4.intmath import is_squarefree
+from euclid4.fields import build_biquadratic, build_cyclic_quartic
+from euclid4.intmath import is_prime, is_squarefree
 from euclid4.residues import degree_one_primes_above, split_primes
 from euclid4.units import unit_data
 
@@ -22,6 +22,9 @@ radicands = st.integers(-10 ** 4, 10 ** 4).filter(lambda r: r not in (0, 1) and 
 # one radicand negative and the two distinct, so that most examples get past
 # the build; hypothesis would otherwise repeat a value as often as not
 pairs = st.tuples(radicands.filter(lambda r: r < 0), radicands).filter(lambda p: p[0] != p[1])
+# the prime conductors of imaginary cyclic quartic fields below 10^5, drawn
+# from a list: a filter would refuse about 49 integers in 50
+conductors = st.sampled_from([f for f in range(5, 10 ** 5, 8) if is_prime(f)])
 
 
 def _overrun(signum, frame):
@@ -36,8 +39,8 @@ def _typed(call, *args):
         return None
 
 
-def _entries(m, n):
-    spec = _typed(build_biquadratic, m, n)
+def _entries(build, *args):
+    spec = _typed(build, *args)
     units = spec and _typed(unit_data, spec)
     if units is None:
         return
@@ -70,10 +73,20 @@ def _verify_round_trip(cert):
 # search for it did (about 1.4 s)
 @example(pair=(-853503, -495294))
 def test_bounded_inputs_return_or_raise_a_typed_error(pair):
+    _within_budget(build_biquadratic, *pair)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(f=conductors)
+def test_bounded_conductors_return_or_raise_a_typed_error(f):
+    _within_budget(build_cyclic_quartic, f)
+
+
+def _within_budget(build, *args):
     previous = signal.signal(signal.SIGALRM, _overrun)
     signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     try:
-        _entries(*pair)
+        _entries(build, *args)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

@@ -19,10 +19,15 @@ from euclid4.certs import (
 from euclid4.certtext import _dump, _field_block, _prime_dict
 from euclid4.elements import from_power_coords, inverse_unit
 from euclid4.errors import ConditionFailed, Euclid4Error, OracleMismatch, Ramified, SchemaError
-from euclid4.fields import build_biquadratic, build_from_descriptor, field_descriptor
-from euclid4.intmath import is_squarefree
+from euclid4.fields import (
+    build_biquadratic,
+    build_cyclic_quartic,
+    build_from_descriptor,
+    field_descriptor,
+)
+from euclid4.intmath import is_prime, is_squarefree
 from euclid4.residues import degree_one_primes_above
-from euclid4.units import unit_data
+from euclid4.units import unit_data, verify_unit_data
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +119,32 @@ def test_verify_without_oracle(k8_cert):
     report = verify_certificate_json(certificate_to_json(k8_cert))
     assert report["label"] is None
     assert report["oracle_checked"] is False
+
+
+def test_every_prime_conductor_below_3000_certifies():
+    """All 110 primes f = 5 (mod 8) below 3,000 build, and their unit data,
+    the certificate search_pair finds at bound 1,000 and its text verify,
+    the oracle included."""
+    conductors = [f for f in range(5, 3000, 8) if is_prime(f)]
+    assert len(conductors) == 110
+    for f in conductors:
+        spec = build_cyclic_quartic(f)
+        units = unit_data(spec)
+        assert verify_unit_data(units), f
+        cert = search_pair(spec, units, 1000)
+        report = verify_certificate_json(certificate_to_json(cert), oracle=True)
+        assert report["oracle_checked"] is True and report["pair"] == cert.pair, f
+
+
+def test_prime_dividing_the_tower_determinant_is_schema_error():
+    """For conductor 101, 5 splits completely but divides e det(S), so no
+    residue map above 5 is given, and a certificate naming it is refused."""
+    spec = build_cyclic_quartic(101)
+    doc = json.loads(certificate_to_json(search_pair(spec, unit_data(spec), 1000)))
+    parse_certificate(doc)
+    doc["P1"]["p"] = "5"
+    with pytest.raises(SchemaError, match="P1"):
+        verify_certificate_json(json.dumps(doc))
 
 
 FROZEN_CERTS = Path(__file__).resolve().parent.parent / "benchmark" / "data" / "certs"

@@ -36,7 +36,7 @@ from euclid4.fields import (
     registry,
     registry_entry,
 )
-from euclid4.intmath import is_squarefree, squarefree_part
+from euclid4.intmath import is_prime, is_squarefree, squarefree_part
 from euclid4.linalg import det_int
 
 
@@ -338,7 +338,7 @@ def test_descriptor_roundtrip(gaussian_sqrt11):
 
 def test_construction_is_deterministic():
     """A build past the memo equals the memoized one."""
-    for build, fresh_build, args in ((build_biquadratic, fields._biquadratic, (-1, 19)),
+    for build, fresh_build, args in ((build_biquadratic, build_biquadratic.__wrapped__, (-1, 19)),
                                      (build_cyclic_quartic, build_cyclic_quartic.__wrapped__, (29,))):
         fresh = fresh_build(*args)
         assert fresh is not build(*args) and fresh == build(*args)
@@ -388,6 +388,45 @@ def test_registry_fields_outlive_the_lru(entries):
     assert fields.build_from_descriptor(field_descriptor(spec)) is spec
 
 
+def test_registry_cyclic_fields_outlive_the_lru(entries):
+    """The 168 primes = 5 (mod 8) below 5,000, 162 of them outside the
+    registry and so more than the LRU of 128 keeps, do not evict a registry
+    conductor's field."""
+    spec = entries["13"].spec
+    conductors = [f for f in range(5, 5000, 8) if is_prime(f)]
+    assert len(conductors) == 168
+    for f in conductors:
+        build_cyclic_quartic(f)
+    assert build_cyclic_quartic(13) is spec
+    assert fields.build_from_descriptor(field_descriptor(spec)) is spec
+
+
+@pytest.mark.parametrize("f", [7, 17, 41, 21, 25, 1, -3])
+def test_conductor_outside_the_rule_is_unsupported(f):
+    """Only 16 and the primes = 5 (mod 8) are conductors: a prime = 1
+    (mod 8) gives a real field and a composite one another closed form."""
+    with pytest.raises(UnsupportedConductor):
+        build_cyclic_quartic(f)
+
+
+def test_conductor_above_the_sieve_cap_is_refused():
+    assert 1_000_037 % 8 == 5
+    with pytest.raises(CapExceeded):
+        build_cyclic_quartic(1_000_037)
+
+
+def test_stored_rationals_are_in_lowest_terms(entries):
+    """sqrt_power and tower_y are compared raw by FieldSpec.__eq__, so each
+    is stored as (nums, den) in lowest terms with den > 0."""
+    specs = [e.spec for e in entries.values()]
+    specs += [build_cyclic_quartic(f) for f in (101, 109, 149, 157, 181, 2909)]
+    specs += [build_biquadratic(m, n) for m, n in ((-1, 11), (-6, 10), (-5, 15), (-2, 3))]
+    for spec in specs:
+        for nums, den in [vec for _, vec in spec.sqrt_power] + [spec.tower_y]:
+            assert den > 0 and gcd(den, *nums) == 1, spec.name()
+    assert build_cyclic_quartic(13).sqrt_power == ((13, ((9, 2, 0, -2), 3)),)
+
+
 @pytest.mark.parametrize("build, args, error", [
     (build_biquadratic, (2, 3), NotImaginary),
     (build_biquadratic, (-1, 10 ** 12 + 39), CapExceeded),
@@ -395,6 +434,7 @@ def test_registry_fields_outlive_the_lru(entries):
     (build_cyclic_quartic, (7,), UnsupportedConductor),
     # keyed by type: a float radicand is refused even after the int builds
     (build_biquadratic, (-1.0, 13), TypeError),
+    (build_cyclic_quartic, (21,), UnsupportedConductor),
 ])
 def test_refused_builds_raise_on_every_call(build, args, error):
     build_biquadratic(-1, 13)

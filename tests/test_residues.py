@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from euclid4 import intmath, residues
 from euclid4.elements import NFElement, from_power_coords, one
 from euclid4.errors import CapExceeded, NotCoprime, Ramified
-from euclid4.fields import SUPPORTED_CONDUCTORS, build_biquadratic, build_cyclic_quartic
+from euclid4.fields import build_biquadratic, build_cyclic_quartic, registry
 from euclid4.intmath import (
     is_prime,
     is_squarefree,
@@ -308,7 +308,7 @@ def test_tower_determinant():
     """D = det S is -16 for the prime conductors (-48 for 37 and 61, where 3
     does not split), -1 for conductor 16, and for Q(sqrt(m), sqrt(n)) its odd
     part is that of gcd(d, r) for the radicands d of x and r of y."""
-    for f in SUPPORTED_CONDUCTORS:
+    for f in (e.spec.conductor for e in registry() if e.spec.kind == "cyclic"):
         spec = build_cyclic_quartic(f)
         assert spec.tower[4] == {16: -1, 37: -48, 61: -48}.get(f, -16), f
     radicands = [r for r in range(-20, 21) if r not in (0, 1) and is_squarefree(r)]
@@ -317,6 +317,18 @@ def test_tower_determinant():
     for m, n in pairs:
         d, e, be, ce, det, _ = build_biquadratic(m, n).tower
         assert ce == 0 and e == 1 and odd_part(det) == odd_part(math.gcd(d, be)), (m, n)
+
+
+def test_split_prime_dividing_the_tower_determinant_is_skipped():
+    """For conductor 101, e det(S) = -160 and 5 splits completely, but e and
+    D have no inverse mod 25, so split_primes skips 5 and
+    degree_one_primes_above refuses it."""
+    spec = build_cyclic_quartic(101)
+    _, e, _, _, det, _ = spec.tower
+    assert e * det == -160 and splits_completely(spec, 5)
+    assert 5 not in list(split_primes(spec, 100))
+    with pytest.raises(ValueError):
+        degree_one_primes_above(spec, 5)
 
 
 def test_conductor29_index_prime(entries):
