@@ -51,6 +51,10 @@ package is imported.  ``import_ms`` holds, for the base and the change, the
 median of ``START_SAMPLES`` cold ``python -S -c "import euclid4.cli"``
 children with the bytecode cache off, the two sides alternated: the part
 of each cold ``reproduce`` operation that the package's import costs.
+``site_import_ms`` holds the same medians for ``python -c "import
+euclid4.cli"`` children, timed in the same rounds: the import with the
+host's ``site`` hooks on, as each ``reproduce`` operation pays it (the
+hooks may preload modules that the package would otherwise import).
 
 ``--base HEAD`` on a clean working tree compares the code with itself: an
 A/A pass that shows the side bias and the host drift of the method.
@@ -126,21 +130,27 @@ def start_ms(run=subprocess.run, clock=time.perf_counter, samples=START_SAMPLES)
 
 def import_ms(checkouts: dict[str, Path], run=subprocess.run, clock=time.perf_counter,
               samples=START_SAMPLES) -> dict:
-    """Median, in ms, of cold ``python -S -c "import euclid4.cli"`` children
-    for each checkout, importing from its ``src`` with no bytecode written
-    or read; the sides take turns going first.  run and clock are
-    injectable for the tests."""
-    times: dict[str, list[float]] = {side: [] for side in checkouts}
+    """Medians, in ms, of cold ``python -S -c "import euclid4.cli"``
+    (``import_ms``) and ``python -c "import euclid4.cli"``
+    (``site_import_ms``) children for each checkout, importing from its
+    ``src`` with no bytecode written or read; in each round both children
+    run for every side, and the sides take turns going first.  run and
+    clock are injectable for the tests."""
+    children = {"import_ms": ["-S", "-c", "import euclid4.cli"],
+                "site_import_ms": ["-c", "import euclid4.cli"]}
+    times = {key: {side: [] for side in checkouts} for key in children}
     order = list(checkouts)
     for _ in range(samples):
         for side in order:
             env = {**os.environ, "PYTHONPATH": str(checkouts[side] / "src"),
                    "PYTHONDONTWRITEBYTECODE": "1"}
-            start = clock()
-            run([sys.executable, "-S", "-c", "import euclid4.cli"], check=True, env=env)
-            times[side].append((clock() - start) * 1000)
+            for key, flags in children.items():
+                start = clock()
+                run([sys.executable, *flags], check=True, env=env)
+                times[key][side].append((clock() - start) * 1000)
         order.reverse()
-    return {side: statistics.median(ms) for side, ms in times.items()}
+    return {key: {side: statistics.median(ms) for side, ms in sides.items()}
+            for key, sides in times.items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -261,7 +271,7 @@ def main(argv=None) -> int:
         "interpreter": {"version": sys.version, "numpy": numpy_version,
                         "cpu_count": os.cpu_count(),
                         "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
-                        "start_ms": interpreter_start, "import_ms": package_import},
+                        "start_ms": interpreter_start, **package_import},
         "summary": summary,
         "runs": runs,
     }

@@ -21,11 +21,11 @@ are served from here by __getattr__ (PEP 562) and then bound here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import ConditionFailed, FieldMismatch, SamePrime, SearchExhausted
 from .fields import FieldSpec
+from .intmath import Record
 from .residues import (
     MAX_CERT_PRIME,  # noqa: F401  (search_pair's cap; the tests read it here)
     DegreeOnePrime,
@@ -62,15 +62,35 @@ def __getattr__(name):
     return value
 
 
-@dataclass(frozen=True)
-class AdmissibleCertificate:
-    spec: FieldSpec
-    units: UnitData
-    P1: DegreeOnePrime
-    P2: DegreeOnePrime
-    ord_eps_P1: int
-    ord_eta_P1: int
-    ord_eps_P2: int
+class _DataclassFields:
+    """The class attribute __dataclass_fields__, built on first access by
+    dataclasses.make_dataclass from the class's __slots__ and then stored on
+    the class, so that dataclasses.replace and dataclasses.fields work on a
+    certificate while no command imports dataclasses.  It goes once ROADMAP
+    item 11 calls the constructor instead of replace in
+    benchmark/test_gate.py."""
+
+    def __get__(self, instance, cls):
+        from dataclasses import make_dataclass
+
+        fields = make_dataclass(cls.__name__, cls.__slots__).__dataclass_fields__
+        cls.__dataclass_fields__ = fields
+        return fields
+
+
+class AdmissibleCertificate(Record):
+    __slots__ = ("spec", "units", "P1", "P2", "ord_eps_P1", "ord_eta_P1", "ord_eps_P2")
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, spec: FieldSpec, units: UnitData, P1: DegreeOnePrime,
+                 P2: DegreeOnePrime, ord_eps_P1: int, ord_eta_P1: int, ord_eps_P2: int):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "P1", P1)
+        object.__setattr__(self, "P2", P2)
+        object.__setattr__(self, "ord_eps_P1", ord_eps_P1)
+        object.__setattr__(self, "ord_eta_P1", ord_eta_P1)
+        object.__setattr__(self, "ord_eps_P2", ord_eps_P2)
 
     @property
     def pair(self) -> tuple[int, int]:

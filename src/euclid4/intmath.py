@@ -162,10 +162,11 @@ def _cf_unit_search(d: int, p0: int, q0: int, targets: tuple[int, ...]):
 class Record:
     """Base of the package's records, plain classes so that no import pays
     for generated code.  The fields are the __slots__, set once in __init__
-    (_fill, or straight-line in the hot NFElement, DegreeOnePrime and
-    UnitData); equality is same-class and field by field, the hash is that
-    of the fields, and assigning or deleting raises AttributeError.  A copy
-    pickles through the constructor, as unpickling would call __setattr__."""
+    (_fill, or straight-line in the hot NFElement, DegreeOnePrime, UnitData
+    and AdmissibleCertificate); equality is same-class and field by field,
+    the hash is that of the fields, and assigning or deleting raises
+    AttributeError.  A copy pickles through the constructor, as unpickling
+    would call __setattr__."""
 
     __slots__ = ()
 

@@ -103,6 +103,8 @@ def degree_one_primes_above(spec: FieldSpec, p: int,
     if not splits_completely(spec, p):
         return []
     d, e, be, ce, det, adj = spec.tower
+    if (e * det) % p == 0:
+        raise ValueError(f"{p} splits completely but divides e D = {e * det} of the field's tower")
     p2 = p * p
     inv_det, inv_e = pow(det, -1, p2), pow(e, -1, p2)
     if root is None:

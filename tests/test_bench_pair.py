@@ -116,22 +116,26 @@ def test_start_ms_alternates_the_two_children():
 
 
 def test_import_ms_alternates_the_two_checkouts(tmp_path):
-    """import_ms times a cold, cacheless import of euclid4.cli from each
-    checkout's src with the injected clock, the sides taking turns going
-    first; no interpreter is started."""
+    """import_ms times cold, cacheless imports of euclid4.cli from each
+    checkout's src with the injected clock, without and with the site
+    hooks, the sides taking turns going first; no interpreter is started."""
     base, change = tmp_path / "base", tmp_path / "change"
-    cost = {str(base / "src"): 0.040, str(change / "src"): 0.035}
+    cost = {(str(base / "src"), "-S"): 0.040, (str(change / "src"), "-S"): 0.035,
+            (str(base / "src"), "-c"): 0.055, (str(change / "src"), "-c"): 0.045}
     now = [0.0]
     calls = []
 
     def run(argv, check, env):
-        assert check and argv[1:] == ["-S", "-c", "import euclid4.cli"]
+        assert check and argv[1:] in (["-S", "-c", "import euclid4.cli"],
+                                      ["-c", "import euclid4.cli"])
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
-        calls.append(env["PYTHONPATH"])
-        now[0] += cost[env["PYTHONPATH"]]
+        calls.append((env["PYTHONPATH"], argv[1]))
+        now[0] += cost[calls[-1]]
 
     got = bench_pair.import_ms({"base": base, "change": change}, run=run,
                                clock=lambda: now[0], samples=3)
-    assert got == pytest.approx({"base": 40.0, "change": 35.0})
+    assert got == {"import_ms": pytest.approx({"base": 40.0, "change": 35.0}),
+                   "site_import_ms": pytest.approx({"base": 55.0, "change": 45.0})}
     b, c = str(base / "src"), str(change / "src")
-    assert calls == [b, c, c, b, b, c]
+    rounds = [[b, c], [c, b], [b, c]]
+    assert calls == [(side, flag) for sides in rounds for side in sides for flag in ("-S", "-c")]

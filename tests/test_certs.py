@@ -138,12 +138,14 @@ def test_every_prime_conductor_below_3000_certifies():
 
 def test_prime_dividing_the_tower_determinant_is_schema_error():
     """For conductor 101, 5 splits completely but divides e det(S), so no
-    residue map above 5 is given, and a certificate naming it is refused."""
+    residue map above 5 is given, and a certificate naming it is refused
+    with a message that says why."""
     spec = build_cyclic_quartic(101)
     doc = json.loads(certificate_to_json(search_pair(spec, unit_data(spec), 1000)))
     parse_certificate(doc)
     doc["P1"]["p"] = "5"
-    with pytest.raises(SchemaError, match="P1"):
+    with pytest.raises(SchemaError, match=r"^P1: 5 splits completely but divides e D = -160 "
+                                          r"of the field's tower$"):
         verify_certificate_json(json.dumps(doc))
 
 

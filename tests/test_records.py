@@ -19,25 +19,43 @@ from euclid4.residues import DegreeOnePrime, degree_one_primes_above
 from euclid4.units import unit_data
 
 
-def test_cold_cli_import_loads_no_fractions_and_one_dataclass():
+def test_cold_cli_import_loads_no_fractions_or_dataclasses():
     """import euclid4.cli, without the site hooks, loads none of fractions,
-    decimal and numbers; AdmissibleCertificate is the package's one
-    dataclass."""
+    decimal and numbers, nor dataclasses and what it imports, and no class
+    of the package is a dataclass.  dataclasses.replace and
+    dataclasses.fields still work on a searched AdmissibleCertificate, whose
+    __dataclass_fields__ is built on first access."""
     code = (
         "import sys\n"
         "import euclid4.cli\n"
-        "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+        "print(sorted({'fractions', 'decimal', 'numbers', 'dataclasses', 'inspect', 'ast',\n"
+        "              'dis', 'tokenize'} & set(sys.modules)))\n"
         "print(sorted(f'{c.__module__}.{c.__qualname__}'\n"
         "             for name, mod in list(sys.modules.items()) if name.startswith('euclid4')\n"
         "             for c in vars(mod).values()\n"
-        "             if isinstance(c, type) and c.__module__ == name\n"
-        "             and '__dataclass_fields__' in vars(c)))\n"
+        "             if isinstance(c, type) and '__dataclass_params__' in vars(c)))\n"
+        "import dataclasses\n"
+        "from euclid4.admissible import AdmissibleCertificate, search_pair\n"
+        "from euclid4.fields import registry_entry\n"
+        "from euclid4.units import unit_data\n"
+        "spec = registry_entry('K_1').spec\n"
+        "cert = search_pair(spec, unit_data(spec), 100)\n"
+        "swapped = dataclasses.replace(cert, P1=cert.P2, P2=cert.P1)\n"
+        "print([f.name for f in dataclasses.fields(cert)])\n"
+        "print(swapped == AdmissibleCertificate(cert.spec, cert.units, cert.P2, cert.P1,\n"
+        "                                       cert.ord_eps_P1, cert.ord_eta_P1,\n"
+        "                                       cert.ord_eps_P2) != cert)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(euclid4.__file__))}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["[]", "['euclid4.admissible.AdmissibleCertificate']"]
+    assert out.stdout.splitlines() == [
+        "[]",
+        "[]",
+        "['spec', 'units', 'P1', 'P2', 'ord_eps_P1', 'ord_eta_P1', 'ord_eps_P2']",
+        "True",
+    ]
 
 
 # Loaded on first use only: the oracle, the witness with the prime

@@ -327,7 +327,7 @@ def test_split_prime_dividing_the_tower_determinant_is_skipped():
     _, e, _, _, det, _ = spec.tower
     assert e * det == -160 and splits_completely(spec, 5)
     assert 5 not in list(split_primes(spec, 100))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="5 splits completely but divides e D = -160"):
         degree_one_primes_above(spec, 5)
 
 
