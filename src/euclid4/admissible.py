@@ -30,12 +30,13 @@ from .residues import (
     MAX_CERT_PRIME,  # noqa: F401  (search_pair's cap; the tests read it here)
     DegreeOnePrime,
     degree_one_primes_above,
-    has_order_mod_p2,
+    has_order,
+    order_exponents,
     reduce_mod_p2,
     split_primes,
     unit_order_mod_p2,
 )
-from .units import Provenance, UnitData, torsion_units
+from .units import Provenance, UnitData
 
 # The names served by __getattr__, with the module that defines each.
 _LAZY = {
@@ -141,25 +142,29 @@ def check_conditions(spec: FieldSpec, units: UnitData, P1: DegreeOnePrime,
 
 class PairAttempts:
     """Prime pairs tried against the torsion multiples eta^t * eps of one
-    field's unit, with the primes above each p and the verdicts of the
-    order conditions cached.
+    field's unit, with the primes above each p, the unit images there and
+    the verdicts of the order conditions cached.
 
     attempt(p1, p2) tests the gcd conditions (2) and (3), which depend on p1
     and p2 alone, then returns the certificate for the first t for which a
     conjugate above p1 passes (1) and (4) and a conjugate above p2 passes
     (5), taking the first such conjugate in index order on each side; None
-    when no t does.  stats counts the rejections by reason.  The conditions
-    only ask whether an order equals a given n (has_order_mod_p2); the full
-    orders are computed once, by check_conditions, for the pair returned.
+    when no t does.  stats counts the rejections by reason.
+
+    The sweep works on residues: reduction mod P^2 is a ring map, so the
+    image of eta^t * eps is eta(P)^t eps(P) mod p^2, and eta and eps are
+    reduced once per conjugate.  The conditions only ask whether an order
+    equals a given n (has_order), with the exponents of each (p, n) kept.
+    Only the returned pair's unit eta^t * eps is built as an element, and
+    check_conditions computes its full orders from it.  Units of another
+    field are FieldMismatch.
     """
 
     def __init__(self, spec: FieldSpec, units: UnitData):
+        if units.eta.field != spec or units.epsilon.field != spec:
+            raise FieldMismatch("the units lie in another field")
         self.spec = spec
         self.units = units
-        self.variants = [units] + [
-            UnitData(units.g, units.eta, z * units.epsilon, Provenance.SUPPLIED)
-            for z in torsion_units(units.g, units.eta)[1:]
-        ]
         self.stats = {
             "no_condition5": 0,
             "g_nondivisible": 0,
@@ -168,28 +173,46 @@ class PairAttempts:
             "cond4_failures": 0,
             "pairs_checked": 0,
         }
-        self._primes: dict[int, list[DegreeOnePrime]] = {}
+        # p -> [(prime, eta(prime), [(eta^t eps)(prime) for t < g])]
+        self._images: dict[int, list] = {}
+        self._exponents: dict[tuple[int, int], tuple[int, ...]] = {}
         # (p, t) -> (first conjugate passing (1) and (4), or None, and the
         # (1) and (4) failures before it); (p, t) -> first passing (5)
         self._cond14: dict = {}
         self._cond5: dict = {}
 
     def _above(self, p):
-        if p not in self._primes:
-            self._primes[p] = degree_one_primes_above(self.spec, p)
-        return self._primes[p]
+        if p not in self._images:
+            p2 = p * p
+            eta, eps = self.units.eta, self.units.epsilon
+            rows = []
+            for prime in degree_one_primes_above(self.spec, p):
+                h = reduce_mod_p2(eta, prime)
+                u = reduce_mod_p2(eps, prime)
+                images = [u]
+                for _ in range(1, self.units.g):
+                    u = u * h % p2
+                    images.append(u)
+                rows.append((prime, h, images))
+            self._images[p] = rows
+        return self._images[p]
+
+    def _has_order(self, u, p, n):
+        exponents = self._exponents.get((p, n))
+        if exponents is None:
+            exponents = self._exponents[p, n] = order_exponents(p, n)
+        return has_order(u, p * p, n, exponents)
 
     def _cond1_conjugate(self, p1, t):
         key = (p1, t)
         if key not in self._cond14:
-            var = self.variants[t]
             g = self.units.g
             n1 = p1 * (p1 - 1) // g
             found, fail1, fail4 = None, 0, 0
-            for prime in self._above(p1):
-                if not has_order_mod_p2(reduce_mod_p2(var.epsilon, prime), p1, n1):
+            for prime, eta, eps in self._above(p1):
+                if not self._has_order(eps[t], p1, n1):
                     fail1 += 1
-                elif not has_order_mod_p2(reduce_mod_p2(var.eta, prime), p1, g):
+                elif not self._has_order(eta, p1, g):
                     fail4 += 1
                 else:
                     found = prime
@@ -203,13 +226,23 @@ class PairAttempts:
     def _cond5_conjugate(self, p2, t):
         key = (p2, t)
         if key not in self._cond5:
-            eps = self.variants[t].epsilon
+            n = p2 * (p2 - 1)
             self._cond5[key] = next(
-                (prime for prime in self._above(p2)
-                 if has_order_mod_p2(reduce_mod_p2(eps, prime), p2, p2 * (p2 - 1))),
+                (prime for prime, _, eps in self._above(p2) if self._has_order(eps[t], p2, n)),
                 None,
             )
         return self._cond5[key]
+
+    def _variant(self, t):
+        """The units with epsilon replaced by eta^t * eps: t products, and
+        provenance SUPPLIED for t >= 1."""
+        units = self.units
+        if t == 0:
+            return units
+        eps = units.epsilon
+        for _ in range(t):
+            eps = units.eta * eps
+        return UnitData(units.g, units.eta, eps, Provenance.SUPPLIED)
 
     def condition5_possible(self, p2: int) -> bool:
         """Whether some torsion multiple has a conjugate above p2 passing
@@ -234,7 +267,7 @@ class PairAttempts:
                 self.stats["no_condition5"] += 1
                 continue
             self.stats["pairs_checked"] += 1
-            return check_conditions(self.spec, self.variants[t], prime1, prime2)
+            return check_conditions(self.spec, self._variant(t), prime1, prime2)
         return None
 
 

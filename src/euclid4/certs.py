@@ -33,7 +33,7 @@ from .certtext import (
 )
 # The writer's public names, re-exported: the benchmark traces
 # certs.certificate_to_json.
-from .certtext import certificate_to_dict, certificate_to_json, units_to_dict  # noqa: F401
+from .certtext import certificate_to_json, units_to_dict  # noqa: F401
 from .elements import NFElement
 from .errors import CapExceeded, ConditionFailed, Euclid4Error, OracleMismatch, SchemaError
 from .fields import FieldSpec, build_from_descriptor, registry_label

@@ -10,8 +10,7 @@ certs, which re-verifies a certificate, loads on `verify`.
 The layout is fixed, so certificate_to_json fills one template with decimal
 strings and the field block.  The field block is rendered once per field
 (_field_block, which the reader's descriptor check shares); its dict never
-leaves this module, and field_descriptor and certificate_to_dict return
-fresh dicts.
+leaves this module, and field_descriptor returns a fresh dict.
 """
 
 from __future__ import annotations
@@ -36,22 +35,12 @@ SCHEMA_VERSION = "cert/v1"
 # The one statement a certificate makes: P1, P2 is an admissible pair.
 CONCLUSION = "AdmissiblePair"
 
-# The keys of each object, exactly as certificate_to_dict writes them; the
+# The keys of each object, exactly as certificate_to_json writes them; the
 # top level may also hold a label, the registry label of the field.
 _KEYS = frozenset({"version", "field", "units", "P1", "P2", "orders", "gcds", "conclusion"})
 _UNIT_KEYS = frozenset({"g", "eta_coords", "epsilon_coords", "provenance"})
 _PRIME_KEYS = frozenset({"p", "root_c", "lifted_c", "conjugate_index", "basis_images"})
 _ORDER_KEYS = frozenset({"ord_eps_P1", "ord_eta_P1", "ord_eps_P2"})
-
-
-def _prime_dict(P: DegreeOnePrime) -> dict:
-    return {
-        "p": str(P.p),
-        "root_c": str(P.lifted_c % P.p),
-        "lifted_c": str(P.lifted_c),
-        "conjugate_index": str(P.conjugate_index),
-        "basis_images": [str(v) for v in P.basis_images],
-    }
 
 
 def _decimal(n: int) -> str:
@@ -73,26 +62,6 @@ def units_to_dict(units: UnitData) -> dict:
         "epsilon_coords": [_decimal(c) for c in units.epsilon.coords],
         "provenance": units.provenance.value,
     }
-
-
-def certificate_to_dict(cert: AdmissibleCertificate, label: str | None = None) -> dict:
-    doc = {
-        "version": SCHEMA_VERSION,
-        "field": field_descriptor(cert.spec),
-        "units": units_to_dict(cert.units),
-        "P1": _prime_dict(cert.P1),
-        "P2": _prime_dict(cert.P2),
-        "orders": {
-            "ord_eps_P1": str(cert.ord_eps_P1),
-            "ord_eta_P1": str(cert.ord_eta_P1),
-            "ord_eps_P2": str(cert.ord_eps_P2),
-        },
-        "gcds": [True, True],
-        "conclusion": CONCLUSION,
-    }
-    if label is not None:
-        doc["label"] = label
-    return doc
 
 
 def _dump(node, pad: str) -> str:
@@ -131,9 +100,9 @@ def _field_block(spec: FieldSpec) -> tuple[dict, str]:
     return desc, _dump(desc, "  ")
 
 
-# The text of certificate_to_dict(cert, label) with its keys sorted; a %s
-# slot takes a decimal string, a quoted string, the field block or the
-# label line.
+# The text of a certificate with its keys sorted, as json.dumps(doc,
+# indent=2, sort_keys=True) writes it; a %s slot takes a decimal string, a
+# quoted string, the field block or the label line.
 _PRIME = """{
     "basis_images": [
       "%s",
@@ -188,9 +157,10 @@ def _prime_text(P: DegreeOnePrime) -> str:
 
 
 def certificate_to_json(cert: AdmissibleCertificate, label: str | None = None) -> str:
-    """The certificate text: byte for byte json.dumps(certificate_to_dict(
-    cert, label), indent=2, sort_keys=True) + "\\n".  A label that is not a
-    str raises TypeError."""
+    """The certificate text: byte for byte json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n", where doc holds the keys of _KEYS (and the
+    label, when given) with every integer a decimal string.  A label that
+    is not a str raises TypeError."""
     units = cert.units
     return _CERTIFICATE % (
         _prime_text(cert.P1),

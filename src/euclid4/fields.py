@@ -62,7 +62,7 @@ from .errors import (
     UnknownLabel,
     UnsupportedConductor,
 )
-from .intmath import IntPoly, Record, is_prime, is_squarefree, legendre
+from .intmath import IntPoly, Record, is_prime, is_squarefree
 from .linalg import adjugate_int, det_int, hnf_rows
 
 # Radicands are tested for squarefreeness by trial division, which takes
@@ -343,7 +343,10 @@ def splits_completely(spec: FieldSpec, p: int) -> bool:
     """Cheap arithmetic splitting test; p must be an odd unramified prime,
     which the caller has checked."""
     if spec.kind == "biquadratic":
-        return all(legendre(d, p) == 1 for d in spec.sqrt_map)
+        # the third radicand is k = mn / gcd(m, n)^2, so (k|p) = (m|p)(n|p)
+        # for p prime to mn, and two Legendre symbols decide
+        half = (p - 1) // 2
+        return pow(spec.m, half, p) == 1 and pow(spec.n, half, p) == 1
     f = spec.conductor
     if f == 16:
         return p % 16 in (1, 7)

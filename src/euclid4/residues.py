@@ -117,15 +117,21 @@ def degree_one_primes_above(spec: FieldSpec, p: int,
     t1 = t0 if ce == 0 else sqrt_mod_prime_power((be - ce * s0) * inv_e, p, 2)
     out = []
     c0, c1, c2, c3 = spec.theta_coords
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = adj
     for s, ts in ((s0, (t0, -t0)), (-s0, (t1, -t1))):
-        a0, a1, a2, a3 = [(r0 + r1 * s) * inv_det % p2 for r0, r1, _, _ in adj]
-        b0, b1, b2, b3 = [(r2 + r3 * s) * inv_det % p2 for _, _, r2, r3 in adj]
+        a0, b0 = (r00 + r01 * s) * inv_det % p2, (r02 + r03 * s) * inv_det % p2
+        a1, b1 = (r10 + r11 * s) * inv_det % p2, (r12 + r13 * s) * inv_det % p2
+        a2, b2 = (r20 + r21 * s) * inv_det % p2, (r22 + r23 * s) * inv_det % p2
+        a3, b3 = (r30 + r31 * s) * inv_det % p2, (r32 + r33 * s) * inv_det % p2
         for t in ts:
             i0, i1, i2, i3 = images = (
                 (a0 + t * b0) % p2, (a1 + t * b1) % p2, (a2 + t * b2) % p2, (a3 + t * b3) % p2)
-            out.append(((c0 * i0 + c1 * i1 + c2 * i2 + c3 * i3) % p2, images))
-    out.sort(key=lambda m: (m[0] % p, m[1]))
-    return [DegreeOnePrime(spec, p, theta, idx, images) for idx, (theta, images) in enumerate(out)]
+            theta = (c0 * i0 + c1 * i1 + c2 * i2 + c3 * i3) % p2
+            # distinct maps have distinct images, so theta never breaks a tie
+            out.append((theta % p, images, theta))
+    out.sort()
+    return [DegreeOnePrime(spec, p, theta, idx, images)
+            for idx, (_, images, theta) in enumerate(out)]
 
 
 def reduce_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:
@@ -152,14 +158,28 @@ def unit_order_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:
     return order if pow(u, p - 1, p2) == 1 else order * p
 
 
-def has_order_mod_p2(u: int, p: int, n: int) -> bool:
-    """Whether the residue u has order exactly n modulo p^2, for n dividing
-    p(p-1): u^n = 1 and u^(n/l) != 1 for each prime l | n (Cohen, A Course
-    in Computational Algebraic Number Theory, 1.4.3).  The primes dividing
-    n are p and those of n with p removed, a divisor of p - 1."""
+def order_exponents(p: int, n: int) -> tuple[int, ...]:
+    """The exponents n/l, for each prime l | n, that test whether a residue
+    has order exactly n modulo p^2, for n dividing p(p-1) (has_order).  The
+    primes dividing n are p and those of n with p removed, a divisor of
+    p - 1, so nothing above p - 1 is factored.  Raises ValueError unless n
+    divides p(p-1)."""
     if p * (p - 1) % n:
         raise ValueError(f"{n} does not divide {p}({p} - 1)")
-    p2 = p * p
     m, ells = (n // p, [p]) if n % p == 0 else (n, [])
     ells += factorize(m)
-    return pow(u, n, p2) == 1 and all(pow(u, n // l, p2) != 1 for l in ells)
+    return tuple(n // l for l in ells)
+
+
+def has_order(u: int, m: int, n: int, exponents: tuple[int, ...]) -> bool:
+    """Whether u^n = 1 modulo m and u^e != 1 for each e of exponents: with
+    m = p^2 and exponents = order_exponents(p, n), whether u has order
+    exactly n modulo p^2 (Cohen, A Course in Computational Algebraic Number
+    Theory, 1.4.3)."""
+    return pow(u, n, m) == 1 and all(pow(u, e, m) != 1 for e in exponents)
+
+
+def has_order_mod_p2(u: int, p: int, n: int) -> bool:
+    """Whether the residue u has order exactly n modulo p^2, for n dividing
+    p(p-1); ValueError otherwise."""
+    return has_order(u, p * p, n, order_exponents(p, n))

@@ -21,12 +21,13 @@ from euclid4.admissible import (
     find_prime_element,
     search_pair,
 )
-from euclid4.certs import certificate_to_dict, certificate_to_json, parse_certificate
+from euclid4.certs import certificate_to_json, parse_certificate
 from euclid4.elements import NFElement, from_power_coords, norm, one
 from euclid4.errors import (
     BoundExceeded,
     CapExceeded,
     ConditionFailed,
+    FieldMismatch,
     SamePrime,
     SearchExhausted,
 )
@@ -41,7 +42,9 @@ from euclid4.residues import (
     splits_completely,
     unit_order_mod_p2,
 )
-from euclid4.units import Provenance, UnitData, torsion, unit_data
+from euclid4.units import Provenance, UnitData, torsion, torsion_units, unit_data
+
+from certdict import certificate_to_dict
 
 
 def paper_units(k):
@@ -199,6 +202,13 @@ def full_order_attempts(spec, units, pairs):
     return [attempt(p1, p2) for p1, p2 in pairs], stats
 
 
+def torsion_multiple(units, cert):
+    """The t with cert.units.epsilon = eta^t * eps for the eta and eps of
+    units: its index among z * eps over the torsion units z."""
+    variants = [z * units.epsilon for z in torsion_units(units.g, units.eta)]
+    return variants.index(cert.units.epsilon)
+
+
 def test_pair_attempts_match_full_orders(entries):
     """On every field, over every ordered pair of split primes <= 10^3, the
     order-test verdicts give the outcomes and the rejection counts of the
@@ -217,7 +227,7 @@ def test_pair_attempts_match_full_orders(entries):
             if cert is None:
                 got.append(None)
                 continue
-            t = attempts.variants.index(cert.units)
+            t = torsion_multiple(units, cert)
             got.append((t, cert.P1.conjugate_index, cert.P2.conjugate_index))
         assert got == want, label
         assert attempts.stats == want_stats, label
@@ -250,7 +260,7 @@ def eager_search(spec, units, bound):
                 continue
             cert = attempts.attempt(p1, p2)
             if cert is not None:
-                return (cert.pair, attempts.variants.index(cert.units),
+                return (cert.pair, torsion_multiple(units, cert),
                         cert.P1.conjugate_index, cert.P2.conjugate_index)
     return None
 
@@ -261,7 +271,6 @@ def test_search_matches_eager_sweep(entries):
     for label, entry in entries.items():
         spec = entry.spec
         units = unit_data(spec)
-        variants = admissible.PairAttempts(spec, units).variants
         for bound in (100, 150, 1000, 10 ** 4):
             want = eager_search(spec, units, bound)
             try:
@@ -270,9 +279,43 @@ def test_search_matches_eager_sweep(entries):
                 assert want is None, (label, bound)
                 assert exc.stats["split_primes"] == len(list(split_primes(spec, bound)))
                 continue
-            got = (cert.pair, variants.index(cert.units),
+            got = (cert.pair, torsion_multiple(units, cert),
                    cert.P1.conjugate_index, cert.P2.conjugate_index)
             assert got == want, (label, bound)
+
+
+def test_search_builds_only_the_returned_unit(entries, monkeypatch):
+    """The sweep works on residues: on all 40 fields a search at 10^4 makes
+    at most t element products, t the torsion multiple of the certificate
+    it returns (the t products that build eta^t * eps)."""
+    calls = []
+    real = NFElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    for label, entry in entries.items():
+        units = unit_data(entry.spec)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(NFElement, "__mul__", counted)
+            cert = search_pair(entry.spec, units, 10 ** 4)
+        assert len(calls) <= torsion_multiple(units, cert), label
+
+
+def test_units_of_another_field_are_field_mismatch(entries):
+    """Units of K_2 against K_1 are refused before any prime is tried, by
+    the search and by the pair attempts alike."""
+    k1, k2 = entries["K_1"].spec, entries["K_2"].spec
+    foreign = unit_data(k2)
+    with pytest.raises(FieldMismatch):
+        search_pair(k1, foreign, 1000)
+    with pytest.raises(FieldMismatch):
+        admissible.PairAttempts(k1, foreign).attempt(29, 17)
+    mixed = UnitData(foreign.g, unit_data(k1).eta, foreign.epsilon, Provenance.SUPPLIED)
+    with pytest.raises(FieldMismatch):
+        admissible.PairAttempts(k1, mixed)
 
 
 def test_search_at_cap_tests_no_prime_past_the_pair(entries, monkeypatch):

@@ -11,12 +11,11 @@ from euclid4 import certs, residues
 from euclid4.admissible import search_pair
 from euclid4.certs import (
     _load_prime,
-    certificate_to_dict,
     certificate_to_json,
     parse_certificate,
     verify_certificate_json,
 )
-from euclid4.certtext import _dump, _field_block, _prime_dict
+from euclid4.certtext import _dump, _field_block
 from euclid4.elements import from_power_coords, inverse_unit
 from euclid4.errors import ConditionFailed, Euclid4Error, OracleMismatch, Ramified, SchemaError
 from euclid4.fields import (
@@ -28,6 +27,8 @@ from euclid4.fields import (
 from euclid4.intmath import is_prime, is_squarefree
 from euclid4.residues import degree_one_primes_above
 from euclid4.units import unit_data, verify_unit_data
+
+from certdict import certificate_to_dict, prime_dict
 
 
 @pytest.fixture(scope="module")
@@ -240,14 +241,14 @@ def test_stored_prime_loads_from_its_own_roots(label, key, monkeypatch):
     spec = build_from_descriptor(doc["field"])
     p = int(doc[key]["p"])
     primes = degree_one_primes_above(spec, p)
-    assert _prime_dict(primes[int(doc[key]["conjugate_index"])]) == doc[key]
+    assert prime_dict(primes[int(doc[key]["conjugate_index"])]) == doc[key]
     calls = []
     real = residues.sqrt_mod_prime_power
     monkeypatch.setattr(residues, "sqrt_mod_prime_power",
                         lambda *args: calls.append(args) or real(*args))
     _, x, y, _ = spec.tower_rows
     for prime in primes:
-        stored = _prime_dict(prime)
+        stored = prime_dict(prime)
         calls.clear()
         assert _load_prime(stored, spec, key) == prime
         assert len(calls) == (spec.kind == "cyclic")
@@ -290,7 +291,7 @@ def _large_split_prime(doc):
     spec = build_from_descriptor(doc["field"])
     with patch.object(residues, "is_prime", lambda n: True):
         primes = degree_one_primes_above(spec, 100000000000000049)
-    doc["P1"] = _prime_dict(primes[int(doc["P1"]["conjugate_index"])])
+    doc["P1"] = prime_dict(primes[int(doc["P1"]["conjugate_index"])])
 
 
 MALFORMED = {

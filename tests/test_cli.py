@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from euclid4.admissible import search_pair
-from euclid4.certs import certificate_to_dict
 from euclid4.cli import main
 from euclid4.fields import registry_entry
 from euclid4.units import unit_data
+
+from certdict import certificate_to_dict
 
 
 def test_field_list(capsys):

@@ -447,3 +447,21 @@ def test_has_order_factors_only_p_minus_one(entries, monkeypatch):
         for n in sorted({order, p * (p - 1), p - 1}):
             assert has_order_mod_p2(u, p, n) == (n == order)
     assert seen and max(seen) <= p - 1
+
+
+def test_biquadratic_split_test_matches_three_radicands(entries):
+    """On the 33 biquadratic registry fields and every odd prime below 5,000
+    prime to the discriminant, the two-symbol split test equals the
+    definition, all of (m|p), (n|p) and (k|p) equal to 1, and holds exactly
+    when four degree-one primes lie above p."""
+    fields = [e.spec for e in entries.values() if e.spec.kind == "biquadratic"]
+    assert len(fields) == 33
+    for spec in fields:
+        radicands = tuple(spec.sqrt_map)
+        assert len(radicands) == 3
+        for p in range(3, 5000, 2):
+            if not is_prime(p) or spec.discriminant % p == 0:
+                continue
+            split = splits_completely(spec, p)
+            assert split == all(intmath.legendre(d, p) == 1 for d in radicands), (spec.name(), p)
+            assert split == (len(degree_one_primes_above(spec, p)) == 4), (spec.name(), p)
