@@ -2,8 +2,11 @@
 +-p of a degree-one prime (find_prime_element), found by one lattice
 reduction and a walk along the unit group.
 
-norm_solutions solves x conj(x) = alpha in a lattice of the ring; it
-serves the prime generators (_least_generators).
+norm_solutions solves x conj(x) = alpha in a lattice of the ring, in a
+reduction step (_reduced) and an exhaustive box step (_box_solutions).  For
+the generators of a prime (_least_generators) the first vector of the
+reduced basis, checked exactly, is the generator pi, and the box is only
+the fallback.
 """
 
 from __future__ import annotations
@@ -106,6 +109,48 @@ def _congruent(gram, rows):
     return [[sum(map(mul, a, b)) for b in rows] for a in _times(rows, gram)]
 
 
+def _prime_congruent(form, lattice):
+    """_congruent(form, lattice) in closed form for the lattice of a prime,
+    (-r1, 1, 0, 0), (-r2, 0, 1, 0), (-r3, 0, 0, 1), (p, 0, 0, 0): with
+    w_i = f_i0 - r_i f_00 its entries are f_ij - r_i f_0j - r_j w_i, p w_i
+    and p^2 f_00 (i, j = 1, 2, 3)."""
+    r = (0, -lattice[0][0], -lattice[1][0], -lattice[2][0])
+    p, f0 = lattice[3][0], form[0]
+    w = [0] + [form[i][0] - r[i] * f0[0] for i in (1, 2, 3)]
+    gram = [[form[i][j] - r[i] * f0[j] - r[j] * w[i] for j in (1, 2, 3)] + [p * w[i]]
+            for i in (1, 2, 3)]
+    gram.append([p * w[1], p * w[2], p * w[3], p * p * f0[0]])
+    return gram
+
+
+def _reduced(spec: FieldSpec, lattice, a: int, b: int, congruent=_congruent):
+    """The reduction step of norm_solutions: None unless alpha is totally
+    positive, else (form, basis, bound, solves), with form the matrix of 2Q,
+    basis the lattice's rows LLL-reduced under it (congruent(form, lattice)
+    its Gram matrix), bound the box's bound on 2Q and solves(x) whether
+    x conj(x) = alpha, exactly."""
+    d, e, _, _, det, _ = spec.tower
+    h = 2 if d % 4 == 1 else 1
+    if a <= 0 or a * a <= d * b * b:
+        return None
+    gu, gv = spec.norm_forms
+    scale = 2 * e * det * det
+    form = [[a * x - b * d * y for x, y in zip(ru, rv)] for ru, rv in zip(gu, gv)]
+    basis = _times(lll_reduce(congruent(form, lattice)), lattice)
+
+    def solves(x):
+        return h * _value(gu, x) == scale * a and h * _value(gv, x) == scale * b
+
+    return form, basis, scale * (a * a - d * b * b) // h, solves
+
+
+def _box_solutions(form, basis, bound, solves) -> list[tuple[int, ...]]:
+    """The box step of norm_solutions: every x = y basis with
+    y (basis form basis^T) y^T <= bound, y != 0, that solves."""
+    found = _times([y for y in box_vectors(_congruent(form, basis), bound) if any(y)], basis)
+    return [x for x in found if solves(x)]
+
+
 def norm_solutions(spec: FieldSpec, lattice, a: int, b: int) -> list[tuple[int, ...]]:
     """Every x of the lattice (rows: the coordinates of a basis) with
     x conj(x) = alpha = (a + b sqrt(d)) / h, as coordinate tuples, where
@@ -117,22 +162,15 @@ def norm_solutions(spec: FieldSpec, lattice, a: int, b: int) -> list[tuple[int, 
     Q(x) >= h e D^2 sqrt(N(alpha) N(x)) by AM-GM over the two real
     embeddings, with equality where x conj(x) = alpha.  So LLL reduction
     under 2Q (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.6.7) and the box 2Q(y) <= 2 h e D^2 N(alpha) find every
-    solution, each checked exactly; when |N(x)| >= N(alpha) on the lattice
-    (a prime of norm N(alpha)), every nonzero y of the box is one.
+    Alg. 2.6.7; _reduced) and the box 2Q(y) <= 2 h e D^2 N(alpha)
+    (_box_solutions) find every solution, each checked exactly; when
+    |N(x)| >= N(alpha) on the lattice (a prime of norm N(alpha)), every
+    nonzero y of the box is one.  _least_generators runs the two steps
+    apart: in a prime's lattice the first reduced vector is mostly a
+    solution already, and the box is its fallback.
     """
-    d, e, _, _, det, _ = spec.tower
-    h = 2 if d % 4 == 1 else 1
-    if a <= 0 or a * a <= d * b * b:
-        return []
-    gu, gv = spec.norm_forms
-    scale = e * det * det
-    form = [[a * x - b * d * y for x, y in zip(ru, rv)] for ru, rv in zip(gu, gv)]
-    basis = _times(lll_reduce(_congruent(form, lattice)), lattice)
-    bound = 2 * scale * (a * a - d * b * b) // h
-    found = _times([y for y in box_vectors(_congruent(form, basis), bound) if any(y)], basis)
-    return [x for x in found
-            if h * _value(gu, x) == 2 * scale * a and h * _value(gv, x) == 2 * scale * b]
+    reduced = _reduced(spec, lattice, a, b)
+    return _box_solutions(*reduced) if reduced else []
 
 
 class _FieldGenerators(Record):
@@ -201,11 +239,20 @@ def _least_generators(prime: DegreeOnePrime, data: _FieldGenerators) -> list[tup
     A generator pi of P gives the totally positive generator pi conj(pi)
     of p; the other generators of P change it by the norms u conj(u) of
     units, among them eps0^2, so it is one of the four up to those.  They
-    are the solutions of norm_solutions in P's basis (p, 0, 0, 0),
-    (-r1, 1, 0, 0), (-r2, 0, 1, 0), (-r3, 0, 0, 1).  The first alpha tried
-    is alpha whenever the unit index [E : W E+] is 2 or N(eps0) = -1;
-    otherwise alpha0 and alpha0 eps0 may both be totally positive with one
-    of them a norm, so each candidate is tried in turn.
+    are the solutions of norm_solutions in P's basis (-r1, 1, 0, 0),
+    (-r2, 0, 1, 0), (-r3, 0, 0, 1), (p, 0, 0, 0), in that order, which LLL
+    reduces in fewer swaps than with (p, 0, 0, 0) first.  The first alpha
+    tried is alpha whenever the unit index [E : W E+] is 2 or
+    N(eps0) = -1; otherwise alpha0 and alpha0 eps0 may both be totally
+    positive with one of them a norm, so each candidate is tried in turn.
+
+    The first reduced vector x is checked exactly, and when it solves, the
+    solutions are its g torsion multiples: |N(x)| = p = N(P), so (x) = P,
+    and any other solution is u x with u conj(u) = 1, a root of unity.
+    Otherwise the box of norm_solutions, which is exhaustive, decides (LLL
+    with delta = 3/4 does not promise the shortest vector); on the 6,120
+    conjugates of the split primes below 1,000 of the 40 fields it is never
+    needed.
     """
     spec, p = prime.field, prime.p
     r = [im % p for im in prime.basis_images]
@@ -216,9 +263,15 @@ def _least_generators(prime: DegreeOnePrime, data: _FieldGenerators) -> list[tup
     a0, b0 = below
     e0, f0 = data.eps0
     a1, b1 = (a0 * e0 + d * b0 * f0) // data.h, (a0 * f0 + b0 * e0) // data.h
-    lattice = [[p, 0, 0, 0], [-r[1], 1, 0, 0], [-r[2], 0, 1, 0], [-r[3], 0, 0, 1]]
+    lattice = [[-r[1], 1, 0, 0], [-r[2], 0, 1, 0], [-r[3], 0, 0, 1], [p, 0, 0, 0]]
     for a, b in ((a0, b0), (-a0, -b0), (a1, b1), (-a1, -b1)):
-        found = norm_solutions(spec, lattice, a, b)
+        reduced = _reduced(spec, lattice, a, b, _prime_congruent)
+        if reduced is None:
+            continue
+        _, basis, _, solves = reduced
+        if solves(basis[0]):
+            return [c for z in data.torsion for c in _times(basis[:1], z)]
+        found = _box_solutions(*reduced)
         if found:
             return found
     return []
@@ -263,10 +316,11 @@ def _box_hits(prime: DegreeOnePrime, bound: int) -> list[tuple[int, ...]]:
 
 # Largest coord_bound of find_prime_element.  The walk visits about log(b)
 # units, so the cap does not guard the time: at b = 64 a call takes
-# 0.14 ms at the median and 0.62 ms at most over the 488 conjugates of the
+# 0.25 ms at the median and 1.6 ms at most over the 488 conjugates of the
 # split primes below 60 and the reference primes of the 40 fields, each
 # field's constants built first and each call the median of 5 (2-core
-# Xeon, Python 3.11).
+# Xeon, Python 3.11; the box search for every prime read 0.35 and 1.8 ms
+# in the same alternated runs).
 MAX_COORD_BOUND = 64
 
 

@@ -25,7 +25,7 @@ from math import gcd
 from operator import mul
 
 from .elements import NFElement
-from .errors import NotCoprime, Ramified
+from .errors import FieldMismatch, NotCoprime, Ramified
 from .fields import FieldSpec, splits_completely
 from .intmath import Record, factorize, is_prime, mult_order, odd_primes, sqrt_mod_prime_power
 
@@ -135,9 +135,10 @@ def degree_one_primes_above(spec: FieldSpec, p: int,
 
 
 def reduce_mod_p2(x: NFElement, prime: DegreeOnePrime) -> int:
-    """Image of x under the reduction map O -> Z/p^2 attached to the prime."""
+    """Image of x under the reduction map O -> Z/p^2 attached to the prime;
+    an element of another field is FieldMismatch."""
     if x.field != prime.field:
-        raise ValueError("element does not belong to the prime's field")
+        raise FieldMismatch("element does not belong to the prime's field")
     return sum(map(mul, x.coords, prime.basis_images)) % (prime.p * prime.p)
 
 

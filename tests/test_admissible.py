@@ -34,6 +34,7 @@ from euclid4.errors import (
 from euclid4.fields import _forms, build_biquadratic, build_from_descriptor
 from euclid4.generators import _box_hits, _field_generators, _least_generators, _prime_below
 from euclid4.intmath import is_prime
+from euclid4.linalg import box_vectors
 from euclid4.residues import (
     DegreeOnePrime,
     degree_one_primes_above,
@@ -535,6 +536,15 @@ def audit_primes():
             yield label, prime, found
 
 
+def prime_element(prime):
+    """find_prime_element(prime, 50) as coordinate strings, or
+    "BoundExceeded"."""
+    try:
+        return [str(c) for c in find_prime_element(prime, 50).coords]
+    except BoundExceeded:
+        return "BoundExceeded"
+
+
 def test_prime_elements_match_expected():
     """find_prime_element at bound 50 gives, for P1 and P2 of the 17
     audited certificates, the generators (or BoundExceeded) recorded for
@@ -542,10 +552,7 @@ def test_prime_elements_match_expected():
     got, expected = [], []
     for label, prime, found in audit_primes():
         expected.append((label, found))
-        try:
-            got.append((label, [str(c) for c in find_prime_element(prime, 50).coords]))
-        except BoundExceeded:
-            got.append((label, "BoundExceeded"))
+        got.append((label, prime_element(prime)))
     assert len(got) == 34
     assert sum(found == "BoundExceeded" for _, found in got) == 2
     assert got == expected
@@ -565,11 +572,7 @@ def test_find_prime_element_matches_frozen_digest(entries):
             if p > 200:
                 continue
             for prime in degree_one_primes_above(entry.spec, p):
-                try:
-                    found = [str(c) for c in find_prime_element(prime, 50).coords]
-                except BoundExceeded:
-                    found = "BoundExceeded"
-                rows.append([entry.label, p, prime.conjugate_index, found])
+                rows.append([entry.label, p, prime.conjugate_index, prime_element(prime)])
     assert len(rows) == 312
     assert sum(row[3] == "BoundExceeded" for row in rows) == 41
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PRIME_ELEMENT_DIGEST
@@ -616,6 +619,74 @@ def test_least_generators_attain_the_bound():
             if any(c) and c not in found:
                 u, v = forms(c)
                 assert a * u - b * d * v > h * scale * p, (label, c)
+
+
+def test_prime_congruent_is_the_product():
+    """The closed-form Gram matrix of a prime's lattice is lattice form
+    lattice^T, on seeded symmetric forms and residues."""
+    rng = random.Random(39)
+    for _ in range(200):
+        p = rng.choice((3, 5, 101, 9973))
+        r = [rng.randrange(p) for _ in range(3)]
+        form = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                form[i][j] = form[j][i] = rng.randint(-10 ** 6, 10 ** 6)
+        lattice = [[-r[0], 1, 0, 0], [-r[1], 0, 1, 0], [-r[2], 0, 0, 1], [p, 0, 0, 0]]
+        assert generators._prime_congruent(form, lattice) == generators._congruent(form, lattice)
+
+
+def count_boxes(monkeypatch):
+    """The bounds of the box enumerations of the generator search, as a
+    list that grows with each call."""
+    boxes = []
+
+    def counted(gram, bound):
+        boxes.append(bound)
+        return box_vectors(gram, bound)
+
+    monkeypatch.setattr(generators, "box_vectors", counted)
+    return boxes
+
+
+def test_reference_primes_take_the_first_reduced_vector(entries, monkeypatch):
+    """On the 312 conjugates of test_find_prime_element_matches_frozen_digest
+    the first vector of the reduced basis is a generator, so no search
+    enumerates a box."""
+    boxes = count_boxes(monkeypatch)
+    searched = 0
+    for entry in entries.values():
+        for prime in (P for p in entry.expected_p1_p2 if p <= 200
+                      for P in degree_one_primes_above(entry.spec, p)):
+            prime_element(prime)
+            searched += 1
+    assert searched == 312
+    assert boxes == []
+
+
+def test_box_fallback_finds_the_same_generators(monkeypatch):
+    """With the first reduced vector b0 replaced by b0 + 3 b1 (still a basis,
+    and off the minimum of the form: size reduction and the Lovasz
+    condition put it at 2.5 Q(b0) or more), every audited prime falls back
+    to the box, which still finds the g generators and the recorded
+    prime_elements."""
+    reduce = generators.lll_reduce
+
+    def skewed(gram):
+        h = reduce(gram)
+        return [[a + 3 * b for a, b in zip(h[0], h[1])]] + h[1:]
+
+    monkeypatch.setattr(generators, "lll_reduce", skewed)
+    boxes = count_boxes(monkeypatch)
+    searched = 0
+    for label, prime, found in audit_primes():
+        before = len(boxes)
+        least = _least_generators(prime, _field_generators(prime.field))
+        assert len(boxes) > before, label
+        assert len(least) == unit_data(prime.field).g, label
+        assert prime_element(prime) == found, label
+        searched += 1
+    assert searched == 34
 
 
 @pytest.mark.parametrize("shift", [-6, 6])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from euclid4 import intmath, residues
 from euclid4.elements import NFElement, from_power_coords, one
-from euclid4.errors import CapExceeded, NotCoprime, Ramified
+from euclid4.errors import CapExceeded, FieldMismatch, NotCoprime, Ramified
 from euclid4.fields import build_biquadratic, build_cyclic_quartic, registry
 from euclid4.intmath import (
     is_prime,
@@ -28,7 +28,7 @@ from euclid4.residues import (
     splits_completely,
     unit_order_mod_p2,
 )
-from euclid4.units import infinite_order_unit, torsion
+from euclid4.units import infinite_order_unit, torsion, unit_data
 
 
 def paper_unit(k):
@@ -127,6 +127,18 @@ def test_order_basics(gaussian_sqrt11):
     assert unit_order_mod_p2(one(gaussian_sqrt11), prime) == 1
     with pytest.raises(NotCoprime):
         unit_order_mod_p2(157 * one(gaussian_sqrt11), prime)
+
+
+def test_element_of_another_field_is_field_mismatch(entries):
+    """The units of K_2 on a prime of K_1 are FieldMismatch, as in
+    check_conditions, both for the reduction map and for the unit order."""
+    prime = degree_one_primes_above(entries["K_1"].spec, 29)[0]
+    foreign = unit_data(entries["K_2"].spec)
+    for unit in (foreign.eta, foreign.epsilon):
+        with pytest.raises(FieldMismatch):
+            reduce_mod_p2(unit, prime)
+        with pytest.raises(FieldMismatch):
+            unit_order_mod_p2(unit, prime)
 
 
 def test_fermat_euler(gaussian_sqrt11):
